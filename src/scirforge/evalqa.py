@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import kernels
 from .core import (
     AnswerForm,
@@ -45,12 +43,7 @@ def rouge_l(prediction: str, reference: str) -> tuple[float, float, float]:
     ref = tokenize(reference)
     if not pred or not ref:
         return 0.0, 0.0, 0.0
-    vocab: dict[str, int] = {}
-    pred_ids = [vocab.setdefault(t, len(vocab)) for t in pred]
-    ref_ids = [vocab.setdefault(t, len(vocab)) for t in ref]
-    lcs = kernels.lcs_length(
-        np.array(pred_ids, dtype=np.int64), np.array(ref_ids, dtype=np.int64)
-    )
+    lcs = kernels.lcs_length(pred, ref)
     p = lcs / len(pred)
     r = lcs / len(ref)
     f = 0.0 if p + r == 0 else 2 * p * r / (p + r)

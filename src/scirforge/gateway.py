@@ -326,6 +326,39 @@ class HttpBackend:
 # ---------------------------------------------------------------------------
 
 
+class _KeyLock:
+    """Context manager that holds the lock for one request key.
+
+    Each entry of `locks` is [lock, number of callers holding or waiting for
+    it]. The last caller to leave drops the entry, so only keys in flight
+    keep a lock. A class rather than a generator keeps the per-call cost low.
+    """
+
+    __slots__ = ("_guard", "_locks", "_key", "_entry")
+
+    def __init__(self, guard: threading.Lock, locks: dict[str, list], key: str):
+        self._guard = guard
+        self._locks = locks
+        self._key = key
+
+    def __enter__(self) -> None:
+        with self._guard:
+            entry = self._locks.get(self._key)
+            if entry is None:
+                entry = self._locks[self._key] = [threading.Lock(), 0]
+            entry[1] += 1
+        self._entry = entry
+        entry[0].acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        entry = self._entry
+        entry[0].release()
+        with self._guard:
+            entry[1] -= 1
+            if entry[1] == 0:
+                del self._locks[self._key]
+
+
 class Gateway:
     """Caching, coalescing, rate-capped front door to a backend."""
 
@@ -334,7 +367,7 @@ class Gateway:
         self._config = config
         self._cache_dir = Path(config.cache_dir) if config.cache_dir else None
         self._semaphore = threading.Semaphore(config.max_in_flight)
-        self._locks: dict[str, threading.Lock] = {}
+        self._locks: dict[str, list] = {}  # see _KeyLock
         self._guard = threading.Lock()
         self.cache_hits = 0
         self.backend_calls = 0
@@ -362,28 +395,31 @@ class Gateway:
             return None
         return self._cache_dir / key[:2] / (key + ".json")
 
-    def _cache_read(self, key: str) -> dict | None:
+    def _cache_read(self, key: str, fields: tuple[str, ...]) -> dict | None:
+        """The cached value, or None on a miss.
+
+        A file that does not decode (say, truncated by a crash) or lacks one
+        of `fields` is a miss too; the caller then overwrites it.
+        """
         path = self._cache_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            value = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):
+            return None
+        if not isinstance(value, dict) or not all(f in value for f in fields):
+            return None
+        return value
 
     def _cache_write(self, key: str, value: dict) -> None:
         path = self._cache_path(key)
-        if path is None or path.exists():
+        if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
         tmp.replace(path)
-
-    def _key_lock(self, key: str) -> threading.Lock:
-        with self._guard:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = threading.Lock()
-                self._locks[key] = lock
-            return lock
 
     def _call(self, fn, *args):
         last: Exception | None = None
@@ -411,8 +447,8 @@ class Gateway:
             "max_tokens": request.max_tokens,
         }
         key = self._key(payload)
-        with self._key_lock(key):
-            cached = self._cache_read(key)
+        with _KeyLock(self._guard, self._locks, key):
+            cached = self._cache_read(key, ("response",))
             if cached is not None:
                 with self._guard:
                     self.cache_hits += 1
@@ -433,8 +469,8 @@ class Gateway:
             "continuation": continuation,
         }
         key = self._key(payload)
-        with self._key_lock(key):
-            cached = self._cache_read(key)
+        with _KeyLock(self._guard, self._locks, key):
+            cached = self._cache_read(key, ("tokens", "logprobs"))
             if cached is not None:
                 with self._guard:
                     self.cache_hits += 1

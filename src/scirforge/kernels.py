@@ -1,159 +1,38 @@
-"""Numeric hot loops with two interchangeable implementations.
+"""Numeric hot loops: LCS length (behind ROUGE-L) and BM25 accumulation.
 
-The LCS dynamic program (behind the long-answer overlap metric) and the BM25
-posting-list accumulation dominate benchmark runtime, so both exist as a
-numba-compiled kernel and a vectorized pure-numpy fallback.  Selection is by
-the SCIRFORGE_KERNELS environment variable, read once at import:
-
-    auto   use numba when importable, numpy otherwise (default)
-    numba  require numba; raise if it is missing
-    numpy  force the fallback
-
-Both paths perform identical per-element arithmetic, so results agree
-bitwise; the equivalence tests assert exactly that.
+Each kernel has one implementation.  LCS length uses the bit-parallel
+recurrence of Allison & Dix (1986) in the form given by Hyyrö ("Bit-parallel
+LCS-length computation revisited", 2004), on Python's arbitrary-precision
+ints; BM25 accumulation is a single vectorized numpy expression.
 """
 from __future__ import annotations
 
-import os
+from typing import Hashable, Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of two token sequences.
 
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# Longest common subsequence
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _lcs_length_nb(a: np.ndarray, b: np.ndarray) -> int:
-    la = a.shape[0]
-    lb = b.shape[0]
-    prev = np.zeros(lb + 1, dtype=np.int64)
-    curr = np.zeros(lb + 1, dtype=np.int64)
-    for i in range(la):
-        ai = a[i]
-        for j in range(lb):
-            if ai == b[j]:
-                curr[j + 1] = prev[j] + 1
-            else:
-                up = prev[j + 1]
-                left = curr[j]
-                curr[j + 1] = up if up >= left else left
-        prev, curr = curr, prev
-    return int(prev[lb])
-
-
-def _lcs_length_np(a: np.ndarray, b: np.ndarray) -> int:
-    """Anti-diagonal DP: every cell on a diagonal depends only on the two
-    previous diagonals, so each diagonal updates as one vector operation."""
-    la = int(a.shape[0])
-    lb = int(b.shape[0])
-    if la == 0 or lb == 0:
+    After each token of b, bit i of v is 0 exactly where the LCS of a[:i + 1]
+    and the part of b seen so far is one longer than that of a[:i], so the
+    zero bits of v count the LCS.  Each token of b updates every bit at once.
+    """
+    # The loop runs once per token of b, so b is the shorter side.
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 0:
         return 0
-    eq = a[:, None] == b[None, :]
-    dp = np.zeros((la + 1, lb + 1), dtype=np.int64)
-    for d in range(2, la + lb + 1):
-        i_lo = max(1, d - lb)
-        i_hi = min(la, d - 1)
-        if i_lo > i_hi:
-            continue
-        i = np.arange(i_lo, i_hi + 1)
-        j = d - i
-        dp[i, j] = np.where(
-            eq[i - 1, j - 1],
-            dp[i - 1, j - 1] + 1,
-            np.maximum(dp[i - 1, j], dp[i, j - 1]),
-        )
-    return int(dp[la, lb])
-
-
-# ---------------------------------------------------------------------------
-# BM25 accumulation
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _bm25_accumulate_nb(
-    scores: np.ndarray,
-    unit_ids: np.ndarray,
-    tfs: np.ndarray,
-    idf: float,
-    k1: float,
-    norm: np.ndarray,
-) -> None:
-    for i in range(unit_ids.shape[0]):
-        u = unit_ids[i]
-        tf = tfs[i]
-        scores[u] += idf * (tf * (k1 + 1.0)) / (tf + norm[u])
-
-
-def _bm25_accumulate_np(
-    scores: np.ndarray,
-    unit_ids: np.ndarray,
-    tfs: np.ndarray,
-    idf: float,
-    k1: float,
-    norm: np.ndarray,
-) -> None:
-    # Posting lists hold each unit at most once, so fancy-index += is safe.
-    scores[unit_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[unit_ids])
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-
-def _select_backend() -> str:
-    mode = os.environ.get("SCIRFORGE_KERNELS", "auto").strip().lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"SCIRFORGE_KERNELS must be auto, numba, or numpy; got {mode!r}"
-        )
-    if mode == "numba" and not HAS_NUMBA:
-        raise ImportError("SCIRFORGE_KERNELS=numba but numba is not installed")
-    if mode == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return mode
-
-
-_BACKEND = _select_backend()
-
-if _BACKEND == "numba":
-    _lcs_impl = _lcs_length_nb
-    _bm25_impl = _bm25_accumulate_nb
-else:
-    _lcs_impl = _lcs_length_np
-    _bm25_impl = _bm25_accumulate_np
-
-
-def backend_name() -> str:
-    """Active kernel backend: "numba" or "numpy"."""
-    return _BACKEND
-
-
-def lcs_length(a_ids: np.ndarray, b_ids: np.ndarray) -> int:
-    """Length of the longest common subsequence of two integer id sequences."""
-    a = np.ascontiguousarray(a_ids, dtype=np.int64)
-    b = np.ascontiguousarray(b_ids, dtype=np.int64)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return 0
-    return _lcs_impl(a, b)
+    masks: dict[Hashable, int] = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for token in b:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def bm25_accumulate(
@@ -167,15 +46,7 @@ def bm25_accumulate(
     """Add one query term's BM25 contribution to per-unit scores, in place.
 
     norm[u] must hold the precomputed k1 * (1 - b + b * len_u / avg_len) for
-    unit u; unit_ids lists each matching unit exactly once.
+    unit u; unit_ids lists each matching unit exactly once, which is what
+    makes the fancy-index += below safe.
     """
-    if unit_ids.shape[0] == 0:
-        return
-    _bm25_impl(
-        scores,
-        np.ascontiguousarray(unit_ids, dtype=np.int64),
-        np.ascontiguousarray(tfs, dtype=np.float64),
-        float(idf),
-        float(k1),
-        norm,
-    )
+    scores[unit_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[unit_ids])

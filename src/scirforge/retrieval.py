@@ -190,7 +190,7 @@ def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
 
 
 def score_units(index: Index, query: str) -> np.ndarray:
-    """BM25 score of every unit for the query, via the selected kernel."""
+    """BM25 score of every unit for the query."""
     scores = np.zeros(index.n_units, dtype=np.float64)
     for term in tokenize(query):
         if term not in index.postings:
@@ -205,14 +205,10 @@ def _rank_datasets(index: Index, unit_scores: np.ndarray, k: int) -> RankedList:
     # survives the max-aggregation.
     ds_scores = np.full(len(index.dataset_ids), -np.inf, dtype=np.float64)
     np.maximum.at(ds_scores, index.unit_dataset_idx, unit_scores)
-    order = sorted(
-        range(len(index.dataset_ids)),
-        key=lambda i: (-ds_scores[i], index.dataset_ids[i]),
-    )
-    entries = tuple(
-        (index.dataset_ids[i], float(ds_scores[i])) for i in order[:k]
-    )
-    return RankedList(entries)
+    # dataset_ids is sorted, so a stable sort breaks score ties by ascending id.
+    order = np.argsort(-ds_scores, kind="stable")[:k]
+    ids = [index.dataset_ids[i] for i in order.tolist()]
+    return RankedList(tuple(zip(ids, ds_scores[order].tolist())))
 
 
 def search(index: Index, query: str, k: int) -> RankedList:

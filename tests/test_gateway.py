@@ -1,6 +1,8 @@
 """Gateway caching, coalescing, retry, and the scripted mock backend."""
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -153,8 +155,6 @@ class _CountingBackend:
         self.delay = delay
 
     def complete(self, request, stage):
-        import time
-
         with self.lock:
             self.calls += 1
         time.sleep(self.delay)
@@ -183,6 +183,100 @@ def test_identical_concurrent_requests_coalesce(tmp_path):
         t.join()
     assert results == ["out"] * 6
     assert backend.calls == 1  # five waiters served from the fresh cache entry
+
+
+@pytest.mark.parametrize("call", ["complete", "score_continuation"])
+@pytest.mark.parametrize("damage", ["truncate", "drop_field"])
+def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, call, damage):
+    def run(gw):
+        if call == "complete":
+            return gw.complete(req("same"))
+        return gw.score_continuation("c", " t")
+
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
+    first = run(Gateway(_CountingBackend(), config))
+    (path,) = (tmp_path / "cache").rglob("*.json")
+    good = path.read_text(encoding="utf-8")
+    if damage == "truncate":
+        path.write_text(good[: len(good) // 2], encoding="utf-8")
+    else:
+        path.write_text('{"kind": "x"}', encoding="utf-8")
+
+    backend = _CountingBackend()
+    gw = Gateway(backend, config)
+    assert run(gw) == first
+    assert backend.calls == 1 and gw.cache_hits == 0
+    assert path.read_text(encoding="utf-8") == good
+    assert sorted(p.name for p in (tmp_path / "cache").rglob("*")) == sorted(
+        [path.parent.name, path.name]
+    )
+    # the replaced file serves the next gateway
+    again = Gateway(_CountingBackend(), config)
+    assert run(again) == first and again.cache_hits == 1
+
+
+class _OverlapBackend:
+    """Counts calls and records any two calls for one prompt that overlap."""
+
+    def __init__(self):
+        self.calls = 0
+        self.in_flight: dict[str, int] = {}
+        self.overlaps = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request, stage):
+        text = request.messages[0][1]
+        with self.lock:
+            self.calls += 1
+            self.in_flight[text] = self.in_flight.get(text, 0) + 1
+            self.overlaps += self.in_flight[text] > 1
+        time.sleep(0.0002)
+        with self.lock:
+            self.in_flight[text] -= 1
+        return "out"
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_key_locks_under_contention(tmp_path, cache):
+    backend = _OverlapBackend()
+    config = BackendConfig(
+        kind="mock",
+        script_path="unused",
+        cache_dir=str(tmp_path / "cache") if cache else "",
+        max_in_flight=64,
+    )
+    gw = Gateway(backend, config)
+    n_keys, n_threads, rounds = 8, 32, 20
+    errors = []
+
+    def work(seed):
+        try:
+            for r in range(rounds):
+                gw.complete(req(f"key {(seed + r) % n_keys}"))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # identical requests never reach the backend at the same time ...
+    assert backend.overlaps == 0
+    if cache:
+        # ... and with a cache they coalesce to one backend call per key
+        assert backend.calls == n_keys
+        assert gw.cache_hits == n_threads * rounds - n_keys
+    else:
+        assert backend.calls == n_threads * rounds
+    assert gw._locks == {}
 
 
 class _FlakyBackend:

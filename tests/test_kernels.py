@@ -1,18 +1,13 @@
-"""Kernel backends: numpy/numba parity and oracle checks."""
-import os
+"""Kernels against brute-force oracles."""
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from scirforge import kernels
 
 
 def lcs_oracle(a, b):
-    """Plain quadratic DP, the reference for both kernel paths."""
+    """Plain quadratic DP, the reference for the bit-parallel kernel."""
     la, lb = len(a), len(b)
     dp = [[0] * (lb + 1) for _ in range(la + 1)]
     for i in range(1, la + 1):
@@ -50,14 +45,6 @@ def test_lcs_against_oracle():
         assert got == lcs_oracle(a, b)
 
 
-def test_lcs_numpy_path_matches_oracle():
-    rng = random.Random(12)
-    for _ in range(80):
-        a = np.array([rng.randrange(5) for _ in range(rng.randrange(1, 25))], dtype=np.int64)
-        b = np.array([rng.randrange(5) for _ in range(rng.randrange(1, 25))], dtype=np.int64)
-        assert kernels._lcs_length_np(a, b) == lcs_oracle(list(a), list(b))
-
-
 def test_bm25_accumulate_against_oracle():
     rng = random.Random(13)
     for _ in range(100):
@@ -87,53 +74,3 @@ def test_bm25_accumulate_empty_postings():
         scores, np.array([], dtype=np.int64), np.array([]), 1.0, 1.2, np.ones(4)
     )
     assert not scores.any()
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_paths_agree_bitwise():
-    rng = random.Random(14)
-    for _ in range(40):
-        a = np.array([rng.randrange(7) for _ in range(rng.randrange(1, 40))], dtype=np.int64)
-        b = np.array([rng.randrange(7) for _ in range(rng.randrange(1, 40))], dtype=np.int64)
-        assert kernels._lcs_length_nb(a, b) == kernels._lcs_length_np(a, b)
-    for _ in range(40):
-        n_units = rng.randrange(1, 15)
-        n_postings = rng.randrange(0, n_units + 1)
-        unit_ids = np.array(sorted(rng.sample(range(n_units), n_postings)), dtype=np.int64)
-        tfs = np.array([float(rng.randrange(1, 5)) for _ in range(n_postings)])
-        idf = rng.uniform(0.01, 3.0)
-        norm = np.random.default_rng(rng.randrange(1 << 30)).uniform(0.3, 3.0, n_units)
-        s_nb = np.zeros(n_units)
-        s_np = np.zeros(n_units)
-        kernels._bm25_accumulate_nb(s_nb, unit_ids, tfs, idf, 1.2, norm)
-        kernels._bm25_accumulate_np(s_np, unit_ids, tfs, idf, 1.2, norm)
-        # identical arithmetic, so identical bits, not just allclose
-        assert (s_nb == s_np).all()
-
-
-def _spawn(env_value):
-    """Import kernels in a fresh interpreter with SCIRFORGE_KERNELS=env_value.
-
-    The child inherits the parent's environment, with the directory holding
-    the scirforge imported here put first on PYTHONPATH, so it tests the same
-    source even when run from a checkout or beside a stale installed copy.
-    """
-    src_root = str(Path(kernels.__file__).resolve().parents[1])
-    pythonpath = filter(None, [src_root, os.environ.get("PYTHONPATH")])
-    env = dict(
-        os.environ, SCIRFORGE_KERNELS=env_value, PYTHONPATH=os.pathsep.join(pythonpath)
-    )
-    code = "from scirforge import kernels; print(kernels.backend_name())"
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_backend_env_selection():
-    forced = _spawn("numpy")
-    assert forced.returncode == 0 and forced.stdout.strip() == "numpy"
-    bad = _spawn("fast")
-    assert bad.returncode != 0 and "SCIRFORGE_KERNELS" in bad.stderr
