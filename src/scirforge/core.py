@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -280,9 +280,6 @@ class QAPair:
         object.__setattr__(self, "provenance", Provenance(self.provenance))
         if not self.question.strip() or not self.answer.strip():
             raise RecordError(f"qa pair {self.id}: question and answer must be nonempty")
-
-    def with_verdict(self, verdict: FilterVerdict) -> "QAPair":
-        return replace(self, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

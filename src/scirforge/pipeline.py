@@ -87,33 +87,6 @@ class StageError(PipelineError):
     """Stage preconditions or execution failed."""
 
 
-STAGE_ORDER = (
-    "ingest",
-    "match",
-    "parse",
-    "generate",
-    "filter",
-    "index",
-    "bench-retrieval",
-    "bench-qa",
-    "stats",
-    "split",
-)
-
-STAGE_DEPS: dict[str, tuple[str, ...]] = {
-    "ingest": (),
-    "match": ("ingest",),
-    "parse": ("match",),
-    "generate": ("parse",),
-    "filter": ("generate",),
-    "index": ("parse",),
-    "bench-retrieval": ("index", "filter"),
-    "bench-qa": ("index", "filter"),
-    "stats": ("filter",),
-    "split": ("filter",),
-}
-
-
 # ---------------------------------------------------------------------------
 # Small file helpers
 # ---------------------------------------------------------------------------
@@ -297,18 +270,22 @@ def _stage_parse(ctx: StageContext) -> list[Path]:
     return [ctx.path("aspects.jsonl"), ctx.path("parse_meta.json")]
 
 
-def _stage_generate(ctx: StageContext) -> list[Path]:
+def _datasets_with_aspects(ctx: StageContext) -> list[tuple[DatasetRecord, list[AspectUnit]]]:
+    """Every dataset, in file order, with its verified aspect units."""
     datasets = load_datasets(ctx.path("datasets.jsonl"))
-    aspects = load_aspects(ctx.path("aspects.jsonl"))
     by_ds: dict[str, list[AspectUnit]] = {}
-    for a in aspects:
+    for a in load_aspects(ctx.path("aspects.jsonl")):
         by_ds.setdefault(a.dataset_id, []).append(a)
+    return [(d, by_ds.get(d.id, [])) for d in datasets]
+
+
+def _stage_generate(ctx: StageContext) -> list[Path]:
+    grouped = _datasets_with_aspects(ctx)
     taxonomy = ctx.taxonomy()
 
     tasks = []
     plans_meta = {}
-    for d in datasets:
-        ds_aspects = by_ds.get(d.id, [])
+    for d, ds_aspects in grouped:
         plan = plan_generation(
             d, bool(ds_aspects), ctx.gateway, taxonomy, ctx.template_dir
         )
@@ -353,18 +330,9 @@ def _stage_generate(ctx: StageContext) -> list[Path]:
     return [ctx.path("qapairs.jsonl"), ctx.path("generation_meta.json")]
 
 
-def _contexts_by_dataset(ctx: StageContext) -> dict[str, str]:
-    datasets = load_datasets(ctx.path("datasets.jsonl"))
-    aspects = load_aspects(ctx.path("aspects.jsonl"))
-    by_ds: dict[str, list[AspectUnit]] = {}
-    for a in aspects:
-        by_ds.setdefault(a.dataset_id, []).append(a)
-    return {d.id: build_context(d, by_ds.get(d.id, [])) for d in datasets}
-
-
 def _stage_filter(ctx: StageContext) -> list[Path]:
     pairs = load_qapairs(ctx.path("qapairs.jsonl"))
-    contexts = _contexts_by_dataset(ctx)
+    contexts = {d.id: build_context(d, asp) for d, asp in _datasets_with_aspects(ctx)}
 
     def work(pair: QAPair) -> dict:
         if pair.dataset_id not in contexts:
@@ -462,29 +430,38 @@ def _accepted_pairs(ctx: StageContext) -> list[QAPair]:
     return [p for p in pairs if verdicts[p.id]["decision"] == Decision.ACCEPT.value]
 
 
-def _embedding_client(ctx: StageContext):
-    emb = ctx.config.embedding
-    if not emb["enabled"]:
-        return None
-    if emb["kind"] == "mock":
-        return MockEmbeddingClient(dim=int(emb["dim"]))
-    http_cfg = BackendConfig(
-        kind="http",
-        endpoint=emb["endpoint"],
-        model=emb["model"] or ctx.config.backend.model,
-        api_key_env=ctx.config.backend.api_key_env,
-    )
-    return HttpEmbeddingClient(http_cfg)
-
-
-def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
+def _bench_pairs(ctx: StageContext) -> list[QAPair]:
+    """Accepted pairs, capped by rag.max_pairs; benchmarking none is an error."""
     accepted = _accepted_pairs(ctx)
     cap = ctx.config.bench_max_pairs
     if cap > 0:
         accepted = accepted[:cap]
     if not accepted:
         raise StageError("no accepted pairs to benchmark")
-    queries = [(p.question, p.dataset_id) for p in accepted]
+    return accepted
+
+
+def _http_backend(ctx: StageContext, section: dict) -> BackendConfig:
+    """HTTP backend for an embedding or entailment config section."""
+    return BackendConfig(
+        kind="http",
+        endpoint=section["endpoint"],
+        model=section["model"] or ctx.config.backend.model,
+        api_key_env=ctx.config.backend.api_key_env,
+    )
+
+
+def _embedding_client(ctx: StageContext):
+    emb = ctx.config.embedding
+    if not emb["enabled"]:
+        return None
+    if emb["kind"] == "mock":
+        return MockEmbeddingClient(dim=int(emb["dim"]))
+    return HttpEmbeddingClient(_http_backend(ctx, emb))
+
+
+def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
+    queries = [(p.question, p.dataset_id) for p in _bench_pairs(ctx)]
     ks = ctx.config.retrieval_ks
     cutoff = ctx.config.mrr_cutoff
     k_max = max(max(ks), cutoff)
@@ -545,22 +522,16 @@ def _entailment_scorer(ctx: StageContext):
     ent = ctx.config.entailment
     if ent["kind"] == "mock":
         return MockEntailmentScorer(ctx.config.backend.script_path)
-    http_cfg = BackendConfig(
-        kind="http",
-        endpoint=ent["endpoint"],
-        model=ent["model"] or ctx.config.backend.model,
-        api_key_env=ctx.config.backend.api_key_env,
-    )
-    return HttpEntailmentScorer(http_cfg)
+    return HttpEntailmentScorer(_http_backend(ctx, ent))
+
+
+def _share_correct(rows: list[dict]) -> str:
+    """Formatted share of rows marked correct, or "" when there are none."""
+    return _fmt(sum(1 for r in rows if r["correct"]) / len(rows)) if rows else ""
 
 
 def _stage_bench_qa(ctx: StageContext) -> list[Path]:
-    accepted = _accepted_pairs(ctx)
-    cap = ctx.config.bench_max_pairs
-    if cap > 0:
-        accepted = accepted[:cap]
-    if not accepted:
-        raise StageError("no accepted pairs to benchmark")
+    accepted = _bench_pairs(ctx)
     with_index = load_index(ctx.path(_INDEX_FILES[IndexConfig.WITH_PAPER]))
     store = PassageStore.from_index(
         with_index, ctx.config.chunk_size, k1=ctx.config.k1, b=ctx.config.b
@@ -595,35 +566,27 @@ def _stage_bench_qa(ctx: StageContext) -> list[Path]:
         rows = ctx.pmap(work, accepted)
         eval_rows.extend(rows)
 
-        n = len(rows)
-        correct = sum(1 for r in rows if r["correct"])
-        short_rows = [r for r in rows if r["rouge_l"] is None]
+        accuracy = _share_correct(rows)
         long_rows = [r for r in rows if r["rouge_l"] is not None]
         summary_rows.append(
             [
                 k,
-                n,
-                _fmt(correct / n),
-                _fmt(sum(1 for r in short_rows if r["correct"]) / len(short_rows))
-                if short_rows
-                else "",
-                _fmt(sum(1 for r in long_rows if r["correct"]) / len(long_rows))
-                if long_rows
-                else "",
+                len(rows),
+                accuracy,
+                _share_correct([r for r in rows if r["rouge_l"] is None]),
+                _share_correct(long_rows),
                 _fmt(sum(r["rouge_l"] for r in long_rows) / len(long_rows))
                 if long_rows
                 else "",
             ]
         )
-        level_row: list = [k, _fmt(correct / n)]
-        for code in ("C1", "C2", "C3", "C4", "C5", "C6"):
-            level_rows = [r for r in rows if r["level"] == code]
-            level_row.append(
-                _fmt(sum(1 for r in level_rows if r["correct"]) / len(level_rows))
-                if level_rows
-                else ""
-            )
-        by_level_rows.append(level_row)
+        by_level_rows.append(
+            [k, accuracy]
+            + [
+                _share_correct([r for r in rows if r["level"] == code])
+                for code in ("C1", "C2", "C3", "C4", "C5", "C6")
+            ]
+        )
 
     write_jsonl(ctx.path("reports/qaeval.jsonl"), eval_rows)
     write_csv_atomic(
@@ -687,18 +650,52 @@ def _stage_split(ctx: StageContext) -> list[Path]:
     return [ctx.path("splits.json")]
 
 
-_RUNNERS: dict[str, Callable[[StageContext], list[Path]]] = {
-    "ingest": _stage_ingest,
-    "match": _stage_match,
-    "parse": _stage_parse,
-    "generate": _stage_generate,
-    "filter": _stage_filter,
-    "index": _stage_index,
-    "bench-retrieval": _stage_bench_retrieval,
-    "bench-qa": _stage_bench_qa,
-    "stats": _stage_stats,
-    "split": _stage_split,
-}
+# ---------------------------------------------------------------------------
+# Stage registry
+# ---------------------------------------------------------------------------
+
+_INPUT = "input:"
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared once.
+
+    Each entry of `inputs` is a path relative to the run directory and also
+    the label under which the manifest stores that file's digest; an
+    ``input:`` prefix resolves against ``--input`` instead.  Labels are an
+    on-disk format: renaming one reruns the stage in every run directory.
+    """
+
+    name: str
+    deps: tuple[str, ...]
+    inputs: tuple[str, ...]
+    run: Callable[[StageContext], list[Path]]
+
+
+_BENCH_INPUTS = (
+    "datasets.jsonl",
+    "aspects.jsonl",
+    "qapairs.jsonl",
+    "verdicts.jsonl",
+    *_INDEX_FILES.values(),
+)
+
+# Run order: every stage comes after its deps.
+STAGES = (
+    Stage("ingest", (), ("input:datasets.jsonl", "input:papers.jsonl"), _stage_ingest),
+    Stage("match", ("ingest",), ("datasets.jsonl", "papers.jsonl"), _stage_match),
+    Stage("parse", ("match",), ("datasets.jsonl", "papers.jsonl", "matches.jsonl"), _stage_parse),
+    Stage("generate", ("parse",), ("datasets.jsonl", "aspects.jsonl"), _stage_generate),
+    Stage("filter", ("generate",), ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl"), _stage_filter),
+    Stage("index", ("parse",), ("datasets.jsonl", "aspects.jsonl"), _stage_index),
+    Stage("bench-retrieval", ("index", "filter"), _BENCH_INPUTS, _stage_bench_retrieval),
+    Stage("bench-qa", ("index", "filter"), _BENCH_INPUTS, _stage_bench_qa),
+    Stage("stats", ("filter",), ("qapairs.jsonl", "verdicts.jsonl"), _stage_stats),
+    Stage("split", ("filter",), ("datasets.jsonl",), _stage_split),
+)
+
+STAGE_ORDER = tuple(s.name for s in STAGES)
 
 
 # ---------------------------------------------------------------------------
@@ -706,46 +703,21 @@ _RUNNERS: dict[str, Callable[[StageContext], list[Path]]] = {
 # ---------------------------------------------------------------------------
 
 
-def _stage_inputs(name: str, run_dir: Path, input_dir: Path | None, config: RunConfig) -> dict[str, Path]:
-    r = run_dir
-    table: dict[str, list[tuple[str, Path]]] = {
-        "match": [("datasets.jsonl", r / "datasets.jsonl"), ("papers.jsonl", r / "papers.jsonl")],
-        "parse": [
-            ("datasets.jsonl", r / "datasets.jsonl"),
-            ("papers.jsonl", r / "papers.jsonl"),
-            ("matches.jsonl", r / "matches.jsonl"),
-        ],
-        "generate": [("datasets.jsonl", r / "datasets.jsonl"), ("aspects.jsonl", r / "aspects.jsonl")],
-        "filter": [
-            ("datasets.jsonl", r / "datasets.jsonl"),
-            ("aspects.jsonl", r / "aspects.jsonl"),
-            ("qapairs.jsonl", r / "qapairs.jsonl"),
-        ],
-        "index": [("datasets.jsonl", r / "datasets.jsonl"), ("aspects.jsonl", r / "aspects.jsonl")],
-        "bench-retrieval": [
-            ("datasets.jsonl", r / "datasets.jsonl"),
-            ("aspects.jsonl", r / "aspects.jsonl"),
-            ("qapairs.jsonl", r / "qapairs.jsonl"),
-            ("verdicts.jsonl", r / "verdicts.jsonl"),
-            ("index/without_paper.json", r / "index/without_paper.json"),
-            ("index/with_paper.json", r / "index/with_paper.json"),
-        ],
-        "stats": [("qapairs.jsonl", r / "qapairs.jsonl"), ("verdicts.jsonl", r / "verdicts.jsonl")],
-        "split": [("datasets.jsonl", r / "datasets.jsonl")],
-    }
-    table["bench-qa"] = table["bench-retrieval"]
-    if name == "ingest":
-        if input_dir is None:
-            raise StageError("ingest requires --input pointing at the source corpus")
-        entries = [
-            ("input:datasets.jsonl", input_dir / "datasets.jsonl"),
-            ("input:papers.jsonl", input_dir / "papers.jsonl"),
-        ]
-    else:
-        entries = table[name]
-        if name == "filter" and config.filter_labels_path is not None:
-            entries = entries + [("filter_labels", config.filter_labels_path)]
-    return dict(entries)
+def _stage_inputs(
+    stage: Stage, run_dir: Path, input_dir: Path | None, config: RunConfig
+) -> dict[str, Path]:
+    """Manifest label -> file, for every input the stage reads."""
+    inputs: dict[str, Path] = {}
+    for label in stage.inputs:
+        if not label.startswith(_INPUT):
+            inputs[label] = run_dir / label
+        elif input_dir is None:
+            raise StageError(f"{stage.name} requires --input pointing at the source corpus")
+        else:
+            inputs[label] = input_dir / label[len(_INPUT):]
+    if stage.name == "filter" and config.filter_labels_path is not None:
+        inputs["filter_labels"] = config.filter_labels_path
+    return inputs
 
 
 def run_stage(
@@ -755,7 +727,8 @@ def run_stage(
     input_dir: Path | None = None,
 ) -> str:
     """Execute one stage; returns "done" or "noop"."""
-    if name not in _RUNNERS:
+    stage = next((s for s in STAGES if s.name == name), None)
+    if stage is None:
         raise StageError(f"unknown stage {name!r}; choose from {', '.join(STAGE_ORDER)}")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -774,11 +747,11 @@ def run_stage(
             "stages": {},
         }
 
-    for dep in STAGE_DEPS[name]:
+    for dep in stage.deps:
         if manifest["stages"].get(dep, {}).get("status") != "done":
             raise StageError(f"stage {name!r} requires {dep!r} to be done first")
 
-    inputs = _stage_inputs(name, run_dir, input_dir, config)
+    inputs = _stage_inputs(stage, run_dir, input_dir, config)
     for label, path in inputs.items():
         if not path.exists():
             raise StageError(f"stage {name!r}: missing input {label} ({path})")
@@ -791,7 +764,7 @@ def run_stage(
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     ctx = StageContext(config=config, run_dir=run_dir, input_dir=input_dir)
     try:
-        outputs = _RUNNERS[name](ctx)
+        outputs = stage.run(ctx)
     except Exception as exc:
         manifest["stages"][name] = {
             "status": "failed",

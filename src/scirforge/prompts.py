@@ -14,13 +14,20 @@ TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 _PLACEHOLDER = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
+# Template text by absolute path: templates are read once per process.
+_TEXTS: dict[Path, str] = {}
+
 
 def load_template(name: str, template_dir: Path | None = None) -> str:
     directory = Path(template_dir) if template_dir else TEMPLATE_DIR
     path = directory / name
-    if not path.exists():
-        raise FileNotFoundError(f"template not found: {path}")
-    return path.read_text(encoding="utf-8")
+    key = path.absolute()
+    text = _TEXTS.get(key)
+    if text is None:
+        if not path.exists():
+            raise FileNotFoundError(f"template not found: {path}")
+        text = _TEXTS[key] = path.read_text(encoding="utf-8")
+    return text
 
 
 def render(template: str, **values: str) -> str:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import Decision, FilterVerdict, PipelineError, QAPair
+from .core import Decision, FilterVerdict
 from .gateway import Gateway, ScoredContinuation
 
 WITHOUT_CONTEXT_TEMPLATE = "Question: {q}\nAnswer:"
@@ -52,28 +52,11 @@ def delta_seper(
     )
 
 
-def filter_corpus(
-    pairs: Sequence[QAPair],
-    context_of: Mapping[str, str],
-    gateway: Gateway,
-) -> list[QAPair]:
-    """Attach a verdict to every pair, scoring against its dataset's context."""
-    out: list[QAPair] = []
-    for pair in pairs:
-        if pair.dataset_id not in context_of:
-            raise PipelineError(f"pair {pair.id}: no context for dataset {pair.dataset_id}")
-        verdict = delta_seper(pair.question, context_of[pair.dataset_id], pair.answer, gateway)
-        out.append(pair.with_verdict(verdict))
-    return out
-
-
 @dataclass(frozen=True)
 class FilterEvalReport:
     precision: float | None
     recall: float
     f1: float | None
-    pr_points: tuple[tuple[float, float], ...] = ()
-    roc_points: tuple[tuple[float, float], ...] = ()
 
 
 def evaluate_filter(

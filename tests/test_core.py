@@ -112,8 +112,6 @@ def test_qapair_validation():
     with pytest.raises(RecordError):
         QAPair(id="x", dataset_id="d", qtype=QuestionType.DEFINITION, question=" ", answer="a")
     pair = QAPair(id="x", dataset_id="d", qtype=QuestionType.DEFINITION, question="q", answer="a")
-    verdict = FilterVerdict(0.1, Decision.ACCEPT, 0.4, 0.3)
-    assert pair.with_verdict(verdict).verdict == verdict
     assert pair.verdict is None
 
 

@@ -10,8 +10,8 @@ from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
 from scirforge.pipeline import (
-    STAGE_DEPS,
     STAGE_ORDER,
+    STAGES,
     StageError,
     file_digest,
     run_all,
@@ -48,11 +48,65 @@ def test_file_helpers(tmp_path):
 
 
 def test_stage_graph_is_consistent():
-    assert set(STAGE_DEPS) == set(STAGE_ORDER)
+    assert STAGE_ORDER == tuple(stage.name for stage in STAGES)
+    assert len(set(STAGE_ORDER)) == len(STAGES) == 10
     seen = set()
-    for name in STAGE_ORDER:
-        assert all(dep in seen for dep in STAGE_DEPS[name])
-        seen.add(name)
+    for stage in STAGES:
+        assert all(dep in seen for dep in stage.deps), stage.name
+        assert len(set(stage.inputs)) == len(stage.inputs), stage.name
+        seen.add(stage.name)
+
+
+# Manifest input labels are an on-disk format: renaming one reruns that stage
+# in every existing run directory.  The fixture config sets filter_labels_path.
+MANIFEST_INPUT_LABELS = {
+    "ingest": ["input:datasets.jsonl", "input:papers.jsonl"],
+    "match": ["datasets.jsonl", "papers.jsonl"],
+    "parse": ["datasets.jsonl", "matches.jsonl", "papers.jsonl"],
+    "generate": ["aspects.jsonl", "datasets.jsonl"],
+    "filter": ["aspects.jsonl", "datasets.jsonl", "filter_labels", "qapairs.jsonl"],
+    "index": ["aspects.jsonl", "datasets.jsonl"],
+    "bench-retrieval": [
+        "aspects.jsonl",
+        "datasets.jsonl",
+        "index/with_paper.json",
+        "index/without_paper.json",
+        "qapairs.jsonl",
+        "verdicts.jsonl",
+    ],
+    "bench-qa": [
+        "aspects.jsonl",
+        "datasets.jsonl",
+        "index/with_paper.json",
+        "index/without_paper.json",
+        "qapairs.jsonl",
+        "verdicts.jsonl",
+    ],
+    "stats": ["qapairs.jsonl", "verdicts.jsonl"],
+    "split": ["datasets.jsonl"],
+}
+
+
+def test_manifest_input_labels(fixture_run):
+    _, run_dir, _ = fixture_run
+    entries = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert {name: sorted(entry["inputs"]) for name, entry in entries.items()} == (
+        MANIFEST_INPUT_LABELS
+    )
+
+    # Every run-directory input is written by some stage upstream of its reader.
+    deps = {stage.name: stage.deps for stage in STAGES}
+    for stage in STAGES:
+        upstream, todo = set(), list(stage.deps)
+        while todo:
+            name = todo.pop()
+            if name not in upstream:
+                upstream.add(name)
+                todo.extend(deps[name])
+        produced = {path for name in upstream for path in entries[name]["outputs"]}
+        for label in stage.inputs:
+            if not label.startswith("input:"):
+                assert label in produced, (stage.name, label)
 
 
 def test_full_run_statuses(fixture_run):

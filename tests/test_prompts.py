@@ -1,0 +1,43 @@
+"""Prompt templates: bundled defaults, template_dir overrides, memoized reads."""
+import pytest
+
+from conftest import make_gateway
+from scirforge.core import CognitiveLevel
+from scirforge.evalqa import classify_cognitive_level
+from scirforge.prompts import TEMPLATE_DIR, load_template
+
+
+def test_custom_template_dir_wins_over_bundled(tmp_path):
+    custom = tmp_path / "templates"
+    custom.mkdir()
+    (custom / "cognitive.txt").write_text("CUSTOM LEVEL PROMPT: {question}\n", encoding="utf-8")
+    bundled = (TEMPLATE_DIR / "cognitive.txt").read_text(encoding="utf-8")
+
+    assert load_template("cognitive.txt", custom) == "CUSTOM LEVEL PROMPT: {question}\n"
+    assert load_template("cognitive.txt") == bundled
+
+    # The override is what reaches the model: the script only answers the custom prompt.
+    gw = make_gateway(
+        tmp_path,
+        [{"kind": "chat", "stage": "cognitive", "match": "^user: CUSTOM LEVEL PROMPT", "response": "C4"}],
+    )
+    assert classify_cognitive_level("why?", gw, custom) is CognitiveLevel.C4
+
+
+def test_missing_template_raises_every_time(tmp_path):
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError, match="template not found"):
+            load_template("no_such_template.txt", tmp_path)
+    # A miss is not remembered: the file is found once it exists.
+    (tmp_path / "no_such_template.txt").write_text("now here", encoding="utf-8")
+    assert load_template("no_such_template.txt", tmp_path) == "now here"
+
+
+def test_same_name_in_two_dirs_keeps_each_text(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    for directory, text in ((first, "from a {question}"), (second, "from b {question}")):
+        directory.mkdir()
+        (directory / "rag.txt").write_text(text, encoding="utf-8")
+    for _ in range(2):
+        assert load_template("rag.txt", first) == "from a {question}"
+        assert load_template("rag.txt", second) == "from b {question}"

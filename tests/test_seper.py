@@ -5,14 +5,13 @@ import random
 import pytest
 
 from conftest import make_gateway
-from scirforge.core import Decision, PipelineError, QAPair, QuestionType
+from scirforge.core import Decision
 from scirforge.gateway import ScoredContinuation
 from scirforge.seper import (
     answer_confidence,
     curve_points,
     delta_seper,
     evaluate_filter,
-    filter_corpus,
 )
 
 
@@ -65,17 +64,6 @@ def test_delta_seper_input_validation(tmp_path):
         delta_seper(" ", "d", "a", gw)
     with pytest.raises(ValueError):
         delta_seper("q", "d", " ", gw)
-
-
-def test_filter_corpus_attaches_verdicts(tmp_path):
-    gw = _gateway(tmp_path, 0.8, 0.3)
-    pairs = [
-        QAPair(id="d1:q:1", dataset_id="d1", qtype=QuestionType.DEFINITION, question="q?", answer="a")
-    ]
-    out = filter_corpus(pairs, {"d1": "context"}, gw)
-    assert out[0].verdict is not None and out[0].verdict.decision is Decision.ACCEPT
-    with pytest.raises(PipelineError):
-        filter_corpus(pairs, {}, gw)
 
 
 def test_evaluate_filter_hand_case():
