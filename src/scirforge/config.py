@@ -172,14 +172,18 @@ def load_config(path: str | Path) -> RunConfig:
     config = RunConfig(document=merged, digest=digest, base_dir=path.parent.resolve())
     config.backend  # validate eagerly
     ratios = config.split_ratios
-    if sum(ratios) != 100:
-        raise ConfigError(f"split.ratios must sum to 100, got {list(ratios)}")
+    if sum(ratios) != 100 or min(ratios) < 0:
+        raise ConfigError(
+            f"split.ratios must be nonnegative and sum to 100, got {list(ratios)}"
+        )
     if config.concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
     if config.chunk_size < 1:
         raise ConfigError("rag.chunk_size must be >= 1")
     if any(k < 1 for k in config.retrieval_ks) or not config.retrieval_ks:
         raise ConfigError("retrieval.ks must be positive integers")
+    if config.mrr_cutoff < 1:
+        raise ConfigError("retrieval.mrr_cutoff must be >= 1")
     if any(k < 0 for k in config.rag_ks) or not config.rag_ks:
         raise ConfigError("rag.ks must be nonnegative integers")
     return config

@@ -1,15 +1,12 @@
-"""Numeric hot loops: LCS length (behind ROUGE-L) and BM25 accumulation.
+"""LCS length, the hot loop behind ROUGE-L.
 
-Each kernel has one implementation.  LCS length uses the bit-parallel
-recurrence of Allison & Dix (1986) in the form given by Hyyrö ("Bit-parallel
-LCS-length computation revisited", 2004), on Python's arbitrary-precision
-ints; BM25 accumulation is a single vectorized numpy expression.
+It uses the bit-parallel recurrence of Allison & Dix (1986) in the form given
+by Hyyrö ("Bit-parallel LCS-length computation revisited", 2004), on Python's
+arbitrary-precision ints.
 """
 from __future__ import annotations
 
 from typing import Hashable, Sequence
-
-import numpy as np
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -34,19 +31,3 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
         v = ((v + u) | (v - u)) & full
     return len(a) - v.bit_count()
 
-
-def bm25_accumulate(
-    scores: np.ndarray,
-    unit_ids: np.ndarray,
-    tfs: np.ndarray,
-    idf: float,
-    k1: float,
-    norm: np.ndarray,
-) -> None:
-    """Add one query term's BM25 contribution to per-unit scores, in place.
-
-    norm[u] must hold the precomputed k1 * (1 - b + b * len_u / avg_len) for
-    unit u; unit_ids lists each matching unit exactly once, which is what
-    makes the fancy-index += below safe.
-    """
-    scores[unit_ids] += idf * (tfs * (k1 + 1.0)) / (tfs + norm[unit_ids])

@@ -71,6 +71,7 @@ from .retrieval import (
     Index,
     IndexConfig,
     PassageStore,
+    RankedList,
     build_index,
     embed_corpus,
     embed_search,
@@ -461,7 +462,9 @@ def _embedding_client(ctx: StageContext):
 
 
 def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
-    queries = [(p.question, p.dataset_id) for p in _bench_pairs(ctx)]
+    pairs = _bench_pairs(ctx)
+    questions = [p.question for p in pairs]
+    golds = [p.dataset_id for p in pairs]
     ks = ctx.config.retrieval_ks
     cutoff = ctx.config.mrr_cutoff
     k_max = max(max(ks), cutoff)
@@ -469,36 +472,30 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
     indexes = {cfg: load_index(ctx.path(name)) for cfg, name in _INDEX_FILES.items()}
     client = _embedding_client(ctx)
 
-    def metrics_for(rank_fn, index: Index) -> list[float]:
-        runs = ctx.pmap(lambda q: (rank_fn(index, q[0]), q[1]), queries)
-        return [recall_at_k(runs, k) for k in ks] + [mrr_at(runs, cutoff)]
-
     header = ["method"]
     for cfg_label in ("without_paper", "with_paper"):
         header += [f"{cfg_label}_r_at_{k}" for k in ks]
         header.append(f"{cfg_label}_mrr_at_{cutoff}")
 
-    rows = []
+    def cells(ranked: list[RankedList]) -> list[str]:
+        runs = list(zip(ranked, golds))
+        return [_fmt(recall_at_k(runs, k)) for k in ks] + [_fmt(mrr_at(runs, cutoff))]
+
+    configs = (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
     bm25_row: list = ["bm25"]
-    for cfg in (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER):
-        bm25_row += [
-            _fmt(v)
-            for v in metrics_for(lambda idx, q: search(idx, q, k_max), indexes[cfg])
-        ]
-    rows.append(bm25_row)
+    for cfg in configs:
+        bm25_row += cells([search(indexes[cfg], q, k_max) for q in questions])
+    rows = [bm25_row]
 
     if client is not None:
+        query_vectors = client.embed(questions)
         emb_row: list = [f"embedding-{ctx.config.embedding['kind']}"]
-        for cfg in (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER):
+        for cfg in configs:
             index = indexes[cfg]
-            vectors = embed_corpus(index, client)
-            emb_row += [
-                _fmt(v)
-                for v in metrics_for(
-                    lambda idx, q, vec=vectors: embed_search(idx, vec, client, q, k_max),
-                    index,
-                )
-            ]
+            unit_vectors = embed_corpus(index, client)
+            emb_row += cells(
+                [embed_search(index, unit_vectors, v, k_max) for v in query_vectors]
+            )
         rows.append(emb_row)
 
     write_csv_atomic(ctx.path("reports/retrieval.csv"), header, rows)
@@ -509,7 +506,7 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
             "tie_break": "ascending dataset id",
             "with_paper_units": "one unit per verified aspect passage",
             "query_source": "questions of filter-accepted pairs",
-            "n_queries": len(queries),
+            "n_queries": len(questions),
             # Literal so the report stays byte-identical; dropping it changes the format.
             "kernel_backend": "numpy",
             "embedding": ctx.config.embedding["kind"] if client else None,

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .core import Aspect, AspectUnit, DatasetRecord, PipelineError
 from .gateway import EmbeddingClient
 
@@ -81,6 +80,7 @@ class Index:
     lengths: np.ndarray
     avg_len: float
     norm: np.ndarray
+    # term -> (ascending unit ids holding it, the term's BM25 weight in each)
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
     k1: float
     b: float
@@ -93,9 +93,11 @@ class Index:
         """Okapi idf of a seen term; terms absent from the corpus weigh zero."""
         if term not in self.postings:
             return 0.0
-        df = len(self.postings[term][0])
-        n = self.n_units
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+        return _okapi_idf(self.n_units, len(self.postings[term][0]))
+
+
+def _okapi_idf(n_units: int, df: int) -> float:
+    return math.log((n_units - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def build_index(
@@ -127,7 +129,11 @@ def index_from_units(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Index:
-    """Assemble postings and length statistics for a fixed unit list."""
+    """Assemble length statistics and weighted postings for a fixed unit list.
+
+    Each posting stores its term's full BM25 contribution to that unit, so a
+    query only adds weights up.
+    """
     if not units:
         raise ValueError("cannot index an empty unit list")
     dataset_ids = tuple(sorted({u.dataset_id for u in units}))
@@ -149,13 +155,12 @@ def index_from_units(
     rel = lengths / avg_len if avg_len > 0 else np.zeros_like(lengths)
     norm = k1 * (1.0 - b + b * rel)
 
-    postings = {
-        t: (
-            np.array([uid for uid, _ in hits], dtype=np.int64),
-            np.array([tf for _, tf in hits], dtype=np.float64),
-        )
-        for t, hits in term_hits.items()
-    }
+    postings = {}
+    for t, hits in term_hits.items():
+        unit_ids = np.array([uid for uid, _ in hits], dtype=np.int64)
+        tfs = np.array([tf for _, tf in hits], dtype=np.float64)
+        idf = _okapi_idf(len(units), len(hits))
+        postings[t] = (unit_ids, idf * (tfs * (k1 + 1.0)) / (tfs + norm[unit_ids]))
     return Index(
         config=IndexConfig(config),
         units=tuple(units),
@@ -171,18 +176,19 @@ def index_from_units(
 
 
 def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
-    """Score one unit against a term list; repeated terms accumulate."""
+    """Score one unit against a term list; repeated terms accumulate.
+
+    The per-unit reference for score_units: term frequencies come from the
+    unit's own text, not from the weighted postings.
+    """
     if not 0 <= unit_id < index.n_units:
         raise ValueError(f"unit {unit_id} not in index")
+    unit_terms = tokenize(index.units[unit_id].text)
     score = 0.0
     for term in terms:
-        if term not in index.postings:
+        tf = float(unit_terms.count(term))
+        if tf == 0.0:
             continue
-        unit_ids, tfs = index.postings[term]
-        pos = int(np.searchsorted(unit_ids, unit_id))
-        if pos == len(unit_ids) or unit_ids[pos] != unit_id:
-            continue
-        tf = float(tfs[pos])
         score += index.idf(term) * (tf * (index.k1 + 1.0)) / (
             tf + float(index.norm[unit_id])
         )
@@ -193,10 +199,10 @@ def score_units(index: Index, query: str) -> np.ndarray:
     """BM25 score of every unit for the query."""
     scores = np.zeros(index.n_units, dtype=np.float64)
     for term in tokenize(query):
-        if term not in index.postings:
-            continue
-        unit_ids, tfs = index.postings[term]
-        kernels.bm25_accumulate(scores, unit_ids, tfs, index.idf(term), index.k1, index.norm)
+        if term in index.postings:
+            unit_ids, weights = index.postings[term]
+            # A posting lists each unit once, so the fancy-index += is safe.
+            scores[unit_ids] += weights
     return scores
 
 
@@ -262,25 +268,24 @@ def embed_corpus(index: Index, client: EmbeddingClient) -> np.ndarray:
 def embed_search(
     index: Index,
     unit_vectors: np.ndarray,
-    client: EmbeddingClient,
-    query: str,
+    query_vector: np.ndarray,
     k: int,
 ) -> RankedList:
-    """Cosine ranking with the same aggregation and tie rules as search."""
+    """Cosine ranking of an embedded query, with the same aggregation and
+    tie rules as search."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if unit_vectors.ndim != 2 or unit_vectors.shape[0] != index.n_units:
         raise ValueError("unit_vectors shape does not match the index")
-    qvec = client.embed([query])[0]
-    if qvec.shape[0] != unit_vectors.shape[1]:
+    if query_vector.shape[0] != unit_vectors.shape[1]:
         raise ValueError(
-            f"query dim {qvec.shape[0]} != corpus dim {unit_vectors.shape[1]}"
+            f"query dim {query_vector.shape[0]} != corpus dim {unit_vectors.shape[1]}"
         )
     unit_norms = np.linalg.norm(unit_vectors, axis=1)
-    qnorm = float(np.linalg.norm(qvec))
+    qnorm = float(np.linalg.norm(query_vector))
     denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
     denom[denom == 0.0] = 1.0
-    sims = (unit_vectors @ qvec) / denom
+    sims = (unit_vectors @ query_vector) / denom
     return _rank_datasets(index, sims, k)
 
 
@@ -310,11 +315,10 @@ class PassageStore:
         self._texts = tuple(p for p in passages if p.strip())
         if not self._texts:
             raise ValueError("no passages to index")
-        records = [
-            DatasetRecord(id=f"p{i:06d}", title=text)
-            for i, text in enumerate(self._texts)
+        units = [
+            DocUnit(f"p{i:06d}", "Metadata", text) for i, text in enumerate(self._texts)
         ]
-        self._index = build_index(records, [], IndexConfig.WITHOUT_PAPER, k1=k1, b=b)
+        self._index = index_from_units(units, IndexConfig.WITHOUT_PAPER, k1=k1, b=b)
 
     @classmethod
     def from_index(cls, index: Index, chunk_size: int = 100, **kwargs) -> "PassageStore":

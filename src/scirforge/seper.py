@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Decision, FilterVerdict
@@ -102,16 +104,18 @@ def curve_points(
         raise ValueError("curves need at least one positive and one negative label")
     pr: list[tuple[float, float]] = []
     roc: list[tuple[float, float]] = []
-    for threshold in sorted(set(deltas), reverse=True):
-        tp = fp = 0
-        for delta, label in zip(deltas, labels):
-            if delta > threshold:
-                if label:
-                    tp += 1
-                else:
-                    fp += 1
+    # Sweep the deltas in descending order.  At each distinct threshold the
+    # counts so far are exactly the deltas above it; then its own group joins.
+    tp = fp = 0
+    ranked = sorted(zip(deltas, labels), key=itemgetter(0), reverse=True)
+    for _, group in groupby(ranked, key=itemgetter(0)):
         recall = tp / positives
         precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
         pr.append((recall, precision))
         roc.append((fp / negatives, tp / positives))
+        for _, label in group:
+            if label:
+                tp += 1
+            else:
+                fp += 1
     return tuple(pr), tuple(roc)

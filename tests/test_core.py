@@ -128,6 +128,12 @@ def test_split_sizes_largest_remainder():
         assert all(s >= 0 for s in sizes)
 
 
+def test_split_sizes_rejects_negative_ratios():
+    # Sums to 100, but used to come back as (12, 1, 0) for ten items.
+    with pytest.raises(ValueError, match="nonnegative"):
+        split_sizes(10, (110, -5, -5))
+
+
 def test_split_corpus_deterministic_and_disjoint():
     records = [DatasetRecord(id=f"d{i:03d}", title="t") for i in range(40)]
     rng = random.Random(3)

@@ -1,5 +1,8 @@
-"""Property tests: the bit-parallel LCS and the argsort ranking against the
-plain DP and the (-score, id) sort they replaced."""
+"""Property tests: fast paths against the plain versions they replaced.
+
+The bit-parallel LCS against the DP, the argsort ranking against the
+(-score, id) sort, eager BM25 weights against per-unit scoring, and the
+sorted sweep behind the filter curves against the per-threshold loop."""
 import math
 import random
 from unittest import mock
@@ -11,7 +14,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from scirforge import kernels, retrieval  # noqa: E402
-from scirforge.retrieval import DocUnit, IndexConfig, embed_search, index_from_units, search  # noqa: E402
+from scirforge.retrieval import (  # noqa: E402
+    DocUnit,
+    IndexConfig,
+    bm25_score,
+    embed_search,
+    index_from_units,
+    score_units,
+    search,
+    tokenize,
+)
+from scirforge.seper import curve_points  # noqa: E402
 from test_kernels import lcs_oracle  # noqa: E402
 
 
@@ -85,14 +98,6 @@ def test_search_matches_sort_oracle(data):
     _assert_ranking(ranked, want)
 
 
-class _FixedQuery:
-    def __init__(self, vector):
-        self.vector = vector
-
-    def embed(self, texts):
-        return np.array([self.vector] * len(texts), dtype=np.float64)
-
-
 def _cosine(row, query):
     # Small integer vectors keep every dot product and squared norm exact,
     # so this agrees with embed_search's numpy arithmetic bit for bit.
@@ -112,8 +117,67 @@ def test_embed_search_matches_sort_oracle(data):
     query = data.draw(vec)
     k = data.draw(st.integers(1, len(index.dataset_ids) + 3))
     ranked = embed_search(
-        index, np.array(rows, dtype=np.float64), _FixedQuery(query), "query", k
+        index, np.array(rows, dtype=np.float64), np.array(query, dtype=np.float64), k
     )
     sims = [_cosine(row, query) for row in rows]
     want = rank_oracle(_dataset_scores(index, sims), index.dataset_ids, k)
     _assert_ranking(ranked, want)
+
+
+_WORDS = ["ice", "core", "river", "gauge", "a", "b", "x1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12)),
+        min_size=1,
+        max_size=15,
+    ),
+    st.lists(st.sampled_from(_WORDS + ["absent"]), max_size=8),
+    st.floats(0.1, 3.0),
+    st.floats(0.0, 1.0),
+)
+def test_score_units_matches_bm25_score_bitwise(units, query_terms, k1, b):
+    index = index_from_units(
+        [DocUnit(f"d{o}", "Metadata", " ".join(words)) for o, words in units],
+        IndexConfig.WITHOUT_PAPER,
+        k1=k1,
+        b=b,
+    )
+    query = " ".join(query_terms)
+    want = np.array([bm25_score(index, tokenize(query), u) for u in range(index.n_units)])
+    assert score_units(index, query).tobytes() == want.tobytes()
+
+
+def curve_points_oracle(deltas, labels):
+    """The per-threshold recount the sorted sweep replaced."""
+    positives = sum(1 for lab in labels if lab)
+    negatives = len(labels) - positives
+    pr, roc = [], []
+    for threshold in sorted(set(deltas), reverse=True):
+        tp = fp = 0
+        for delta, label in zip(deltas, labels):
+            if delta > threshold:
+                if label:
+                    tp += 1
+                else:
+                    fp += 1
+        recall = tp / positives
+        precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
+        pr.append((recall, precision))
+        roc.append((fp / negatives, tp / positives))
+    return tuple(pr), tuple(roc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_curve_points_matches_threshold_loop(data):
+    # Few distinct values (with both zeros), so most thresholds are shared.
+    delta = st.sampled_from([-0.5, -0.0, 0.0, 0.125, 0.3, 1.0]) | st.floats(-2.0, 2.0)
+    pairs = data.draw(st.lists(st.tuples(delta, st.booleans()), min_size=2, max_size=40))
+    labels = [lab for _, lab in pairs]
+    if all(labels) or not any(labels):
+        labels[0] = not labels[0]
+    deltas = [d for d, _ in pairs]
+    assert curve_points(deltas, labels) == curve_points_oracle(deltas, labels)

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from scirforge import pipeline
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
+from scirforge.gateway import MockEmbeddingClient
 from scirforge.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -107,6 +109,55 @@ def test_manifest_input_labels(fixture_run):
         for label in stage.inputs:
             if not label.startswith("input:"):
                 assert label in produced, (stage.name, label)
+
+
+def _artifacts(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(run_dir)): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def test_artifacts_do_not_depend_on_concurrency(tmp_path):
+    runs = {}
+    for concurrency in (1, 4):
+        inputs = tmp_path / f"inputs{concurrency}"
+        shutil.copytree(FIXTURE_DIR, inputs)
+        doc = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+        doc["concurrency"] = concurrency
+        (inputs / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        run_dir = tmp_path / f"run{concurrency}"
+        run_all(load_config(inputs / "config.json"), run_dir, inputs)
+        runs[concurrency] = _artifacts(run_dir)
+    assert "reports/retrieval.csv" in runs[1]
+    assert runs[1].keys() == runs[4].keys()
+    assert [name for name in runs[1] if runs[1][name] != runs[4][name]] == []
+
+
+def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkeypatch):
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    batches = []
+
+    class CountingClient(MockEmbeddingClient):
+        def embed(self, texts):
+            batches.append(len(texts))
+            return super().embed(texts)
+
+    monkeypatch.setattr(pipeline, "_embedding_client", lambda ctx: CountingClient(dim=16))
+    stage = next(s for s in STAGES if s.name == "bench-retrieval")
+    stage.run(pipeline.StageContext(config=config, run_dir=copy))
+    meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
+    units = [
+        pipeline.load_index(copy / f"index/{side}.json").n_units
+        for side in ("without_paper", "with_paper")
+    ]
+    # One batch of all questions, then one batch per index's units.
+    assert batches == [meta["n_queries"], *units]
+    name = "reports/retrieval.csv"
+    assert (copy / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 def test_full_run_statuses(fixture_run):

@@ -194,8 +194,8 @@ def test_embed_search_matches_cosine_oracle():
     vectors = embed_corpus(index, client)
     assert vectors.shape == (index.n_units, 12)
     query = "ice drilling"
-    ranked = embed_search(index, vectors, client, query, k=2)
     qv = client.embed([query])[0]
+    ranked = embed_search(index, vectors, qv, k=2)
     sims = vectors @ qv
     best = {}
     for u, sim in enumerate(sims):
