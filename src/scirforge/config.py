@@ -49,17 +49,30 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+def _same_type(default: Any, value: Any) -> bool:
+    """Whether `value` has its default's JSON type: an int may stand for a
+    float, a bool never for a number, and list items match the default's."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_type(default[0], v) for v in value)
+    return isinstance(value, type(default))
+
+
 def _merge(defaults: dict, user: dict, path: str) -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}{key!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key!r} must be an object")
-            out[key] = _merge(defaults[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
+        if not _same_type(defaults[key], value):
+            raise ConfigError(
+                f"config key {path}{key!r} must match the type of its default, got {value!r}"
+            )
+        if isinstance(value, dict):
+            value = _merge(defaults[key], value, f"{path}{key}.")
+        out[key] = value
     return out
 
 
@@ -176,6 +189,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"split.ratios must be nonnegative and sum to 100, got {list(ratios)}"
         )
+    if config.regen_attempts < 0:
+        raise ConfigError("generation.regen_attempts must be >= 0")
     if config.concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
     if config.chunk_size < 1:

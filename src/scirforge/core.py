@@ -291,15 +291,12 @@ def split_sizes(total: int, ratios: tuple[int, int, int]) -> tuple[int, int, int
     """Largest-remainder apportionment of `total` into three ratio shares."""
     if sum(ratios) != 100 or min(ratios) < 0:
         raise ValueError(f"split ratios must be nonnegative and sum to 100, got {ratios}")
-    quotas = [total * r / 100.0 for r in ratios]
-    # Floors and the shares owed a unit come from integers, so they stay exact
-    # where float quotas run out of precision (totals above about 2**46).
     base = [total * r // 100 for r in ratios]
-    owed = [i for i in range(3) if total * ratios[i] % 100]
+    remainders = [total * r % 100 for r in ratios]  # exact, in hundredths
     leftover = total - sum(base)
-    # Hand the leftover units to the largest fractional remainders; ties go
-    # to the earlier ratio so the result is order-stable.
-    order = sorted(owed, key=lambda i: (-(quotas[i] - base[i]), i))
+    # Hand the leftover units to the largest remainders; ties go to the
+    # earlier ratio so the result is order-stable.
+    order = sorted(range(3), key=lambda i: (-remainders[i], i))
     for i in order[:leftover]:
         base[i] += 1
     return tuple(base)  # type: ignore[return-value]

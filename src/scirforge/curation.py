@@ -21,8 +21,8 @@ from .core import (
     ResponseParseError,
     SectionLabel,
 )
-from .gateway import Gateway, PromptRequest
-from .prompts import load_template, render
+from .gateway import Gateway
+from .prompts import ask
 
 DEFAULT_MAX_PAPER_CHARS = 24_000
 
@@ -102,15 +102,13 @@ def assess_relevance(
 ) -> RelevanceVerdict:
     """Ask whether the paper plausibly used this dataset; parse USED/EXPLANATION."""
     text, _ = truncate_text(paper.full_text(), max_paper_chars)
-    prompt = render(
-        load_template("relevance.txt", template_dir),
+    response = ask(
+        gateway,
+        "relevance",
+        template_dir,
         dataset_title=dataset.title,
         dataset_description=dataset.description,
         section_text=text,
-    )
-    response = gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="relevance",
     )
     return parse_relevance(response)
 
@@ -176,12 +174,7 @@ def classify_segment(
     """Classify one text chunk into a section label; unknowns map to None."""
     if not text.strip():
         raise ValueError("segment text must be nonempty")
-    prompt = render(load_template("segment.txt", template_dir), section_text=text)
-    response = gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="segment",
-    )
-    return parse_segment_label(response)
+    return parse_segment_label(ask(gateway, "segment", template_dir, section_text=text))
 
 
 def parse_segment_label(response: str) -> SectionLabel:
@@ -243,11 +236,7 @@ def extract_aspects(
     """One extraction pass over a section; each aspect block becomes candidates."""
     if not section_text.strip():
         raise ValueError("section text must be nonempty")
-    prompt = render(load_template("extract.txt", template_dir), section_text=section_text)
-    response = gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="extract",
-    )
+    response = ask(gateway, "extract", template_dir, section_text=section_text)
     return parse_aspect_draft(response, dataset_id=dataset.id)
 
 
@@ -330,15 +319,13 @@ def verify_aspects(
     """
     if not draft.has_candidates():
         raise ValueError("draft has no candidates to verify")
-    prompt = render(
-        load_template("verify.txt", template_dir),
+    response = ask(
+        gateway,
+        "verify",
+        template_dir,
         dataset_title=dataset.title,
         dataset_description=dataset.description,
         section_text=format_draft(draft),
-    )
-    response = gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="verify",
     )
     kept = parse_keep_indices(response)
     units: list[AspectUnit] = []

@@ -22,8 +22,8 @@ from .core import (
     answer_form,
     word_count,
 )
-from .gateway import EntailmentScorer, Gateway, PromptRequest
-from .prompts import load_template, render
+from .gateway import EntailmentScorer, Gateway
+from .prompts import ask
 from .retrieval import PassageStore, tokenize
 
 
@@ -71,12 +71,7 @@ def classify_cognitive_level(
 ) -> CognitiveLevel:
     if not question.strip():
         raise ValueError("question must be nonempty")
-    prompt = render(load_template("cognitive.txt", template_dir), question=question)
-    response = gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="cognitive",
-    )
-    return parse_cognitive_level(response)
+    return parse_cognitive_level(ask(gateway, "cognitive", template_dir, question=question))
 
 
 @dataclass(frozen=True)
@@ -188,13 +183,7 @@ def rag_answer(
         passages = "".join(
             f"Passage {i}: {t}\n\n" for i, t in enumerate(texts, start=1)
         )
-    prompt = render(
-        load_template("rag.txt", template_dir), passages=passages, question=question
-    )
-    return gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="rag",
-    ).strip()
+    return ask(gateway, "rag", template_dir, passages=passages, question=question).strip()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Model access layer: one Gateway in front of interchangeable backends.
 
-The gateway owns everything the pipeline should not care about: a
-content-addressed disk cache, coalescing of identical concurrent requests,
-an in-flight cap, and retry with backoff on transient transport failures.
+The gateway owns everything the pipeline should not care about: a disk
+cache keyed by the backend's identity and the request fields, coalescing of
+identical concurrent requests, an in-flight cap, and retry with backoff on
+transient transport failures.
 
 Two backends ship here.  HttpBackend talks to an OpenAI-style server (chat
 completions for generation, echo+logprobs completions for teacher-forced
@@ -20,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -109,6 +110,10 @@ class BackendConfig:
 
 
 class Backend(Protocol):
+    # Names what answers requests; part of every cache key, so a cache shared
+    # between backends (or mock scripts) never serves one's answer as another's.
+    identity: str
+
     def complete(self, request: PromptRequest, stage: str) -> str: ...
 
     def score(
@@ -132,8 +137,8 @@ class _ScriptEntry:
     score_value: float = 0.0
 
 
-def _load_script(path: Path) -> list[_ScriptEntry]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_script(data: bytes, path: Path) -> list[_ScriptEntry]:
+    raw = json.loads(data.decode("utf-8"))
     if not isinstance(raw, list):
         raise GatewayError(f"{path}: script must be a JSON list")
     entries = []
@@ -197,7 +202,9 @@ class MockBackend:
     """
 
     def __init__(self, script_path: str | Path):
-        self._entries = _load_script(Path(script_path))
+        data = Path(script_path).read_bytes()
+        self.identity = "mock:" + hashlib.sha256(data).hexdigest()
+        self._entries = _load_script(data, Path(script_path))
 
     def _find(self, kind: str, stage: str, text: str) -> tuple[_ScriptEntry, re.Match]:
         for entry in self._entries:
@@ -253,6 +260,7 @@ class HttpBackend:
         import requests
 
         self._config = config
+        self.identity = "http:" + config.endpoint
         self._session = requests.Session()
         key = os.environ.get(config.api_key_env, "") if config.api_key_env else ""
         if key:
@@ -326,6 +334,13 @@ class HttpBackend:
 # ---------------------------------------------------------------------------
 
 
+def _key(*fields: str) -> str:
+    """sha256 over the fields, each prefixed with its UTF-8 length, so that
+    ("ab", " c") and ("a", "b c") hash apart."""
+    blob = b"".join(len(b).to_bytes(8, "big") + b for b in (f.encode() for f in fields))
+    return hashlib.sha256(blob).hexdigest()
+
+
 class _KeyLock:
     """Context manager that holds the lock for one request key.
 
@@ -384,51 +399,16 @@ class Gateway:
     def model(self) -> str:
         return self._config.model
 
-    # -- cache plumbing ------------------------------------------------
+    # -- the one request path ------------------------------------------
 
-    def _key(self, payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def _cache_path(self, key: str) -> Path | None:
-        if self._cache_dir is None:
-            return None
-        return self._cache_dir / key[:2] / (key + ".json")
-
-    def _cache_read(self, key: str, fields: tuple[str, ...]) -> dict | None:
-        """The cached value, or None on a miss.
-
-        A file that does not decode (say, truncated by a crash) or lacks one
-        of `fields` is a miss too; the caller then overwrites it.
-        """
-        path = self._cache_path(key)
-        if path is None:
-            return None
-        try:
-            value = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, ValueError):
-            return None
-        if not isinstance(value, dict) or not all(f in value for f in fields):
-            return None
-        return value
-
-    def _cache_write(self, key: str, value: dict) -> None:
-        path = self._cache_path(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(path)
-
-    def _call(self, fn, *args):
+    def _call(self, fetch: Callable[[], dict]) -> dict:
         last: Exception | None = None
         for attempt in range(self._config.max_retries + 1):
             try:
                 with self._semaphore:
                     with self._guard:
                         self.backend_calls += 1
-                    return fn(*args)
+                    return fetch()
             except TransientBackendError as exc:
                 last = exc
                 if attempt < self._config.max_retries:
@@ -436,59 +416,58 @@ class Gateway:
         assert last is not None
         raise last
 
+    def _cached(self, key: str, fields: tuple[str, ...], fetch: Callable[[], dict]) -> dict:
+        """The value cached under `key`, else `fetch()`'s value, cached.
+
+        Callers with one key take turns, so identical concurrent requests
+        reach the backend once when there is a cache. A file that does not
+        decode (say, truncated by a crash) or lacks one of `fields` is a
+        miss, and is replaced.
+        """
+        path = self._cache_dir / key[:2] / (key + ".json") if self._cache_dir else None
+        with _KeyLock(self._guard, self._locks, key):
+            if path is not None:
+                try:
+                    value = json.loads(path.read_text(encoding="utf-8"))
+                except (FileNotFoundError, ValueError):
+                    value = None
+                if isinstance(value, dict) and all(f in value for f in fields):
+                    with self._guard:
+                        self.cache_hits += 1
+                    return value
+            value = self._call(fetch)
+            if path is not None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp = path.with_suffix(".tmp")
+                tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
+                tmp.replace(path)
+            return value
+
     # -- public API ----------------------------------------------------
 
     def complete(self, request: PromptRequest, stage: str = "") -> str:
-        payload = {
-            "kind": "chat",
-            "model": request.model_name,
-            "messages": [list(m) for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        key = self._key(payload)
-        with _KeyLock(self._guard, self._locks, key):
-            cached = self._cache_read(key, ("response",))
-            if cached is not None:
-                with self._guard:
-                    self.cache_hits += 1
-                return cached["response"]
-            response = self._call(self._backend.complete, request, stage)
-            self._cache_write(key, {"kind": "chat", "response": response})
-            return response
+        def fetch() -> dict:
+            return {"response": self._backend.complete(request, stage)}
+
+        knobs = (request.model_name, float(request.temperature).hex(), str(request.max_tokens))
+        messages = (field for message in request.messages for field in message)
+        key = _key(self._backend.identity, "chat", *knobs, *messages)
+        return self._cached(key, ("response",), fetch)["response"]
 
     def score_continuation(
         self, context: str, continuation: str, stage: str = ""
     ) -> ScoredContinuation:
         if not continuation:
             raise ValueError("continuation must be nonempty")
-        payload = {
-            "kind": "score",
-            "model": self._config.model,
-            "context": context,
-            "continuation": continuation,
-        }
-        key = self._key(payload)
-        with _KeyLock(self._guard, self._locks, key):
-            cached = self._cache_read(key, ("tokens", "logprobs"))
-            if cached is not None:
-                with self._guard:
-                    self.cache_hits += 1
-                return ScoredContinuation(
-                    tuple(cached["tokens"]), tuple(cached["logprobs"])
-                )
-            scored = self._call(
-                self._backend.score, context, continuation, self._config.model, stage
-            )
-            self._cache_write(
-                key,
-                {
-                    "kind": "score",
-                    "tokens": list(scored.tokens),
-                    "logprobs": list(scored.logprobs),
-                },
-            )
-            return scored
+        model = self._config.model
+
+        def fetch() -> dict:
+            scored = self._backend.score(context, continuation, model, stage)
+            return {"tokens": list(scored.tokens), "logprobs": list(scored.logprobs)}
+
+        key = _key(self._backend.identity, "score", model, context, continuation)
+        value = self._cached(key, ("tokens", "logprobs"), fetch)
+        return ScoredContinuation(tuple(value["tokens"]), tuple(value["logprobs"]))
 
 
 # ---------------------------------------------------------------------------

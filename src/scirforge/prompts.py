@@ -1,4 +1,4 @@
-"""Prompt template loading and rendering.
+"""Prompt template loading and rendering, and `ask` for single-turn prompts.
 
 Templates are plain text files with {lowercase_name} placeholders.  Braces
 that do not wrap a lowercase identifier (JSON examples, set notation) pass
@@ -10,23 +10,25 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from .gateway import Gateway, PromptRequest
+
 TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 _PLACEHOLDER = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
-# Template text by absolute path: templates are read once per process.
-_TEXTS: dict[Path, str] = {}
+# Template text by (template_dir, name) as passed: templates are read once
+# per process, and a hit resolves no path (so a relative template_dir stays
+# bound to the working directory of its first read).
+_TEXTS: dict[tuple, str] = {}
 
 
 def load_template(name: str, template_dir: Path | None = None) -> str:
-    directory = Path(template_dir) if template_dir else TEMPLATE_DIR
-    path = directory / name
-    key = path.absolute()
-    text = _TEXTS.get(key)
+    text = _TEXTS.get((template_dir, name))
     if text is None:
+        path = (Path(template_dir) if template_dir else TEMPLATE_DIR) / name
         if not path.exists():
             raise FileNotFoundError(f"template not found: {path}")
-        text = _TEXTS[key] = path.read_text(encoding="utf-8")
+        text = _TEXTS[template_dir, name] = path.read_text(encoding="utf-8")
     return text
 
 
@@ -37,6 +39,14 @@ def render(template: str, **values: str) -> str:
     if missing:
         raise KeyError(f"template placeholders without values: {sorted(missing)}")
     return _PLACEHOLDER.sub(lambda m: str(values[m.group(1)]), template)
+
+
+def ask(gateway: Gateway, stage: str, template_dir: Path | None = None, **values: str) -> str:
+    """Render `<stage>.txt` with `values` and send it as one user message at
+    temperature 0; the stage labels the call."""
+    prompt = render(load_template(f"{stage}.txt", template_dir), **values)
+    request = PromptRequest((("user", prompt),), gateway.model, temperature=0.0)
+    return gateway.complete(request, stage=stage)
 
 
 _ROLE_MARKER = re.compile(r"^(SYSTEM|USER):\s*$", re.MULTILINE)

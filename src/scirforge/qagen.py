@@ -24,7 +24,7 @@ from .core import (
     match_question_type,
 )
 from .gateway import Gateway, PromptRequest
-from .prompts import TEMPLATE_DIR, load_template, render, split_roles
+from .prompts import TEMPLATE_DIR, ask, load_template, render, split_roles
 
 WITH_PAPER_QUOTA = 3
 METADATA_ONLY_TYPES = 8
@@ -124,15 +124,13 @@ def select_question_types(
 ) -> list[QuestionType]:
     """Ask which 8 types suit this dataset's metadata; parse and dedupe names."""
     taxonomy = taxonomy or load_taxonomy()
-    prompt = render(
-        load_template("select_types.txt", template_dir),
+    response = ask(
+        gateway,
+        "select_types",
+        template_dir,
         type_catalog=type_catalog(taxonomy),
         dataset_title=dataset.title,
         dataset_description=dataset.description,
-    )
-    response = gateway.complete(
-        PromptRequest((("user", prompt),), gateway.model, temperature=0.0),
-        stage="select_types",
     )
     return parse_type_selection(response)
 

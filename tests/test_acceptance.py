@@ -44,6 +44,8 @@ K1, B = 1.2, 0.75
 class _PairedScoreBackend:
     """Serves one queued (without, with) confidence pair per delta_seper call."""
 
+    identity = "paired-score"
+
     def __init__(self, pairs):
         self.pairs = pairs
         self.n = 0

@@ -30,3 +30,33 @@ def test_mrr_cutoff_below_one_rejected(tmp_path, cutoff):
     path = _config(tmp_path, {"retrieval": {"mrr_cutoff": cutoff}})
     with pytest.raises(ConfigError, match="mrr_cutoff"):
         load_config(path)
+
+
+def test_negative_regen_attempts_rejected(tmp_path):
+    path = _config(tmp_path, {"generation": {"regen_attempts": -1}})
+    with pytest.raises(ConfigError, match="regen_attempts"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"bm25": {"k1": "abc"}}, "'k1'"),
+        ({"concurrency": 2.5}, "'concurrency'"),
+        ({"concurrency": True}, "'concurrency'"),
+        ({"bm25": {"b": False}}, "'b'"),
+        ({"embedding": {"enabled": 1}}, "'enabled'"),
+        ({"template_dir": None}, "'template_dir'"),
+        ({"retrieval": {"ks": [1, 5.5]}}, "'ks'"),
+        ({"split": {"ratios": "80/15/5"}}, "'ratios'"),
+        ({"bm25": 3}, "'bm25'"),
+    ],
+)
+def test_value_of_another_type_rejected(tmp_path, doc, key):
+    with pytest.raises(ConfigError, match=f"{key} must match the type of its default,"):
+        load_config(_config(tmp_path, doc))
+
+
+def test_int_accepted_where_default_is_float(tmp_path):
+    config = load_config(_config(tmp_path, {"bm25": {"k1": 2}, "generation": {"temperature": 0}}))
+    assert config.k1 == 2.0 and config.gen_temperature == 0.0

@@ -120,6 +120,9 @@ def test_split_sizes_largest_remainder():
     assert split_sizes(5, (80, 15, 5)) == (4, 1, 0)
     assert split_sizes(0, (80, 15, 5)) == (0, 0, 0)
     assert split_sizes(3, (34, 33, 33)) == (1, 1, 1)  # remainders .02, .99, .99
+    # Exact remainders: .6, .8, .6 and .4, .2, .4; ties go to the earlier share.
+    assert split_sizes(12, (80, 15, 5)) == (10, 2, 0)
+    assert split_sizes(40, (96, 3, 1)) == (39, 1, 0)
     rng = random.Random(7)
     for _ in range(200):
         total = rng.randrange(0, 500)

@@ -1,4 +1,6 @@
 """Gateway caching, coalescing, retry, and the scripted mock backend."""
+import hashlib
+import json
 import math
 import sys
 import threading
@@ -12,6 +14,7 @@ from scirforge.gateway import (
     BackendConfig,
     Gateway,
     GatewayError,
+    HttpBackend,
     MockBackend,
     MockEmbeddingClient,
     MockEntailmentScorer,
@@ -148,7 +151,43 @@ def test_cache_survives_across_gateways(tmp_path):
     assert gw2.backend_calls == 0 and gw2.cache_hits == 1
 
 
+def test_scripts_sharing_a_cache_keep_their_own_answers(tmp_path):
+    cache = tmp_path / "cache"
+
+    def gateway(name, confidence):
+        script = tmp_path / f"{name}.json"
+        entries = [
+            {"kind": "chat", "match": "", "response": f"from script {name}"},
+            {"kind": "score", "match": "", "confidence": confidence},
+        ]
+        script.write_text(json.dumps(entries), encoding="utf-8")
+        return Gateway.from_config(
+            BackendConfig(kind="mock", script_path=str(script), cache_dir=str(cache))
+        )
+
+    a, b = gateway("A", 0.5), gateway("B", 0.25)
+    assert a.complete(req("q")) == "from script A"
+    assert a.score_continuation("c", " t").logprobs == (math.log(0.5),)
+    assert b.complete(req("q")) == "from script B"
+    assert b.score_continuation("c", " t").logprobs == (math.log(0.25),)
+    assert b.backend_calls == 2 and b.cache_hits == 0
+    # the same script text, wherever it lives, shares the entries
+    again = gateway("A", 0.5)
+    assert again.complete(req("q")) == "from script A" and again.cache_hits == 1
+
+
+def test_backend_identity(tmp_path):
+    script = tmp_path / "s.json"
+    script.write_text('[{"kind": "chat", "match": "", "response": "r"}]', encoding="utf-8")
+    digest = hashlib.sha256(script.read_bytes()).hexdigest()
+    assert MockBackend(script).identity == "mock:" + digest
+    http = HttpBackend(BackendConfig(kind="http", endpoint="http://localhost:1/v1"))
+    assert http.identity == "http:http://localhost:1/v1"
+
+
 class _CountingBackend:
+    identity = "counting"
+
     def __init__(self, delay=0.0):
         self.calls = 0
         self.lock = threading.Lock()
@@ -218,6 +257,8 @@ def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, call, damage):
 class _OverlapBackend:
     """Counts calls and records any two calls for one prompt that overlap."""
 
+    identity = "overlap"
+
     def __init__(self):
         self.calls = 0
         self.in_flight: dict[str, int] = {}
@@ -280,6 +321,8 @@ def test_key_locks_under_contention(tmp_path, cache):
 
 
 class _FlakyBackend:
+    identity = "flaky"
+
     def __init__(self, failures):
         self.failures = failures
         self.calls = 0

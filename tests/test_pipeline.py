@@ -10,7 +10,7 @@ from scirforge import pipeline
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
-from scirforge.gateway import MockEmbeddingClient
+from scirforge.gateway import MockBackend, MockEmbeddingClient
 from scirforge.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -133,6 +133,63 @@ def test_artifacts_do_not_depend_on_concurrency(tmp_path):
     assert "reports/retrieval.csv" in runs[1]
     assert runs[1].keys() == runs[4].keys()
     assert [name for name in runs[1] if runs[1][name] != runs[4][name]] == []
+
+
+def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch):
+    """A process that dies at backend call N, then runs again, ends with the
+    artifacts of a run that never stopped."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(FIXTURE_DIR, inputs)
+    doc = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+    doc["concurrency"] = 1
+
+    def config(name):
+        doc["backend"]["cache_dir"] = str(tmp_path / f"cache_{name}")
+        path = inputs / f"config_{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_config(path)
+
+    state = {"calls": 0, "crash_at": None}  # one worker: calls come in order
+
+    def counted(method):
+        def wrapper(self, *args):
+            state["calls"] += 1
+            if state["crash_at"] is not None and state["calls"] >= state["crash_at"]:
+                raise SystemExit(f"crash at backend call {state['calls']}")
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(MockBackend, "complete", counted(MockBackend.complete))
+    monkeypatch.setattr(MockBackend, "score", counted(MockBackend.score))
+
+    reference_config, reference = config("ref"), tmp_path / "reference"
+    first_call = {}
+    for name in STAGE_ORDER:
+        first_call[name] = state["calls"] + 1
+        run_stage(name, reference_config, reference, inputs if name == "ingest" else None)
+    expected = _artifacts(reference)
+    assert not [name for name in expected if name.endswith(".tmp")]
+
+    for name in ("match", "parse", "generate", "filter", "bench-qa"):
+        end = first_call[STAGE_ORDER[STAGE_ORDER.index(name) + 1]]
+        assert end > first_call[name], f"{name} made no backend calls"
+        crash_at = (first_call[name] + end) // 2
+        run_config, run_dir = config(crash_at), tmp_path / f"run_{crash_at}"
+        state.update(calls=0, crash_at=crash_at)
+        with pytest.raises(SystemExit):
+            run_all(run_config, run_dir, inputs)
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["stages"]) == sorted(STAGE_ORDER[: STAGE_ORDER.index(name)])
+
+        state.update(crash_at=None)
+        run_all(run_config, run_dir, inputs)
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        listed = [out for entry in manifest["stages"].values() for out in entry["outputs"]]
+        assert not [out for out in listed if out.endswith(".tmp")]
+        artifacts = _artifacts(run_dir)
+        assert artifacts.keys() == expected.keys(), crash_at
+        assert [n for n in expected if artifacts[n] != expected[n]] == [], crash_at
 
 
 def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkeypatch):

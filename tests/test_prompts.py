@@ -1,10 +1,12 @@
-"""Prompt templates: bundled defaults, template_dir overrides, memoized reads."""
+"""Prompt templates: bundled defaults, template_dir overrides, memoized reads,
+and single-turn prompts through `ask`."""
 import pytest
 
 from conftest import make_gateway
 from scirforge.core import CognitiveLevel
 from scirforge.evalqa import classify_cognitive_level
-from scirforge.prompts import TEMPLATE_DIR, load_template
+from scirforge.gateway import BackendConfig, Gateway
+from scirforge.prompts import TEMPLATE_DIR, ask, load_template
 
 
 def test_custom_template_dir_wins_over_bundled(tmp_path):
@@ -41,3 +43,25 @@ def test_same_name_in_two_dirs_keeps_each_text(tmp_path):
     for _ in range(2):
         assert load_template("rag.txt", first) == "from a {question}"
         assert load_template("rag.txt", second) == "from b {question}"
+
+
+class _RecordingBackend:
+    identity = "recording"
+
+    def __init__(self):
+        self.seen = []
+
+    def complete(self, request, stage):
+        self.seen.append((request, stage))
+        return "answer"
+
+
+def test_ask_sends_stage_template_as_one_user_message(tmp_path):
+    (tmp_path / "rag.txt").write_text("Q: {question} P: {passages}", encoding="utf-8")
+    backend = _RecordingBackend()
+    gw = Gateway(backend, BackendConfig(kind="mock", script_path="unused", model="m1"))
+    assert ask(gw, "rag", tmp_path, question="why?", passages="none") == "answer"
+    ((request, stage),) = backend.seen
+    assert stage == "rag"
+    assert request.messages == (("user", "Q: why? P: none"),)
+    assert request.model_name == "m1" and request.temperature == 0.0

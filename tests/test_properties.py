@@ -1,10 +1,11 @@
-"""Property tests for split apportionment and the JSONL record format."""
+"""Property tests for split apportionment, the JSONL record format and
+gateway cache keys."""
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from scirforge.core import (  # noqa: E402
     DatasetRecord,
@@ -19,6 +20,7 @@ from scirforge.core import (  # noqa: E402
     split_sizes,
     write_jsonl,
 )
+from scirforge.gateway import BackendConfig, Gateway, PromptRequest, _key  # noqa: E402
 
 
 @st.composite
@@ -35,6 +37,22 @@ def test_split_sizes_apportions_total(total, ratios):
     assert sum(sizes) == total
     for size, ratio in zip(sizes, ratios):
         assert abs(size - Fraction(total * ratio, 100)) < 1
+
+
+def split_sizes_oracle(total, ratios):
+    """Largest remainder over exact fractions; ties go to the earlier share."""
+    quotas = [Fraction(total * r, 100) for r in ratios]
+    sizes = [int(q) for q in quotas]
+    order = sorted(range(3), key=lambda i: (-(quotas[i] - sizes[i]), i))
+    for i in order[: total - sum(sizes)]:
+        sizes[i] += 1
+    return tuple(sizes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**20) | st.integers(0, 1000), _ratios())
+def test_split_sizes_matches_largest_remainder_oracle(total, ratios):
+    assert split_sizes(total, ratios) == split_sizes_oracle(total, ratios)
 
 
 _TEXT = st.text(min_size=1, max_size=30)
@@ -89,3 +107,51 @@ def test_jsonl_round_trip_property(tmp_path_factory, datasets, pairs):
     assert load_datasets(tmp / "d.jsonl") == datasets
     assert load_qapairs(tmp / "q.jsonl") == pairs
     assert [n for n, _ in read_jsonl(tmp / "q.jsonl")] == list(range(1, len(pairs) + 1))
+
+
+@st.composite
+def _two_splits(draw, min_piece=0):
+    """One text cut into pieces at two different sets of points."""
+    text = draw(st.text(min_size=2 * min_piece, max_size=12))
+    points = st.integers(min_piece, len(text) - min_piece)
+
+    def split():
+        cuts = sorted(draw(st.sets(points, max_size=3)))
+        return tuple(text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)]))
+
+    return split(), split()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_splits() | st.tuples(st.lists(st.text(max_size=4)), st.lists(st.text(max_size=4))))
+def test_different_fields_give_different_keys(fields):
+    a, b = (tuple(f) for f in fields)
+    assume(a != b)
+    assert _key(*a) != _key(*b)
+    assert _key(*a) == _key(*a)
+
+
+class _EchoBackend:
+    identity = "echo"
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, request, stage):
+        self.calls += 1
+        return repr(request.messages)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_splits(min_piece=1), st.sampled_from(["user", "system", "assistant"]))
+def test_messages_split_differently_are_cached_apart(tmp_path_factory, splits, role):
+    requests = [
+        PromptRequest(tuple((role, text) for text in pieces), "m") for pieces in splits
+    ]
+    assume(requests[0] != requests[1])
+    cache = tmp_path_factory.mktemp("cache")
+    backend = _EchoBackend()
+    gw = Gateway(backend, BackendConfig(kind="mock", script_path="unused", cache_dir=str(cache)))
+    for request in requests:
+        assert gw.complete(request) == repr(request.messages)
+    assert backend.calls == 2 and gw.cache_hits == 0
