@@ -31,7 +31,7 @@ def entailment_correct(
     prediction: str, reference: str, scorer: EntailmentScorer
 ) -> bool:
     """Correct iff the prediction entails the reference with score > 0.5."""
-    score = scorer.score(prediction, reference)
+    score = scorer.entail(prediction, reference)
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"entailment score {score} out of [0, 1]")
     return score > 0.5

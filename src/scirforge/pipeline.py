@@ -10,6 +10,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .config import RunConfig
 from .core import (
@@ -57,14 +60,7 @@ from .evalqa import (
     evaluate_pair,
     rag_answer,
 )
-from .gateway import (
-    BackendConfig,
-    Gateway,
-    HttpEmbeddingClient,
-    MockEmbeddingClient,
-    MockEntailmentScorer,
-    HttpEntailmentScorer,
-)
+from .gateway import Gateway, HttpBackend, MockBackend, MockEmbeddingClient
 from .qagen import build_context, generate_qa, load_taxonomy, plan_generation
 from .retrieval import (
     DocUnit,
@@ -442,13 +438,13 @@ def _bench_pairs(ctx: StageContext) -> list[QAPair]:
     return accepted
 
 
-def _http_backend(ctx: StageContext, section: dict) -> BackendConfig:
-    """HTTP backend for an embedding or entailment config section."""
-    return BackendConfig(
-        kind="http",
-        endpoint=section["endpoint"],
-        model=section["model"] or ctx.config.backend.model,
-        api_key_env=ctx.config.backend.api_key_env,
+def _http_backend(ctx: StageContext, section: dict) -> HttpBackend:
+    """HTTP backend for an embedding or entailment config section; transport
+    settings (timeout, retries, in-flight cap, API key) come from `backend`."""
+    main = ctx.config.backend
+    model = section["model"] or main.model
+    return HttpBackend(
+        dataclasses.replace(main, kind="http", endpoint=section["endpoint"], model=model)
     )
 
 
@@ -458,7 +454,7 @@ def _embedding_client(ctx: StageContext):
         return None
     if emb["kind"] == "mock":
         return MockEmbeddingClient(dim=int(emb["dim"]))
-    return HttpEmbeddingClient(_http_backend(ctx, emb))
+    return _http_backend(ctx, emb)
 
 
 def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
@@ -493,8 +489,9 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
         for cfg in configs:
             index = indexes[cfg]
             unit_vectors = embed_corpus(index, client)
+            norms = np.linalg.norm(unit_vectors, axis=1)
             emb_row += cells(
-                [embed_search(index, unit_vectors, v, k_max) for v in query_vectors]
+                [embed_search(index, unit_vectors, v, k_max, norms) for v in query_vectors]
             )
         rows.append(emb_row)
 
@@ -518,8 +515,8 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
 def _entailment_scorer(ctx: StageContext):
     ent = ctx.config.entailment
     if ent["kind"] == "mock":
-        return MockEntailmentScorer(ctx.config.backend.script_path)
-    return HttpEntailmentScorer(_http_backend(ctx, ent))
+        return MockBackend(ctx.config.backend.script_path)
+    return _http_backend(ctx, ent)
 
 
 def _share_correct(rows: list[dict]) -> str:
@@ -807,19 +804,49 @@ class Violation:
 
 
 def _check_jsonl(path: Path, parse, out: list[Violation]):
-    """Parse every line, collecting violations; returns (records, line numbers)."""
+    """Parse every line, collecting one violation per malformed line; returns
+    (records, line numbers)."""
     records = []
     linenos = []
-    try:
-        for lineno, obj in read_jsonl(path):
+    with path.open("r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
             try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                out.append(Violation(path.name, lineno, f"unparseable JSON: {exc}"))
+                continue
+            try:
+                if not isinstance(obj, dict):
+                    raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
                 records.append(parse(obj))
                 linenos.append(lineno)
             except (RecordError, ValueError, KeyError, TypeError) as exc:
                 out.append(Violation(path.name, lineno, str(exc)))
-    except ValueError as exc:
-        out.append(Violation(path.name, 0, f"unparseable JSON: {exc}"))
     return records, linenos
+
+
+def _require_string_ids(row: dict, *keys: str) -> None:
+    """Each of `keys` must hold a string: ids are looked up in sets."""
+    for key in keys:
+        if key not in row:
+            raise RecordError(f"missing field {key}")
+        if not isinstance(row[key], str):
+            raise RecordError(f"{key} must be a string")
+
+
+def _match_row(row: dict) -> dict:
+    _require_string_ids(row, "dataset_id", "paper_id")
+    if "used" not in row:
+        raise RecordError("missing field used")
+    return row
+
+
+def _verdict_row(row: dict) -> dict:
+    verdict_from_dict(row)
+    _require_string_ids(row, "pair_id")
+    return row
 
 
 def validate_corpus(run_dir: Path) -> list[Violation]:
@@ -855,18 +882,14 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                     )
 
     if exists("matches.jsonl"):
-        for lineno, row in read_jsonl(run_dir / "matches.jsonl"):
-            for key in ("dataset_id", "paper_id", "used"):
-                if key not in row:
-                    out.append(Violation("matches.jsonl", lineno, f"missing field {key}"))
-            if row.get("dataset_id") not in ds_ids:
+        matches, m_lines = _check_jsonl(run_dir / "matches.jsonl", _match_row, out)
+        for row, lineno in zip(matches, m_lines):
+            if row["dataset_id"] not in ds_ids:
                 out.append(
-                    Violation("matches.jsonl", lineno, f"unknown dataset {row.get('dataset_id')}")
+                    Violation("matches.jsonl", lineno, f"unknown dataset {row['dataset_id']}")
                 )
-            if row.get("paper_id") not in paper_ids:
-                out.append(
-                    Violation("matches.jsonl", lineno, f"unknown paper {row.get('paper_id')}")
-                )
+            if row["paper_id"] not in paper_ids:
+                out.append(Violation("matches.jsonl", lineno, f"unknown paper {row['paper_id']}"))
 
     if exists("aspects.jsonl"):
         aspects, a_lines = _check_jsonl(run_dir / "aspects.jsonl", aspect_from_dict, out)
@@ -887,13 +910,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                 out.append(Violation("qapairs.jsonl", lineno, f"unknown dataset {p.dataset_id}"))
 
     if exists("verdicts.jsonl"):
-        for lineno, row in read_jsonl(run_dir / "verdicts.jsonl"):
-            try:
-                verdict_from_dict(row)
-            except (RecordError, ValueError, KeyError) as exc:
-                out.append(Violation("verdicts.jsonl", lineno, str(exc)))
-                continue
-            if row.get("pair_id") not in pair_ids:
-                out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {row.get('pair_id')}"))
+        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _verdict_row, out)
+        for row, lineno in zip(verdicts, v_lines):
+            if row["pair_id"] not in pair_ids:
+                out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {row['pair_id']}"))
 
     return out

@@ -270,9 +270,11 @@ def embed_search(
     unit_vectors: np.ndarray,
     query_vector: np.ndarray,
     k: int,
+    unit_norms: np.ndarray | None = None,
 ) -> RankedList:
     """Cosine ranking of an embedded query, with the same aggregation and
-    tie rules as search."""
+    tie rules as search.  `unit_norms`, the row norms of `unit_vectors`, is
+    computed when not given; callers ranking many queries pass it once."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if unit_vectors.ndim != 2 or unit_vectors.shape[0] != index.n_units:
@@ -281,7 +283,8 @@ def embed_search(
         raise ValueError(
             f"query dim {query_vector.shape[0]} != corpus dim {unit_vectors.shape[1]}"
         )
-    unit_norms = np.linalg.norm(unit_vectors, axis=1)
+    if unit_norms is None:
+        unit_norms = np.linalg.norm(unit_vectors, axis=1)
     qnorm = float(np.linalg.norm(query_vector))
     denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
     denom[denom == 0.0] = 1.0

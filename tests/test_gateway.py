@@ -1,4 +1,4 @@
-"""Gateway caching, coalescing, retry, and the scripted mock backend."""
+"""Gateway caching and coalescing, the HTTP transport, and the scripted mock backend."""
 import hashlib
 import json
 import math
@@ -8,8 +8,10 @@ import time
 
 import numpy as np
 import pytest
+import requests
 
 from conftest import make_gateway
+from scirforge import gateway
 from scirforge.gateway import (
     BackendConfig,
     Gateway,
@@ -17,7 +19,6 @@ from scirforge.gateway import (
     HttpBackend,
     MockBackend,
     MockEmbeddingClient,
-    MockEntailmentScorer,
     PromptRequest,
     ScoredContinuation,
     ScriptMatchError,
@@ -317,40 +318,192 @@ def test_key_locks_under_contention(tmp_path, cache):
         assert gw.cache_hits == n_threads * rounds - n_keys
     else:
         assert backend.calls == n_threads * rounds
-    assert gw._locks == {}
 
 
-class _FlakyBackend:
-    identity = "flaky"
+class _Response:
+    """Stands in for a requests.Response: a status and a JSON or text body."""
 
-    def __init__(self, failures):
-        self.failures = failures
-        self.calls = 0
+    def __init__(self, status, body):
+        self.status_code = status
+        self._body = body
+        self.text = body if isinstance(body, str) else json.dumps(body)
 
-    def complete(self, request, stage):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransientBackendError("boom")
-        return "ok"
-
-    def score(self, context, continuation, model, stage):
-        raise GatewayError("permanent")
+    def json(self):
+        return json.loads(self.text)
 
 
-def test_retry_on_transient_only():
-    config = BackendConfig(
-        kind="mock", script_path="unused", max_retries=2, retry_backoff=0.0
+def _http(monkeypatch, replies, **config):
+    """An HttpBackend whose session answers each POST with the next reply,
+    raising it instead when it is an exception; returns it and the list of
+    (url, payload) posted."""
+    backend = HttpBackend(BackendConfig(kind="http", endpoint="http://test/v1/", **config))
+    replies = list(replies)
+    posts = []
+
+    def post(url, json, timeout):
+        assert timeout == backend._config.timeout
+        posts.append((url, json))
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(backend._session, "post", post)
+    return backend, posts
+
+
+# call name -> (call on an HttpBackend, path, good reply body, expected result)
+_HTTP_CALLS = {
+    "chat": (
+        lambda b: b.complete(req("q"), "stage"),
+        "/chat/completions",
+        {"choices": [{"message": {"content": "hi"}}]},
+        "hi",
+    ),
+    "score": (
+        lambda b: b.score("ab", "cd", "m", "stage").tokens,
+        "/completions",
+        {"choices": [{"logprobs": {
+            "tokens": ["ab", "cd"], "token_logprobs": [None, -0.5], "text_offset": [0, 2],
+        }}]},
+        ("cd",),
+    ),
+    "embed": (
+        lambda b: b.embed(["x"]).tolist(),
+        "/embeddings",
+        {"data": [{"embedding": [3.0, 4.0]}]},
+        [[0.6, 0.8]],
+    ),
+    "entail": (
+        lambda b: b.entail("p", "h"),
+        "/entailment",
+        {"score": 0.75},
+        0.75,
+    ),
+}
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("call", sorted(_HTTP_CALLS))
+def test_every_http_call_retries_a_transient_status(monkeypatch, call, status):
+    run, path, body, want = _HTTP_CALLS[call]
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    backend, posts = _http(monkeypatch, [_Response(status, "busy"), _Response(200, body)])
+    assert run(backend) == want
+    assert [url for url, _ in posts] == ["http://test/v1" + path] * 2
+
+
+def test_retry_on_transient_only(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    ok = _Response(200, {"score": 0.5})
+    busy = _Response(503, "busy")
+
+    backend, posts = _http(
+        monkeypatch, [busy, requests.ConnectionError("reset"), ok], max_retries=2
     )
-    backend = _FlakyBackend(failures=2)
-    gw = Gateway(backend, config)
-    assert gw.complete(req("x")) == "ok"
-    assert backend.calls == 3
-    exhausted = Gateway(_FlakyBackend(failures=5), config)
+    assert backend.entail("p", "h") == 0.5
+    assert len(posts) == 3 and sleeps == [0.25, 0.5]
+
+    backend, posts = _http(monkeypatch, [busy] * 3, max_retries=2)
     with pytest.raises(TransientBackendError):
-        exhausted.complete(req("x"))
-    permanent = Gateway(_FlakyBackend(failures=0), config)
-    with pytest.raises(GatewayError):
-        permanent.score_continuation("c", " t")  # not retried
+        backend.entail("p", "h")
+    assert len(posts) == 3
+
+    backend, posts = _http(monkeypatch, [_Response(400, "bad request")], max_retries=2)
+    with pytest.raises(GatewayError, match="HTTP 400: bad request") as info:
+        backend.entail("p", "h")
+    assert not isinstance(info.value, TransientBackendError) and len(posts) == 1
+
+    backend, posts = _http(monkeypatch, [_Response(200, "<html>")], max_retries=2)
+    with pytest.raises(GatewayError, match="non-JSON") as info:
+        backend.entail("p", "h")
+    assert not isinstance(info.value, TransientBackendError) and len(posts) == 1
+
+
+def test_gateway_counts_requests_not_attempts(monkeypatch):
+    monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
+    _, _, body, want = _HTTP_CALLS["chat"]
+    backend, posts = _http(monkeypatch, [_Response(503, "busy"), _Response(200, body)])
+    gw = Gateway(backend, backend._config)
+    assert gw.complete(req("q")) == want
+    assert len(posts) == 2 and gw.backend_calls == 1
+
+
+def test_http_score_takes_the_continuation_span(monkeypatch):
+    def reply(token_logprobs):
+        return _Response(200, {"choices": [{"logprobs": {
+            "tokens": ["The", " ice", " melts", " fast"],
+            "token_logprobs": token_logprobs,
+            "text_offset": [0, 3, 7, 13],
+        }}]})
+
+    backend, posts = _http(monkeypatch, [reply([None, -0.5, 0.25, -1.0])])
+    scored = backend.score("The ice", " melts fast", "m", "stage")
+    assert scored.tokens == (" melts", " fast")
+    assert scored.logprobs == (0.0, -1.0)  # a positive logprob is clamped to 0
+    _, payload = posts[0]
+    assert payload["prompt"] == "The ice melts fast"
+    assert payload["echo"] is True and payload["max_tokens"] == 0
+
+    backend, _ = _http(monkeypatch, [reply([None, -0.5, None, -1.0])])
+    with pytest.raises(GatewayError, match="no logprob"):
+        backend.score("The ice", " melts fast", "m", "stage")
+
+
+def test_http_embed_normalises_rows(monkeypatch):
+    body = {"data": [{"embedding": [3.0, 4.0]}, {"embedding": [0.0, 0.0]}]}
+    backend, posts = _http(monkeypatch, [_Response(200, body)], model="emb")
+    assert backend.embed(["a", "b"]).tolist() == [[0.6, 0.8], [0.0, 0.0]]
+    assert posts[0][1] == {"model": "emb", "input": ["a", "b"]}
+
+    backend, _ = _http(monkeypatch, [_Response(200, body)])
+    with pytest.raises(GatewayError, match="shape mismatch"):
+        backend.embed(["a", "b", "c"])
+
+
+@pytest.mark.parametrize("score", [-0.1, 1.5])
+def test_http_entail_rejects_a_score_out_of_range(monkeypatch, score):
+    backend, _ = _http(monkeypatch, [_Response(200, {"score": score})])
+    with pytest.raises(GatewayError, match=r"out of \[0, 1\]"):
+        backend.entail("p", "h")
+
+
+def test_http_api_key_env_sets_authorization(monkeypatch):
+    monkeypatch.setenv("SCIRFORGE_TEST_API_KEY", "sekrit")
+    config = BackendConfig(
+        kind="http", endpoint="http://test/v1", api_key_env="SCIRFORGE_TEST_API_KEY"
+    )
+    assert HttpBackend(config)._session.headers["Authorization"] == "Bearer sekrit"
+    monkeypatch.delenv("SCIRFORGE_TEST_API_KEY")
+    assert "Authorization" not in HttpBackend(config)._session.headers
+
+
+def test_http_in_flight_cap(monkeypatch):
+    backend, _ = _http(monkeypatch, [], max_in_flight=2)
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0, "posts": 0}
+
+    def post(url, json, timeout):
+        with lock:
+            state["now"] += 1
+            state["posts"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        time.sleep(0.01)
+        with lock:
+            state["now"] -= 1
+        return _Response(200, {"score": 0.5})
+
+    monkeypatch.setattr(backend._session, "post", post)
+    threads = [
+        threading.Thread(target=backend.entail, args=("p", "h")) for _ in range(8)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert state["posts"] == 8 and state["peak"] == 2
 
 
 def test_mock_embedding_client_deterministic():
@@ -369,9 +522,16 @@ def test_mock_entailment_scorer(tmp_path):
     script = tmp_path / "s.json"
     script.write_text(
         '[{"kind": "entail", "match": "yes", "score": 0.9},'
-        ' {"kind": "entail", "match": "", "score": 2.0}]'
+        ' {"kind": "entail", "match": "", "score": 0.1}]'
     )
-    scorer = MockEntailmentScorer(script)
-    assert scorer.score("yes indeed", "ref") == 0.9
-    with pytest.raises(GatewayError):
-        scorer.score("other", "ref")  # out-of-range scripted value
+    backend = MockBackend(script)
+    assert backend.entail("yes indeed", "ref") == 0.9
+    assert backend.entail("other", "ref") == 0.1
+    # an out-of-range score is rejected when the script loads
+    for bad in (2.0, -0.5):
+        script.write_text(json.dumps([{"kind": "entail", "match": "", "score": bad}]))
+        with pytest.raises(GatewayError, match=r"\[0, 1\]"):
+            MockBackend(script)
+    script.write_text('[{"kind": "entail", "match": ""}]')
+    with pytest.raises(GatewayError, match="needs a score"):
+        MockBackend(script)

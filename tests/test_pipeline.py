@@ -3,6 +3,7 @@ import csv
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -412,6 +413,67 @@ def test_validator_flags_tampering(fixture_run, tmp_path):
     assert any("unknown paper ghost-paper" in m for m in messages)
     assert any("unparseable JSON" in m for m in messages)
     assert any("unknown pair ghost-pair" in m for m in messages)
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("verdicts.jsonl", '{"pair_id": "p", "delta": "x", "decision": "Accept",'
+         ' "conf_with": 0.5, "conf_without": 0.5}', "not supported"),
+        ("verdicts.jsonl", "[1, 2]", "expected a JSON object, got list"),
+        ("verdicts.jsonl", '{"pair_id": ["p"], "delta": 0.5, "decision": "Accept",'
+         ' "conf_with": 0.5, "conf_without": 0.5}', "pair_id must be a string"),
+        ("matches.jsonl", "not json", "unparseable JSON"),
+        ("matches.jsonl", '{"dataset_id": "d"}', "missing field paper_id"),
+        ("matches.jsonl", '{"dataset_id": {}, "paper_id": "p", "used": true}',
+         "dataset_id must be a string"),
+    ],
+    ids=[
+        "verdict-delta-not-a-number", "verdict-not-an-object", "verdict-id-not-a-string",
+        "match-not-json", "match-missing-field", "match-id-not-a-string",
+    ],
+)
+def test_validator_reports_each_malformed_row(
+    fixture_run, tmp_path, capsys, name, line, message
+):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    path = copy / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    violations = validate_corpus(copy)
+    assert [(v.file, v.line) for v in violations] == [(name, 2)]
+    assert message in violations[0].message
+    assert main(["validate", "--output", str(copy)]) == 1
+    assert f"{name}:2: " in capsys.readouterr().out
+
+
+def test_http_sections_inherit_backend_transport(tmp_path):
+    doc = {
+        "backend": {
+            "script_path": str(FIXTURE_DIR / "mock_script.json"),
+            "timeout": 5.0,
+            "max_retries": 4,
+            "retry_backoff": 0.5,
+            "max_in_flight": 3,
+            "api_key_env": "SCIRFORGE_TEST_API_KEY",
+        },
+        "embedding": {"enabled": True, "kind": "http", "endpoint": "http://emb/v1", "model": "e"},
+        "entailment": {"kind": "http", "endpoint": "http://nli/v1"},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    ctx = SimpleNamespace(config=load_config(tmp_path / "config.json"))
+    emb = pipeline._embedding_client(ctx)._config
+    ent = pipeline._entailment_scorer(ctx)._config
+    assert (emb.kind, emb.endpoint, emb.model) == ("http", "http://emb/v1", "e")
+    assert (ent.kind, ent.endpoint, ent.model) == ("http", "http://nli/v1", "mock-model")
+    for c in (emb, ent):
+        assert (c.timeout, c.max_retries, c.retry_backoff, c.max_in_flight, c.api_key_env) == (
+            5.0, 4, 0.5, 3, "SCIRFORGE_TEST_API_KEY"
+        )
 
 
 def test_validator_missing_corpus(tmp_path):
