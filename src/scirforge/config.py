@@ -184,6 +184,11 @@ def load_config(path: str | Path) -> RunConfig:
     ).hexdigest()
     config = RunConfig(document=merged, digest=digest, base_dir=path.parent.resolve())
     config.backend  # validate eagerly
+    for section in ("embedding", "entailment"):
+        if merged[section]["kind"] not in ("mock", "http"):
+            raise ConfigError(
+                f"{section}.kind must be mock or http, got {merged[section]['kind']!r}"
+            )
     ratios = config.split_ratios
     if sum(ratios) != 100 or min(ratios) < 0:
         raise ConfigError(

@@ -1,7 +1,10 @@
 """Model access layer: one Gateway in front of interchangeable backends.
 
 The gateway owns the disk cache, keyed by the backend's identity and the
-request fields, and coalesces identical concurrent requests.  Transport
+request fields, and coalesces identical concurrent requests.  The cache is
+one append-only log per cache directory, `cache.log`, one entry per line
+(`<64-hex key>\t<JSON value>\n`), indexed in memory by the byte offset of
+each key's latest line, after Bitcask (Sheehy & Smith, 2010).  Transport
 concerns belong to the transport: HttpBackend caps its in-flight requests
 and retries transient failures with backoff, for every call it makes.
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 import time
@@ -264,8 +268,6 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig):
-        import os
-
         import requests
 
         self._config = config
@@ -379,11 +381,14 @@ class HttpBackend:
 # ---------------------------------------------------------------------------
 
 
-def _key(*fields: str) -> str:
-    """sha256 over the fields, each prefixed with its UTF-8 length, so that
-    ("ab", " c") and ("a", "b c") hash apart."""
+def _key(*fields: str) -> bytes:
+    """Hex sha256 over the fields, each prefixed with its UTF-8 length, so
+    that ("ab", " c") and ("a", "b c") hash apart."""
     blob = b"".join(len(b).to_bytes(8, "big") + b for b in (f.encode() for f in fields))
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(blob).hexdigest().encode("ascii")
+
+
+CACHE_LOG = "cache.log"
 
 
 class Gateway:
@@ -392,7 +397,6 @@ class Gateway:
     def __init__(self, backend: Backend, config: BackendConfig):
         self._backend = backend
         self._config = config
-        self._cache_dir = Path(config.cache_dir) if config.cache_dir else None
         # One lock per two-hex-digit key prefix: identical requests take
         # turns, and at 4 workers a request waits on an unrelated key under
         # 1.2 % of the time (3/256).
@@ -400,6 +404,21 @@ class Gateway:
         self._guard = threading.Lock()
         self.cache_hits = 0
         self.backend_calls = 0
+        # The log's index: key -> (offset, length) of the key's latest line,
+        # covering every complete line before byte `_indexed`; `_torn` says
+        # the line at `_indexed` lacked its newline when last read.
+        # `_log_lock` guards the index and orders this process's appends.
+        self._log = self._reader = None
+        self._offsets: dict[bytes, tuple[int, int]] = {}
+        self._indexed = 0
+        self._torn = False
+        self._log_lock = threading.Lock()
+        if config.cache_dir:
+            path = Path(config.cache_dir) / CACHE_LOG
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # Unbuffered, so each append is one write(2) on an O_APPEND file.
+            self._log = open(path, "ab", buffering=0)
+            self._reader = open(path, "rb")
 
     @classmethod
     def from_config(cls, config: BackendConfig) -> "Gateway":
@@ -413,36 +432,85 @@ class Gateway:
     def model(self) -> str:
         return self._config.model
 
+    def close(self) -> None:
+        """Close the cache log; the gateway must not be used afterwards."""
+        for f in (self._log, self._reader):
+            if f is not None:
+                f.close()
+
     # -- the one request path ------------------------------------------
 
-    def _cached(self, key: str, fields: tuple[str, ...], fetch: Callable[[], dict]) -> dict:
-        """The value cached under `key`, else `fetch()`'s value, cached.
+    def _cached(self, key: bytes, fields: tuple[str, ...], fetch: Callable[[], dict]) -> dict:
+        """The value cached under `key`, else `fetch()`'s value, appended to
+        the cache log.
 
         Callers with one key take turns, so identical concurrent requests
-        reach the backend once when there is a cache. A file that does not
-        decode (say, truncated by a crash) or lacks one of `fields` is a
-        miss, and is replaced.
+        reach the backend once when there is a cache. A line that is torn,
+        does not decode, lacks one of `fields` or turns out to hold another
+        key is a miss; the fresh value is appended and becomes the key's
+        latest line.
         """
-        path = self._cache_dir / key[:2] / (key + ".json") if self._cache_dir else None
         with self._locks[int(key[:2], 16)]:
-            if path is not None:
-                try:
-                    value = json.loads(path.read_text(encoding="utf-8"))
-                except (FileNotFoundError, ValueError):
-                    value = None
-                if isinstance(value, dict) and all(f in value for f in fields):
+            if self._log is not None:
+                value = self._lookup(key, fields)
+                if value is not None:
                     with self._guard:
                         self.cache_hits += 1
                     return value
             with self._guard:
                 self.backend_calls += 1
             value = fetch()
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(value, ensure_ascii=False), encoding="utf-8")
-                tmp.replace(path)
+            if self._log is not None:
+                self._append(key, value)
             return value
+
+    def _lookup(self, key: bytes, fields: tuple[str, ...]) -> dict | None:
+        with self._log_lock:
+            if os.fstat(self._reader.fileno()).st_size > self._indexed:
+                self._index_tail()
+            entry = self._offsets.get(key)
+        if entry is None:
+            return None
+        offset, length = entry
+        line = os.pread(self._reader.fileno(), length, offset)
+        if not (line.startswith(key + b"\t") and line.endswith(b"\n")):
+            return None
+        try:
+            value = json.loads(line[len(key) + 1 :])
+        except ValueError:
+            return None
+        if isinstance(value, dict) and all(f in value for f in fields):
+            return value
+        return None
+
+    def _index_tail(self) -> None:
+        """Index the complete lines past `_indexed`, streaming them, so
+        entries that other gateways or processes appended become visible.
+        A last line without its newline is left for the next call."""
+        offset = self._indexed
+        self._reader.seek(offset)
+        self._torn = False
+        for line in self._reader:
+            if not line.endswith(b"\n"):
+                self._torn = True
+                break
+            cut = line.find(b"\t")
+            if cut > 0:
+                self._offsets[line[:cut]] = (offset, len(line))
+            offset += len(line)
+        self._indexed = offset
+
+    def _append(self, key: bytes, value: dict) -> None:
+        line = key + b"\t" + json.dumps(value, ensure_ascii=False).encode("utf-8") + b"\n"
+        with self._log_lock:
+            # End a torn last line first, so that it does not swallow this one.
+            written = b"\n" + line if self._torn else line
+            self._torn = False
+            self._log.write(written)
+            end = self._log.tell()
+            self._offsets[key] = (end - len(line), len(line))
+            if end - len(written) == self._indexed:
+                self._indexed = end
 
     # -- public API ----------------------------------------------------
 

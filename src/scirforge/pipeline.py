@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -130,12 +131,19 @@ class StageContext:
 
     def __post_init__(self):
         self._gateway: Gateway | None = None
+        # pmap workers race to the first call; they must share one gateway.
+        self._gateway_lock = threading.Lock()
 
     @property
     def gateway(self) -> Gateway:
-        if self._gateway is None:
-            self._gateway = Gateway.from_config(self.config.backend)
-        return self._gateway
+        with self._gateway_lock:
+            if self._gateway is None:
+                self._gateway = Gateway.from_config(self.config.backend)
+            return self._gateway
+
+    def close(self) -> None:
+        if self._gateway is not None:
+            self._gateway.close()
 
     @property
     def template_dir(self) -> Path | None:
@@ -770,6 +778,8 @@ def run_stage(
         }
         write_json_atomic(manifest_path, manifest)
         raise
+    finally:
+        ctx.close()
     manifest["stages"][name] = {
         "status": "done",
         "inputs": input_digests,
@@ -803,9 +813,9 @@ class Violation:
     message: str
 
 
-def _check_jsonl(path: Path, parse, out: list[Violation]):
+def _check_jsonl(path: Path, parse, out: list[Violation], *ids: str):
     """Parse every line, collecting one violation per malformed line; returns
-    (records, line numbers)."""
+    (records, line numbers). Each field named in `ids` must hold a string."""
     records = []
     linenos = []
     with path.open("r", encoding="utf-8") as f:
@@ -820,6 +830,7 @@ def _check_jsonl(path: Path, parse, out: list[Violation]):
             try:
                 if not isinstance(obj, dict):
                     raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
+                _require_string_ids(obj, *ids)
                 records.append(parse(obj))
                 linenos.append(lineno)
             except (RecordError, ValueError, KeyError, TypeError) as exc:
@@ -837,7 +848,6 @@ def _require_string_ids(row: dict, *keys: str) -> None:
 
 
 def _match_row(row: dict) -> dict:
-    _require_string_ids(row, "dataset_id", "paper_id")
     if "used" not in row:
         raise RecordError("missing field used")
     return row
@@ -845,7 +855,6 @@ def _match_row(row: dict) -> dict:
 
 def _verdict_row(row: dict) -> dict:
     verdict_from_dict(row)
-    _require_string_ids(row, "pair_id")
     return row
 
 
@@ -860,7 +869,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
     if not exists("datasets.jsonl"):
         out.append(Violation("datasets.jsonl", 0, "file missing"))
         return out
-    datasets, ds_lines = _check_jsonl(run_dir / "datasets.jsonl", dataset_from_dict, out)
+    datasets, ds_lines = _check_jsonl(run_dir / "datasets.jsonl", dataset_from_dict, out, "id")
     ds_ids = {}
     for d, lineno in zip(datasets, ds_lines):
         if d.id in ds_ids:
@@ -869,7 +878,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
 
     paper_ids: set[str] = set()
     if exists("papers.jsonl"):
-        papers, p_lines = _check_jsonl(run_dir / "papers.jsonl", paper_from_dict, out)
+        papers, p_lines = _check_jsonl(run_dir / "papers.jsonl", paper_from_dict, out, "id")
         for p, lineno in zip(papers, p_lines):
             if p.id in paper_ids:
                 out.append(Violation("papers.jsonl", lineno, f"duplicate paper id {p.id}"))
@@ -882,7 +891,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                     )
 
     if exists("matches.jsonl"):
-        matches, m_lines = _check_jsonl(run_dir / "matches.jsonl", _match_row, out)
+        matches, m_lines = _check_jsonl(
+            run_dir / "matches.jsonl", _match_row, out, "dataset_id", "paper_id"
+        )
         for row, lineno in zip(matches, m_lines):
             if row["dataset_id"] not in ds_ids:
                 out.append(
@@ -892,7 +903,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                 out.append(Violation("matches.jsonl", lineno, f"unknown paper {row['paper_id']}"))
 
     if exists("aspects.jsonl"):
-        aspects, a_lines = _check_jsonl(run_dir / "aspects.jsonl", aspect_from_dict, out)
+        aspects, a_lines = _check_jsonl(
+            run_dir / "aspects.jsonl", aspect_from_dict, out, "dataset_id", "paper_id"
+        )
         for a, lineno in zip(aspects, a_lines):
             if a.dataset_id not in ds_ids:
                 out.append(Violation("aspects.jsonl", lineno, f"unknown dataset {a.dataset_id}"))
@@ -901,7 +914,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
 
     pair_ids: set[str] = set()
     if exists("qapairs.jsonl"):
-        pairs, q_lines = _check_jsonl(run_dir / "qapairs.jsonl", qapair_from_dict, out)
+        pairs, q_lines = _check_jsonl(
+            run_dir / "qapairs.jsonl", qapair_from_dict, out, "id", "dataset_id"
+        )
         for p, lineno in zip(pairs, q_lines):
             if p.id in pair_ids:
                 out.append(Violation("qapairs.jsonl", lineno, f"duplicate pair id {p.id}"))
@@ -910,7 +925,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                 out.append(Violation("qapairs.jsonl", lineno, f"unknown dataset {p.dataset_id}"))
 
     if exists("verdicts.jsonl"):
-        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _verdict_row, out)
+        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _verdict_row, out, "pair_id")
         for row, lineno in zip(verdicts, v_lines):
             if row["pair_id"] not in pair_ids:
                 out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {row['pair_id']}"))

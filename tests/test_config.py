@@ -60,3 +60,11 @@ def test_value_of_another_type_rejected(tmp_path, doc, key):
 def test_int_accepted_where_default_is_float(tmp_path):
     config = load_config(_config(tmp_path, {"bm25": {"k1": 2}, "generation": {"temperature": 0}}))
     assert config.k1 == 2.0 and config.gen_temperature == 0.0
+
+
+@pytest.mark.parametrize("section", ["embedding", "entailment"])
+def test_unknown_model_kind_rejected(tmp_path, section):
+    with pytest.raises(ConfigError, match=f"{section}.kind must be mock or http, got 'mok'"):
+        load_config(_config(tmp_path, {section: {"kind": "mok"}}))
+    config = load_config(_config(tmp_path, {section: {"kind": "http"}}))
+    assert getattr(config, section)["kind"] == "http"

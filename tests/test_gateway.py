@@ -13,6 +13,7 @@ import requests
 from conftest import make_gateway
 from scirforge import gateway
 from scirforge.gateway import (
+    CACHE_LOG,
     BackendConfig,
     Gateway,
     GatewayError,
@@ -225,34 +226,98 @@ def test_identical_concurrent_requests_coalesce(tmp_path):
     assert backend.calls == 1  # five waiters served from the fresh cache entry
 
 
+@pytest.fixture
+def log_gateway(tmp_path):
+    """Builds counting gateways over one cache directory; closes them after."""
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
+    opened = []
+
+    def build():
+        opened.append(Gateway(_CountingBackend(), config))
+        return opened[-1]
+
+    yield build
+    for gw in opened:
+        gw.close()
+
+
 @pytest.mark.parametrize("call", ["complete", "score_continuation"])
-@pytest.mark.parametrize("damage", ["truncate", "drop_field"])
-def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, call, damage):
+@pytest.mark.parametrize("damage", ["truncate", "drop_field", "not_json"])
+def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, log_gateway, call, damage):
+    """A damaged line of the cache log is a miss; the fresh value is appended."""
     def run(gw):
         if call == "complete":
             return gw.complete(req("same"))
         return gw.score_continuation("c", " t")
 
-    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
-    first = run(Gateway(_CountingBackend(), config))
-    (path,) = (tmp_path / "cache").rglob("*.json")
-    good = path.read_text(encoding="utf-8")
-    if damage == "truncate":
-        path.write_text(good[: len(good) // 2], encoding="utf-8")
-    else:
-        path.write_text('{"kind": "x"}', encoding="utf-8")
+    first = run(log_gateway())
+    log = tmp_path / "cache" / CACHE_LOG
+    good = log.read_bytes()
+    key = good.split(b"\t")[0]
+    damaged = {
+        "truncate": good[: len(good) // 2],  # a torn last line, no newline
+        "drop_field": key + b'\t{"kind": "x"}\n',
+        "not_json": key + b"\tnot json\n",
+    }[damage]
+    log.write_bytes(damaged)
 
-    backend = _CountingBackend()
-    gw = Gateway(backend, config)
+    gw = log_gateway()
     assert run(gw) == first
-    assert backend.calls == 1 and gw.cache_hits == 0
-    assert path.read_text(encoding="utf-8") == good
-    assert sorted(p.name for p in (tmp_path / "cache").rglob("*")) == sorted(
-        [path.parent.name, path.name]
-    )
-    # the replaced file serves the next gateway
-    again = Gateway(_CountingBackend(), config)
+    assert gw.backend_calls == 1 and gw.cache_hits == 0
+    # the torn line is ended first, so it cannot swallow the appended one
+    ending = b"\n" if damage == "truncate" else b""
+    assert log.read_bytes() == damaged + ending + good
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [CACHE_LOG]
+    # the appended line serves the next gateway
+    again = log_gateway()
     assert run(again) == first and again.cache_hits == 1
+
+
+def test_offset_at_another_keys_line_is_a_miss(tmp_path, log_gateway):
+    gw = log_gateway()
+    gw.complete(req("a"))
+    gw.complete(req("b"))
+    # Rewrite the log under the gateway's index: the two lines, of equal
+    # length, trade places, so each indexed offset holds the other key.
+    log = tmp_path / "cache" / CACHE_LOG
+    a, b = log.read_bytes().splitlines(keepends=True)
+    assert len(a) == len(b) and a != b
+    log.write_bytes(b + a)
+    assert gw.complete(req("a")) == "out"
+    assert gw.backend_calls == 3 and gw.cache_hits == 0
+    assert log.read_bytes() == b + a + a
+    again = log_gateway()
+    assert again.complete(req("a")) == again.complete(req("b")) == "out"
+    assert again.backend_calls == 0 and again.cache_hits == 2
+
+
+def test_gateway_sees_lines_appended_after_its_index(tmp_path, log_gateway):
+    first, second = log_gateway(), log_gateway()
+    first.complete(req("a"))
+    assert second.complete(req("a")) == "out" and second.cache_hits == 1
+    # `second` has indexed the log; `first` now appends a line it has not read
+    first.complete(req("b"))
+    assert second.complete(req("b")) == "out"
+    assert second.backend_calls == 0 and second.cache_hits == 2
+    log = tmp_path / "cache" / CACHE_LOG
+    assert len(log.read_bytes().splitlines()) == 2
+
+
+def test_old_per_entry_cache_files_are_ignored(tmp_path, log_gateway):
+    log_gateway().complete(req("q"))
+    log = tmp_path / "cache" / CACHE_LOG
+    key, value = log.read_text(encoding="utf-8").rstrip("\n").split("\t")
+    # an earlier version kept one file per entry, named by the key
+    old = tmp_path / "cache" / key[:2] / (key + ".json")
+    old.parent.mkdir()
+    old.write_text(value, encoding="utf-8")
+    log.unlink()
+
+    gw = log_gateway()
+    assert gw.complete(req("q")) == "out"
+    assert gw.backend_calls == 1 and gw.cache_hits == 0
+    assert old.read_text(encoding="utf-8") == value
+    assert log.read_text(encoding="utf-8") == f"{key}\t{value}\n"
 
 
 class _OverlapBackend:

@@ -2,6 +2,7 @@
 import csv
 import json
 import shutil
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from scirforge import pipeline
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
-from scirforge.gateway import MockBackend, MockEmbeddingClient
+from scirforge.gateway import CACHE_LOG, MockBackend, MockEmbeddingClient
 from scirforge.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -191,6 +192,49 @@ def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch):
         artifacts = _artifacts(run_dir)
         assert artifacts.keys() == expected.keys(), crash_at
         assert [n for n in expected if artifacts[n] != expected[n]] == [], crash_at
+
+
+def test_stage_workers_share_one_gateway(tmp_path):
+    ctx = pipeline.StageContext(config=load_config(FIXTURE_CONFIG), run_dir=tmp_path)
+    assert ctx.config.concurrency > 1
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gateways = ctx.pmap(lambda _: ctx.gateway, range(64))
+    finally:
+        sys.setswitchinterval(old)
+        ctx.close()
+    assert len({id(gw) for gw in gateways}) == 1
+
+
+def test_warm_rerun_appends_nothing_to_the_cache(tmp_path, monkeypatch):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(FIXTURE_DIR, inputs)
+    doc = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+    doc["backend"]["cache_dir"] = "cache"
+    (inputs / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    config = load_config(inputs / "config.json")
+    calls = []
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(MockBackend, "complete", counted(MockBackend.complete))
+    monkeypatch.setattr(MockBackend, "score", counted(MockBackend.score))
+    run_all(config, tmp_path / "cold", inputs)
+    log = inputs / "cache" / CACHE_LOG
+    size = log.stat().st_size
+    assert len(calls) == len(log.read_bytes().splitlines())
+    calls.clear()
+    run_all(config, tmp_path / "warm", inputs)
+    assert calls == []
+    assert log.stat().st_size == size
+    assert [p.name for p in (inputs / "cache").iterdir()] == [CACHE_LOG]
+    assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
 
 
 def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkeypatch):
@@ -427,10 +471,18 @@ def test_validator_flags_tampering(fixture_run, tmp_path):
         ("matches.jsonl", '{"dataset_id": "d"}', "missing field paper_id"),
         ("matches.jsonl", '{"dataset_id": {}, "paper_id": "p", "used": true}',
          "dataset_id must be a string"),
+        ("datasets.jsonl", '{"id": ["x"], "title": "t"}', "id must be a string"),
+        ("papers.jsonl", '{"id": ["x"], "title": "t"}', "id must be a string"),
+        ("aspects.jsonl", '{"dataset_id": "d", "paper_id": ["p"], "aspect": "Background",'
+         ' "text": "t"}', "paper_id must be a string"),
+        ("qapairs.jsonl", '{"id": "q", "dataset_id": ["d"], "qtype": "Verification",'
+         ' "question": "q?", "answer": "a"}', "dataset_id must be a string"),
     ],
     ids=[
         "verdict-delta-not-a-number", "verdict-not-an-object", "verdict-id-not-a-string",
         "match-not-json", "match-missing-field", "match-id-not-a-string",
+        "dataset-id-not-a-string", "paper-id-not-a-string", "aspect-id-not-a-string",
+        "pair-id-not-a-string",
     ],
 )
 def test_validator_reports_each_malformed_row(

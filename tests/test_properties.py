@@ -155,3 +155,4 @@ def test_messages_split_differently_are_cached_apart(tmp_path_factory, splits, r
     for request in requests:
         assert gw.complete(request) == repr(request.messages)
     assert backend.calls == 2 and gw.cache_hits == 0
+    gw.close()
