@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import load_config
 from .core import PipelineError
-from .pipeline import STAGE_ORDER, run_all, run_stage, validate_corpus
+from .pipeline import STAGE_ORDER, run_all, run_stage, validate_corpus, validate_outputs
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -50,7 +50,7 @@ def _cmd_fixture(dest: str) -> int:
 
 
 def _cmd_validate(output: str) -> int:
-    violations = validate_corpus(Path(output))
+    violations = validate_corpus(Path(output)) + validate_outputs(Path(output))
     for v in violations:
         print(f"{v.file}:{v.line}: {v.message}")
     if violations:

@@ -346,6 +346,11 @@ def record_to_dict(record: Any) -> dict[str, Any]:
     return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
 
 
+# `json.dumps` with a non-default argument builds a new encoder per call;
+# this one is shared (encoding keeps no state between calls).
+JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(path: Path, records: Iterable[Any]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -353,7 +358,7 @@ def write_jsonl(path: Path, records: Iterable[Any]) -> None:
     with tmp.open("w", encoding="utf-8") as f:
         for r in records:
             d = record_to_dict(r) if hasattr(r, "__dataclass_fields__") else r
-            f.write(json.dumps(d, ensure_ascii=False) + "\n")
+            f.write(JSON_LINE.encode(d) + "\n")
     tmp.replace(path)
 
 

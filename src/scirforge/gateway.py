@@ -29,7 +29,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import PipelineError
+from .core import JSON_LINE, PipelineError
 
 
 class GatewayError(PipelineError):
@@ -501,7 +501,7 @@ class Gateway:
         self._indexed = offset
 
     def _append(self, key: bytes, value: dict) -> None:
-        line = key + b"\t" + json.dumps(value, ensure_ascii=False).encode("utf-8") + b"\n"
+        line = key + b"\t" + JSON_LINE.encode(value).encode("utf-8") + b"\n"
         with self._log_lock:
             # End a torn last line first, so that it does not swallow this one.
             written = b"\n" + line if self._torn else line

@@ -2,10 +2,11 @@
 
 Every stage reads only its declared inputs, writes its outputs atomically,
 and records content digests in manifest.json.  Rerunning a completed stage
-whose input digests are unchanged is a no-op, so interrupted runs resume
-where they stopped.  With the mock backend the whole pipeline is
-deterministic: everything except the manifest (which carries timestamps) is
-byte-identical across runs.
+whose input digests are unchanged and whose outputs still have their
+recorded digests is a no-op, so interrupted runs resume where they stopped.
+With the mock backend the whole pipeline is deterministic: everything
+except the manifest (which carries timestamps) is byte-identical across
+runs.
 """
 from __future__ import annotations
 
@@ -133,6 +134,13 @@ class StageContext:
         self._gateway: Gateway | None = None
         # pmap workers race to the first call; they must share one gateway.
         self._gateway_lock = threading.Lock()
+        # Worker threads only overlap time spent waiting on an HTTP backend
+        # (the main one, or bench-qa's entailment scorer). The mock never
+        # waits, so under it threads only add switching cost.
+        self.waits_on_http = "http" in (
+            self.config.backend.kind,
+            self.config.entailment["kind"],
+        )
 
     @property
     def gateway(self) -> Gateway:
@@ -153,10 +161,11 @@ class StageContext:
         return self.run_dir / name
 
     def pmap(self, fn: Callable, items: Sequence) -> list:
-        """Order-preserving parallel map, bounded by the config's worker cap."""
+        """Order-preserving map: on up to `concurrency` worker threads when
+        the work can wait on an HTTP backend, else in order on this thread."""
         if not items:
             return []
-        workers = min(self.config.concurrency, len(items))
+        workers = min(self.config.concurrency, len(items)) if self.waits_on_http else 1
         if workers == 1:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -722,6 +731,19 @@ def _stage_inputs(
     return inputs
 
 
+def _changed_outputs(run_dir: Path, entry: dict) -> list[tuple[str, str]]:
+    """(output, what is wrong with it) for each output in a stage's manifest
+    entry that is missing or no longer has its recorded sha256."""
+    changed = []
+    for name, digest in entry.get("outputs", {}).items():
+        path = run_dir / name
+        if not path.exists():
+            changed.append((name, "is missing"))
+        elif file_digest(path) != digest:
+            changed.append((name, "differs from its recorded sha256"))
+    return changed
+
+
 def run_stage(
     name: str,
     config: RunConfig,
@@ -760,7 +782,12 @@ def run_stage(
     input_digests = {label: file_digest(path) for label, path in inputs.items()}
 
     entry = manifest["stages"].get(name)
-    if entry and entry.get("status") == "done" and entry.get("inputs") == input_digests:
+    if (
+        entry
+        and entry.get("status") == "done"
+        and entry.get("inputs") == input_digests
+        and not _changed_outputs(run_dir, entry)
+    ):
         return "noop"
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -856,6 +883,24 @@ def _match_row(row: dict) -> dict:
 def _verdict_row(row: dict) -> dict:
     verdict_from_dict(row)
     return row
+
+
+def validate_outputs(run_dir: Path) -> list[Violation]:
+    """One violation per output of a done stage that is missing or edited
+    since the stage wrote it; running the stage again rewrites it."""
+    path = Path(run_dir) / "manifest.json"
+    if not path.exists():
+        return []
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        return [Violation("manifest.json", 0, f"unparseable JSON: {exc}")]
+    return [
+        Violation(output, 0, f"output of stage {name} {problem}")
+        for name, entry in manifest.get("stages", {}).items()
+        if entry.get("status") == "done"
+        for output, problem in _changed_outputs(Path(run_dir), entry)
+    ]
 
 
 def validate_corpus(run_dir: Path) -> list[Violation]:

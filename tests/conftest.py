@@ -1,4 +1,5 @@
-"""Shared helpers: scripted mock gateways and a session-wide fixture run."""
+"""Shared helpers: scripted mock gateways, a fake HTTP response and a
+session-wide fixture run."""
 import json
 from pathlib import Path
 
@@ -21,6 +22,17 @@ def make_gateway(tmp_path: Path, entries: list[dict], cache: bool = False, **kwa
         **kwargs,
     )
     return Gateway.from_config(config)
+
+
+class FakeResponse:
+    """Stands in for a requests.Response: a status and a JSON or text body."""
+
+    def __init__(self, status, body):
+        self.status_code = status
+        self.text = body if isinstance(body, str) else json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
 
 
 @pytest.fixture(scope="session")

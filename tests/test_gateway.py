@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import requests
 
-from conftest import make_gateway
+from conftest import FakeResponse, make_gateway
 from scirforge import gateway
 from scirforge.gateway import (
     CACHE_LOG,
@@ -29,6 +29,20 @@ from scirforge.gateway import (
 
 def req(text, temperature=0.0):
     return PromptRequest((("user", text),), "mock-model", temperature=temperature)
+
+
+@pytest.fixture
+def closing():
+    """Passes a gateway through, and closes it when the test ends."""
+    opened = []
+
+    def keep(gw):
+        opened.append(gw)
+        return gw
+
+    yield keep
+    for gw in opened:
+        gw.close()
 
 
 def test_prompt_request_validation():
@@ -127,12 +141,12 @@ def test_mock_score_entry_needs_exactly_one_source(tmp_path):
         MockBackend(script)
 
 
-def test_cache_hits_and_stage_not_in_key(tmp_path):
-    gw = make_gateway(
+def test_cache_hits_and_stage_not_in_key(tmp_path, closing):
+    gw = closing(make_gateway(
         tmp_path,
         [{"kind": "chat", "match": "", "response": "r"}],
         cache=True,
-    )
+    ))
     assert gw.complete(req("q"), stage="one") == "r"
     assert gw.backend_calls == 1 and gw.cache_hits == 0
     # same payload, different stage: the cache key ignores the stage
@@ -143,17 +157,17 @@ def test_cache_hits_and_stage_not_in_key(tmp_path):
     assert gw.backend_calls == 2
 
 
-def test_cache_survives_across_gateways(tmp_path):
+def test_cache_survives_across_gateways(tmp_path, closing):
     entries = [{"kind": "score", "match": "", "confidence": 0.5}]
-    gw1 = make_gateway(tmp_path, entries, cache=True)
+    gw1 = closing(make_gateway(tmp_path, entries, cache=True))
     first = gw1.score_continuation("c", " a b c")
-    gw2 = make_gateway(tmp_path, entries, cache=True)
+    gw2 = closing(make_gateway(tmp_path, entries, cache=True))
     second = gw2.score_continuation("c", " a b c")
     assert second == first
     assert gw2.backend_calls == 0 and gw2.cache_hits == 1
 
 
-def test_scripts_sharing_a_cache_keep_their_own_answers(tmp_path):
+def test_scripts_sharing_a_cache_keep_their_own_answers(tmp_path, closing):
     cache = tmp_path / "cache"
 
     def gateway(name, confidence):
@@ -163,9 +177,9 @@ def test_scripts_sharing_a_cache_keep_their_own_answers(tmp_path):
             {"kind": "score", "match": "", "confidence": confidence},
         ]
         script.write_text(json.dumps(entries), encoding="utf-8")
-        return Gateway.from_config(
+        return closing(Gateway.from_config(
             BackendConfig(kind="mock", script_path=str(script), cache_dir=str(cache))
-        )
+        ))
 
     a, b = gateway("A", 0.5), gateway("B", 0.25)
     assert a.complete(req("q")) == "from script A"
@@ -207,12 +221,12 @@ class _CountingBackend:
         return ScoredContinuation(("t",), (-1.0,))
 
 
-def test_identical_concurrent_requests_coalesce(tmp_path):
+def test_identical_concurrent_requests_coalesce(tmp_path, closing):
     backend = _CountingBackend(delay=0.05)
     config = BackendConfig(
         kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache")
     )
-    gw = Gateway(backend, config)
+    gw = closing(Gateway(backend, config))
     results = []
     threads = [
         threading.Thread(target=lambda: results.append(gw.complete(req("same"))))
@@ -227,18 +241,10 @@ def test_identical_concurrent_requests_coalesce(tmp_path):
 
 
 @pytest.fixture
-def log_gateway(tmp_path):
+def log_gateway(tmp_path, closing):
     """Builds counting gateways over one cache directory; closes them after."""
     config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
-    opened = []
-
-    def build():
-        opened.append(Gateway(_CountingBackend(), config))
-        return opened[-1]
-
-    yield build
-    for gw in opened:
-        gw.close()
+    return lambda: closing(Gateway(_CountingBackend(), config))
 
 
 @pytest.mark.parametrize("call", ["complete", "score_continuation"])
@@ -344,7 +350,7 @@ class _OverlapBackend:
 
 
 @pytest.mark.parametrize("cache", [True, False])
-def test_key_locks_under_contention(tmp_path, cache):
+def test_key_locks_under_contention(tmp_path, closing, cache):
     backend = _OverlapBackend()
     config = BackendConfig(
         kind="mock",
@@ -352,7 +358,7 @@ def test_key_locks_under_contention(tmp_path, cache):
         cache_dir=str(tmp_path / "cache") if cache else "",
         max_in_flight=64,
     )
-    gw = Gateway(backend, config)
+    gw = closing(Gateway(backend, config))
     n_keys, n_threads, rounds = 8, 32, 20
     errors = []
 
@@ -383,18 +389,6 @@ def test_key_locks_under_contention(tmp_path, cache):
         assert gw.cache_hits == n_threads * rounds - n_keys
     else:
         assert backend.calls == n_threads * rounds
-
-
-class _Response:
-    """Stands in for a requests.Response: a status and a JSON or text body."""
-
-    def __init__(self, status, body):
-        self.status_code = status
-        self._body = body
-        self.text = body if isinstance(body, str) else json.dumps(body)
-
-    def json(self):
-        return json.loads(self.text)
 
 
 def _http(monkeypatch, replies, **config):
@@ -453,7 +447,7 @@ _HTTP_CALLS = {
 def test_every_http_call_retries_a_transient_status(monkeypatch, call, status):
     run, path, body, want = _HTTP_CALLS[call]
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
-    backend, posts = _http(monkeypatch, [_Response(status, "busy"), _Response(200, body)])
+    backend, posts = _http(monkeypatch, [FakeResponse(status, "busy"), FakeResponse(200, body)])
     assert run(backend) == want
     assert [url for url, _ in posts] == ["http://test/v1" + path] * 2
 
@@ -461,8 +455,8 @@ def test_every_http_call_retries_a_transient_status(monkeypatch, call, status):
 def test_retry_on_transient_only(monkeypatch):
     sleeps = []
     monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
-    ok = _Response(200, {"score": 0.5})
-    busy = _Response(503, "busy")
+    ok = FakeResponse(200, {"score": 0.5})
+    busy = FakeResponse(503, "busy")
 
     backend, posts = _http(
         monkeypatch, [busy, requests.ConnectionError("reset"), ok], max_retries=2
@@ -475,12 +469,12 @@ def test_retry_on_transient_only(monkeypatch):
         backend.entail("p", "h")
     assert len(posts) == 3
 
-    backend, posts = _http(monkeypatch, [_Response(400, "bad request")], max_retries=2)
+    backend, posts = _http(monkeypatch, [FakeResponse(400, "bad request")], max_retries=2)
     with pytest.raises(GatewayError, match="HTTP 400: bad request") as info:
         backend.entail("p", "h")
     assert not isinstance(info.value, TransientBackendError) and len(posts) == 1
 
-    backend, posts = _http(monkeypatch, [_Response(200, "<html>")], max_retries=2)
+    backend, posts = _http(monkeypatch, [FakeResponse(200, "<html>")], max_retries=2)
     with pytest.raises(GatewayError, match="non-JSON") as info:
         backend.entail("p", "h")
     assert not isinstance(info.value, TransientBackendError) and len(posts) == 1
@@ -489,7 +483,7 @@ def test_retry_on_transient_only(monkeypatch):
 def test_gateway_counts_requests_not_attempts(monkeypatch):
     monkeypatch.setattr(gateway.time, "sleep", lambda s: None)
     _, _, body, want = _HTTP_CALLS["chat"]
-    backend, posts = _http(monkeypatch, [_Response(503, "busy"), _Response(200, body)])
+    backend, posts = _http(monkeypatch, [FakeResponse(503, "busy"), FakeResponse(200, body)])
     gw = Gateway(backend, backend._config)
     assert gw.complete(req("q")) == want
     assert len(posts) == 2 and gw.backend_calls == 1
@@ -497,7 +491,7 @@ def test_gateway_counts_requests_not_attempts(monkeypatch):
 
 def test_http_score_takes_the_continuation_span(monkeypatch):
     def reply(token_logprobs):
-        return _Response(200, {"choices": [{"logprobs": {
+        return FakeResponse(200, {"choices": [{"logprobs": {
             "tokens": ["The", " ice", " melts", " fast"],
             "token_logprobs": token_logprobs,
             "text_offset": [0, 3, 7, 13],
@@ -518,18 +512,18 @@ def test_http_score_takes_the_continuation_span(monkeypatch):
 
 def test_http_embed_normalises_rows(monkeypatch):
     body = {"data": [{"embedding": [3.0, 4.0]}, {"embedding": [0.0, 0.0]}]}
-    backend, posts = _http(monkeypatch, [_Response(200, body)], model="emb")
+    backend, posts = _http(monkeypatch, [FakeResponse(200, body)], model="emb")
     assert backend.embed(["a", "b"]).tolist() == [[0.6, 0.8], [0.0, 0.0]]
     assert posts[0][1] == {"model": "emb", "input": ["a", "b"]}
 
-    backend, _ = _http(monkeypatch, [_Response(200, body)])
+    backend, _ = _http(monkeypatch, [FakeResponse(200, body)])
     with pytest.raises(GatewayError, match="shape mismatch"):
         backend.embed(["a", "b", "c"])
 
 
 @pytest.mark.parametrize("score", [-0.1, 1.5])
 def test_http_entail_rejects_a_score_out_of_range(monkeypatch, score):
-    backend, _ = _http(monkeypatch, [_Response(200, {"score": score})])
+    backend, _ = _http(monkeypatch, [FakeResponse(200, {"score": score})])
     with pytest.raises(GatewayError, match=r"out of \[0, 1\]"):
         backend.entail("p", "h")
 
@@ -557,7 +551,7 @@ def test_http_in_flight_cap(monkeypatch):
         time.sleep(0.01)
         with lock:
             state["now"] -= 1
-        return _Response(200, {"score": 0.5})
+        return FakeResponse(200, {"score": 0.5})
 
     monkeypatch.setattr(backend._session, "post", post)
     threads = [

@@ -3,16 +3,22 @@ import csv
 import json
 import shutil
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import requests
+
+from conftest import FakeResponse
 
 from scirforge import pipeline
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
-from scirforge.gateway import CACHE_LOG, MockBackend, MockEmbeddingClient
+from scirforge.gateway import CACHE_LOG, MockBackend, MockEmbeddingClient, PromptRequest
+from scirforge.prompts import TEMPLATE_DIR, split_roles
 from scirforge.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -21,6 +27,7 @@ from scirforge.pipeline import (
     run_all,
     run_stage,
     validate_corpus,
+    validate_outputs,
     write_csv_atomic,
     write_json_atomic,
 )
@@ -194,9 +201,29 @@ def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch):
         assert [n for n in expected if artifacts[n] != expected[n]] == [], crash_at
 
 
+def _fixture_config(inputs: Path, **changes) -> Path:
+    """Copies the fixture inputs to `inputs`, with `changes` at the top level
+    of the config; returns the config's path."""
+    shutil.copytree(FIXTURE_DIR, inputs)
+    doc = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+    doc.update(changes)
+    (inputs / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    return inputs / "config.json"
+
+
+_HTTP_BACKEND = {
+    "kind": "http",
+    "endpoint": "http://scripted.test/v1",
+    "model": "mock-model",
+    "script_path": "mock_script.json",  # still read by the mock entailment scorer
+}
+
+
 def test_stage_workers_share_one_gateway(tmp_path):
-    ctx = pipeline.StageContext(config=load_config(FIXTURE_CONFIG), run_dir=tmp_path)
-    assert ctx.config.concurrency > 1
+    config = load_config(_fixture_config(tmp_path / "inputs", backend=_HTTP_BACKEND))
+    # Building the gateway (and its HttpBackend) sends no request.
+    ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
+    assert ctx.waits_on_http and ctx.config.concurrency > 1
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -205,6 +232,101 @@ def test_stage_workers_share_one_gateway(tmp_path):
         sys.setswitchinterval(old)
         ctx.close()
     assert len({id(gw) for gw in gateways}) == 1
+
+
+def test_mock_backend_maps_on_the_calling_thread(tmp_path, monkeypatch):
+    """The mock never waits, so no stage starts a thread at any concurrency."""
+    config = load_config(FIXTURE_CONFIG)
+    assert config.concurrency == 4
+    ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
+    assert not ctx.waits_on_http
+
+    def refuse(thread):
+        raise AssertionError(f"started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    caller = threading.get_ident()
+    assert ctx.pmap(lambda i: (i, threading.get_ident()), range(8)) == [
+        (i, caller) for i in range(8)
+    ]
+    assert run_all(config, tmp_path / "run", FIXTURE_DIR) == {
+        name: "done" for name in STAGE_ORDER
+    }
+
+
+# Each bundled template's first line names the stage that renders it.
+_STAGE_OF_FIRST_LINE = {
+    split_roles(path.read_text(encoding="utf-8"))[0][1].split("\n")[0]: path.stem
+    for path in TEMPLATE_DIR.glob("*.txt")
+}
+_ANSWER_CUE = "\nAnswer:"  # ends both belief-shift scoring contexts
+
+
+def _serve_script(monkeypatch, script: Path) -> dict:
+    """Answer every HttpBackend POST as the mock script would, after a short
+    wait; returns live counts of posts and of the most in flight at once."""
+    mock = MockBackend(script)
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0, "posts": 0}
+
+    def answer(path: str, payload: dict) -> dict:
+        if path.endswith("/chat/completions"):
+            messages = tuple((m["role"], m["content"]) for m in payload["messages"])
+            stage = _STAGE_OF_FIRST_LINE[messages[0][1].split("\n")[0]]
+            request = PromptRequest(
+                messages, payload["model"], payload["temperature"], payload["max_tokens"]
+            )
+            return {"choices": [{"message": {"content": mock.complete(request, stage)}}]}
+        assert path.endswith("/completions") and payload["echo"]
+        prompt = payload["prompt"]
+        cut = prompt.rindex(_ANSWER_CUE) + len(_ANSWER_CUE)
+        stage = "score_with" if prompt.startswith("Context: ") else "score_without"
+        scored = mock.score(prompt[:cut], prompt[cut:], payload["model"], stage)
+        offsets, at = [], cut
+        for token in scored.tokens:
+            at = prompt.index(token, at)
+            offsets.append(at)
+            at += len(token)
+        logprobs = {
+            "tokens": [prompt[:cut], *scored.tokens],
+            "token_logprobs": [None, *scored.logprobs],
+            "text_offset": [0, *offsets],
+        }
+        return {"choices": [{"logprobs": logprobs}]}
+
+    def post(session, url, json, timeout):
+        with lock:
+            state["now"] += 1
+            state["posts"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        try:
+            time.sleep(0.0005)
+            return FakeResponse(200, answer(url, json))
+        finally:
+            with lock:
+                state["now"] -= 1
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    return state
+
+
+def test_http_backend_overlaps_requests_at_concurrency(fixture_run, tmp_path, monkeypatch):
+    state = _serve_script(monkeypatch, FIXTURE_DIR / "mock_script.json")
+    runs, peaks = {}, {}
+    for concurrency in (1, 4):
+        config_path = _fixture_config(
+            tmp_path / f"inputs{concurrency}", backend=_HTTP_BACKEND, concurrency=concurrency
+        )
+        state.update(peak=0, posts=0)
+        run_dir = tmp_path / f"run{concurrency}"
+        run_all(load_config(config_path), run_dir, config_path.parent)
+        runs[concurrency], peaks[concurrency] = _artifacts(run_dir), state["peak"]
+        assert state["posts"] > 0 and state["now"] == 0
+    # At most 4 in flight: the worker count and the default max_in_flight.
+    assert peaks[1] == 1 and 1 < peaks[4] <= 4
+    # The fake answers as the mock does, so the bytes match a mock run too.
+    _, mock_run, _ = fixture_run
+    assert runs[1] == runs[4] == _artifacts(mock_run)
 
 
 def test_warm_rerun_appends_nothing_to_the_cache(tmp_path, monkeypatch):
@@ -270,6 +392,7 @@ def test_full_run_statuses(fixture_run):
 def test_validator_clean_on_fresh_run(fixture_run):
     _, run_dir, _ = fixture_run
     assert validate_corpus(run_dir) == []
+    assert validate_outputs(run_dir) == []
 
 
 def test_corpus_artifact_counts(fixture_run):
@@ -361,6 +484,44 @@ def test_rerun_is_noop(fixture_run):
     config, run_dir, _ = fixture_run
     statuses = run_all(config, run_dir, FIXTURE_DIR)
     assert statuses == {name: "noop" for name in STAGE_ORDER}
+
+
+@pytest.mark.parametrize(
+    "output, stage, damage",
+    [("reports/qa_summary.csv", "bench-qa", "delete"), ("splits.json", "split", "edit")],
+)
+def test_damaged_output_reruns_its_stage(fixture_run, tmp_path, capsys, output, stage, damage):
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    good = (copy / output).read_bytes()
+    if damage == "delete":
+        (copy / output).unlink()
+        problem = "is missing"
+    else:
+        (copy / output).write_bytes(good + b" ")
+        problem = "differs from its recorded sha256"
+
+    assert validate_corpus(copy) == []
+    assert validate_outputs(copy) == [
+        pipeline.Violation(output, 0, f"output of stage {stage} {problem}")
+    ]
+    assert main(["validate", "--output", str(copy)]) == 1
+    assert f"{output}:0: output of stage {stage} {problem}" in capsys.readouterr().out
+
+    statuses = run_all(config, copy, FIXTURE_DIR)
+    assert statuses == {name: "done" if name == stage else "noop" for name in STAGE_ORDER}
+    assert (copy / output).read_bytes() == good
+    assert validate_outputs(copy) == []
+
+
+def test_validate_outputs_reports_an_unparseable_manifest(fixture_run, tmp_path):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "manifest.json").write_text("not json", encoding="utf-8")
+    [violation] = validate_outputs(copy)
+    assert violation.file == "manifest.json" and "unparseable JSON" in violation.message
 
 
 def test_rerun_after_input_change(fixture_run, tmp_path):
