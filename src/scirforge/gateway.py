@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, TypeVar
 
 import numpy as np
 
@@ -390,6 +390,8 @@ def _key(*fields: str) -> bytes:
 
 CACHE_LOG = "cache.log"
 
+T = TypeVar("T")
+
 
 class Gateway:
     """Caching, coalescing front door to a backend."""
@@ -397,9 +399,9 @@ class Gateway:
     def __init__(self, backend: Backend, config: BackendConfig):
         self._backend = backend
         self._config = config
-        # One lock per two-hex-digit key prefix: identical requests take
-        # turns, and at 4 workers a request waits on an unrelated key under
-        # 1.2 % of the time (3/256).
+        # One lock per two-hex-digit key prefix, or per request hash mod 256
+        # without a cache: identical requests take turns, and at 4 workers a
+        # request waits on an unrelated one under 1.2 % of the time (3/256).
         self._locks = tuple(threading.Lock() for _ in range(256))
         self._guard = threading.Lock()
         self.cache_hits = 0
@@ -438,30 +440,36 @@ class Gateway:
             if f is not None:
                 f.close()
 
-    # -- the one request path ------------------------------------------
+    # -- the request paths ---------------------------------------------
+
+    def _uncached(self, request_hash: int, fetch: Callable[[], T]) -> T:
+        """`fetch()`'s value, with no cache key built and nothing stored.
+
+        Identical requests hash alike, so they still take turns."""
+        with self._locks[request_hash & 255]:
+            with self._guard:
+                self.backend_calls += 1
+            return fetch()
 
     def _cached(self, key: bytes, fields: tuple[str, ...], fetch: Callable[[], dict]) -> dict:
         """The value cached under `key`, else `fetch()`'s value, appended to
         the cache log.
 
         Callers with one key take turns, so identical concurrent requests
-        reach the backend once when there is a cache. A line that is torn,
-        does not decode, lacks one of `fields` or turns out to hold another
-        key is a miss; the fresh value is appended and becomes the key's
-        latest line.
+        reach the backend once. A line that is torn, does not decode, lacks
+        one of `fields` or turns out to hold another key is a miss; the fresh
+        value is appended and becomes the key's latest line.
         """
         with self._locks[int(key[:2], 16)]:
-            if self._log is not None:
-                value = self._lookup(key, fields)
-                if value is not None:
-                    with self._guard:
-                        self.cache_hits += 1
-                    return value
+            value = self._lookup(key, fields)
+            if value is not None:
+                with self._guard:
+                    self.cache_hits += 1
+                return value
             with self._guard:
                 self.backend_calls += 1
             value = fetch()
-            if self._log is not None:
-                self._append(key, value)
+            self._append(key, value)
             return value
 
     def _lookup(self, key: bytes, fields: tuple[str, ...]) -> dict | None:
@@ -515,6 +523,9 @@ class Gateway:
     # -- public API ----------------------------------------------------
 
     def complete(self, request: PromptRequest, stage: str = "") -> str:
+        if self._log is None:
+            return self._uncached(hash(request), lambda: self._backend.complete(request, stage))
+
         def fetch() -> dict:
             return {"response": self._backend.complete(request, stage)}
 
@@ -529,6 +540,11 @@ class Gateway:
         if not continuation:
             raise ValueError("continuation must be nonempty")
         model = self._config.model
+        if self._log is None:
+            return self._uncached(
+                hash((model, context, continuation)),
+                lambda: self._backend.score(context, continuation, model, stage),
+            )
 
         def fetch() -> dict:
             scored = self._backend.score(context, continuation, model, stage)

@@ -69,7 +69,6 @@ from .retrieval import (
     Index,
     IndexConfig,
     PassageStore,
-    RankedList,
     build_index,
     embed_corpus,
     embed_search,
@@ -490,14 +489,16 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
         header += [f"{cfg_label}_r_at_{k}" for k in ks]
         header.append(f"{cfg_label}_mrr_at_{cutoff}")
 
-    def cells(ranked: list[RankedList]) -> list[str]:
-        runs = list(zip(ranked, golds))
-        return [_fmt(recall_at_k(runs, k)) for k in ks] + [_fmt(mrr_at(runs, cutoff))]
+    # Each query keeps only its gold rank; no ranked list outlives its query.
+    def cells(ranks: list[int | None]) -> list[str]:
+        return [_fmt(recall_at_k(ranks, k)) for k in ks] + [_fmt(mrr_at(ranks, cutoff))]
 
     configs = (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
     bm25_row: list = ["bm25"]
     for cfg in configs:
-        bm25_row += cells([search(indexes[cfg], q, k_max) for q in questions])
+        bm25_row += cells(
+            [search(indexes[cfg], q, k_max).rank_of(g) for q, g in zip(questions, golds)]
+        )
     rows = [bm25_row]
 
     if client is not None:
@@ -508,7 +509,10 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
             unit_vectors = embed_corpus(index, client)
             norms = np.linalg.norm(unit_vectors, axis=1)
             emb_row += cells(
-                [embed_search(index, unit_vectors, v, k_max, norms) for v in query_vectors]
+                [
+                    embed_search(index, unit_vectors, v, k_max, norms).rank_of(g)
+                    for v, g in zip(query_vectors, golds)
+                ]
             )
         rows.append(emb_row)
 

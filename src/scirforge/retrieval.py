@@ -89,12 +89,6 @@ class Index:
     def n_units(self) -> int:
         return len(self.units)
 
-    def idf(self, term: str) -> float:
-        """Okapi idf of a seen term; terms absent from the corpus weigh zero."""
-        if term not in self.postings:
-            return 0.0
-        return _okapi_idf(self.n_units, len(self.postings[term][0]))
-
 
 def _okapi_idf(n_units: int, df: int) -> float:
     return math.log((n_units - df + 0.5) / (df + 0.5) + 1.0)
@@ -175,26 +169,6 @@ def index_from_units(
     )
 
 
-def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
-    """Score one unit against a term list; repeated terms accumulate.
-
-    The per-unit reference for score_units: term frequencies come from the
-    unit's own text, not from the weighted postings.
-    """
-    if not 0 <= unit_id < index.n_units:
-        raise ValueError(f"unit {unit_id} not in index")
-    unit_terms = tokenize(index.units[unit_id].text)
-    score = 0.0
-    for term in terms:
-        tf = float(unit_terms.count(term))
-        if tf == 0.0:
-            continue
-        score += index.idf(term) * (tf * (index.k1 + 1.0)) / (
-            tf + float(index.norm[unit_id])
-        )
-    return score
-
-
 def score_units(index: Index, query: str) -> np.ndarray:
     """BM25 score of every unit for the query."""
     scores = np.zeros(index.n_units, dtype=np.float64)
@@ -229,30 +203,28 @@ def search(index: Index, query: str, k: int) -> RankedList:
 # ---------------------------------------------------------------------------
 
 
-def recall_at_k(runs: Sequence[tuple[RankedList, str]], k: int) -> float:
-    """Fraction of runs whose gold dataset appears in the top k."""
-    if not runs:
-        raise ValueError("no runs to score")
+def recall_at_k(ranks: Sequence[int | None], k: int) -> float:
+    """Fraction of queries whose gold rank (None when unranked) is at most k."""
+    if not ranks:
+        raise ValueError("no ranks to score")
     if k < 1:
         raise ValueError("k must be >= 1")
     hits = 0
-    for ranked, gold in runs:
-        rank = ranked.rank_of(gold)
+    for rank in ranks:
         if rank is not None and rank <= k:
             hits += 1
-    return hits / len(runs)
+    return hits / len(ranks)
 
 
-def mrr_at(runs: Sequence[tuple[RankedList, str]], cutoff: int = 100) -> float:
-    """Mean reciprocal rank of the gold dataset, zero beyond the cutoff."""
-    if not runs:
-        raise ValueError("no runs to score")
+def mrr_at(ranks: Sequence[int | None], cutoff: int = 100) -> float:
+    """Mean reciprocal gold rank (None when unranked), zero beyond the cutoff."""
+    if not ranks:
+        raise ValueError("no ranks to score")
     total = 0.0
-    for ranked, gold in runs:
-        rank = ranked.rank_of(gold)
+    for rank in ranks:
         if rank is not None and rank <= cutoff:
             total += 1.0 / rank
-    return total / len(runs)
+    return total / len(ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Per-unit BM25 reference that the weighted postings of
+`scirforge.retrieval` are checked against.
+
+A plain module, not hypothesis-gated, so that both `test_retrieval.py` and
+`test_oracle_properties.py` can import it."""
+from __future__ import annotations
+
+from typing import Sequence
+
+from scirforge.retrieval import Index, _okapi_idf, tokenize
+
+
+def idf(index: Index, term: str) -> float:
+    """Okapi idf of a seen term; terms absent from the corpus weigh zero."""
+    if term not in index.postings:
+        return 0.0
+    return _okapi_idf(index.n_units, len(index.postings[term][0]))
+
+
+def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
+    """Score one unit against a term list; repeated terms accumulate.
+
+    The per-unit reference for score_units: term frequencies come from the
+    unit's own text, not from the weighted postings.
+    """
+    if not 0 <= unit_id < index.n_units:
+        raise ValueError(f"unit {unit_id} not in index")
+    unit_terms = tokenize(index.units[unit_id].text)
+    score = 0.0
+    for term in terms:
+        tf = float(unit_terms.count(term))
+        if tf == 0.0:
+            continue
+        score += idf(index, term) * (tf * (index.k1 + 1.0)) / (
+            tf + float(index.norm[unit_id])
+        )
+    return score

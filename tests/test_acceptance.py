@@ -257,7 +257,7 @@ def _random_run(rng):
     else:
         gold_rank = None
     entries = tuple((d, float(n - i)) for i, d in enumerate(ids))
-    return (RankedList(entries), "gold"), gold_rank
+    return RankedList(entries).rank_of("gold"), gold_rank
 
 
 def test_criterion_06_rank_metrics():

@@ -167,6 +167,25 @@ def test_cache_survives_across_gateways(tmp_path, closing):
     assert gw2.backend_calls == 0 and gw2.cache_hits == 1
 
 
+def test_uncached_gateway_builds_no_key(tmp_path, closing, monkeypatch):
+    entries = [
+        {"kind": "chat", "match": "", "response": "r"},
+        {"kind": "score", "match": "", "confidence": 0.5},
+    ]
+    cached = closing(make_gateway(tmp_path, entries, cache=True))
+    want = (cached.complete(req("q")), cached.score_continuation("c", " a b"))
+
+    def no_key(*fields):
+        raise AssertionError("a gateway without a cache built a cache key")
+
+    monkeypatch.setattr(gateway, "_key", no_key)
+    plain = make_gateway(tmp_path, entries)
+    assert (plain.complete(req("q")), plain.score_continuation("c", " a b")) == want
+    assert plain.backend_calls == 2 and plain.cache_hits == 0
+    with pytest.raises(ValueError):
+        plain.score_continuation("c", "")
+
+
 def test_scripts_sharing_a_cache_keep_their_own_answers(tmp_path, closing):
     cache = tmp_path / "cache"
 

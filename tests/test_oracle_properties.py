@@ -17,7 +17,6 @@ from scirforge import kernels, retrieval  # noqa: E402
 from scirforge.retrieval import (  # noqa: E402
     DocUnit,
     IndexConfig,
-    bm25_score,
     embed_search,
     index_from_units,
     score_units,
@@ -25,6 +24,7 @@ from scirforge.retrieval import (  # noqa: E402
     tokenize,
 )
 from scirforge.seper import curve_points  # noqa: E402
+from retrieval_oracle import bm25_score  # noqa: E402
 from test_kernels import lcs_oracle  # noqa: E402
 
 

@@ -5,6 +5,7 @@ import shutil
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -380,6 +381,38 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
     ]
     # One batch of all questions, then one batch per index's units.
     assert batches == [meta["n_queries"], *units]
+    name = "reports/retrieval.csv"
+    assert (copy / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_bench_retrieval_keeps_no_ranked_list(fixture_run, tmp_path, monkeypatch):
+    """Every ranked list is gone before the next query is ranked, on the BM25
+    and the embedding path alike, so memory does not grow with queries x k."""
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    counts = {"search": 0, "embed_search": 0}
+    latest = []  # a weak reference to the ranked list made last
+
+    def keeping(name):
+        inner = getattr(pipeline, name)
+
+        def ranked(*args, **kwargs):
+            assert not latest or latest[0]() is None, "an earlier list outlived its query"
+            out = inner(*args, **kwargs)
+            latest[:] = [weakref.ref(out)]
+            counts[name] += 1
+            return out
+
+        return ranked
+
+    for name in counts:
+        monkeypatch.setattr(pipeline, name, keeping(name))
+    stage = next(s for s in STAGES if s.name == "bench-retrieval")
+    stage.run(pipeline.StageContext(config=config, run_dir=copy))
+    meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
+    assert counts == {"search": 2 * meta["n_queries"], "embed_search": 2 * meta["n_queries"]}
+    assert latest[0]() is None
     name = "reports/retrieval.csv"
     assert (copy / name).read_bytes() == (run_dir / name).read_bytes()
 

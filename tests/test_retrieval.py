@@ -12,7 +12,6 @@ from scirforge.retrieval import (
     IndexConfig,
     PassageStore,
     RankedList,
-    bm25_score,
     build_index,
     chunk_passages,
     embed_corpus,
@@ -23,6 +22,8 @@ from scirforge.retrieval import (
     search,
     tokenize,
 )
+
+from retrieval_oracle import bm25_score, idf
 
 K1, B = 1.2, 0.75
 
@@ -88,8 +89,8 @@ def test_idf_formula():
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
     n = index.n_units
     df = len(index.postings["ice"][0])
-    assert index.idf("ice") == pytest.approx(math.log((n - df + 0.5) / (df + 0.5) + 1.0))
-    assert index.idf("zzz") == 0.0
+    assert idf(index, "ice") == pytest.approx(math.log((n - df + 0.5) / (df + 0.5) + 1.0))
+    assert idf(index, "zzz") == 0.0
 
 
 def test_bm25_hand_computed():
@@ -136,29 +137,29 @@ def test_index_round_trip_through_units():
     assert search(clone, "ice cores", 2).entries == search(index, "ice cores", 2).entries
 
 
-def _runs(ranks):
-    """Build (RankedList, gold) runs where gold lands at the given rank."""
+def _gold_ranks(ranks):
+    """Gold's rank in ten-entry ranked lists where it lands at each given rank."""
     out = []
     for r in ranks:
         ids = [f"x{i}" for i in range(10)]
         if r is not None:
             ids[r - 1] = "gold"
         entries = tuple((d, float(10 - i)) for i, d in enumerate(ids))
-        out.append((RankedList(entries), "gold"))
+        out.append(RankedList(entries).rank_of("gold"))
     return out
 
 
 def test_recall_at_k_oracle():
-    runs = _runs([1, 3, None, 7])
-    assert recall_at_k(runs, 1) == pytest.approx(0.25)
-    assert recall_at_k(runs, 3) == pytest.approx(0.5)
-    assert recall_at_k(runs, 10) == pytest.approx(0.75)
+    ranks = _gold_ranks([1, 3, None, 7])
+    assert recall_at_k(ranks, 1) == pytest.approx(0.25)
+    assert recall_at_k(ranks, 3) == pytest.approx(0.5)
+    assert recall_at_k(ranks, 10) == pytest.approx(0.75)
 
 
 def test_mrr_oracle_and_cutoff():
-    runs = _runs([1, 4, None])
-    assert mrr_at(runs, 100) == pytest.approx((1.0 + 0.25 + 0.0) / 3)
-    assert mrr_at(runs, 3) == pytest.approx((1.0 + 0.0 + 0.0) / 3)  # rank 4 beyond cutoff
+    ranks = _gold_ranks([1, 4, None])
+    assert mrr_at(ranks, 100) == pytest.approx((1.0 + 0.25 + 0.0) / 3)
+    assert mrr_at(ranks, 3) == pytest.approx((1.0 + 0.0 + 0.0) / 3)  # rank 4 beyond cutoff
 
 
 def test_chunk_passages():
