@@ -185,10 +185,14 @@ def load_config(path: str | Path) -> RunConfig:
     config = RunConfig(document=merged, digest=digest, base_dir=path.parent.resolve())
     config.backend  # validate eagerly
     for section in ("embedding", "entailment"):
-        if merged[section]["kind"] not in ("mock", "http"):
-            raise ConfigError(
-                f"{section}.kind must be mock or http, got {merged[section]['kind']!r}"
-            )
+        kind = merged[section]["kind"]
+        if kind not in ("mock", "http"):
+            raise ConfigError(f"{section}.kind must be mock or http, got {kind!r}")
+        used = merged[section].get("enabled", True)
+        if used and kind == "http" and not merged[section]["endpoint"]:
+            raise ConfigError(f"{section}.endpoint must be set when {section}.kind is http")
+    if merged["entailment"]["kind"] == "mock" and not merged["backend"]["script_path"]:
+        raise ConfigError("entailment.kind mock replays backend.script_path, which is empty")
     ratios = config.split_ratios
     if sum(ratios) != 100 or min(ratios) < 0:
         raise ConfigError(

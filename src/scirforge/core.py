@@ -351,15 +351,20 @@ def record_to_dict(record: Any) -> dict[str, Any]:
 JSON_LINE = json.JSONEncoder(ensure_ascii=False)
 
 
-def write_jsonl(path: Path, records: Iterable[Any]) -> None:
+def write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a `.tmp` sibling of `path`, then rename it over
+    `path`, so a reader finds the old file or the whole new one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w", encoding="utf-8") as f:
-        for r in records:
-            d = record_to_dict(r) if hasattr(r, "__dataclass_fields__") else r
-            f.write(JSON_LINE.encode(d) + "\n")
+        f.writelines(chunks)
     tmp.replace(path)
+
+
+def write_jsonl(path: Path, records: Iterable[Any]) -> None:
+    plain = (record_to_dict(r) if hasattr(r, "__dataclass_fields__") else r for r in records)
+    write_atomic(path, (JSON_LINE.encode(d) + "\n" for d in plain))
 
 
 def read_jsonl(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:

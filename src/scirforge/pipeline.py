@@ -3,7 +3,8 @@
 Every stage reads only its declared inputs, writes its outputs atomically,
 and records content digests in manifest.json.  Rerunning a completed stage
 whose input digests are unchanged and whose outputs still have their
-recorded digests is a no-op, so interrupted runs resume where they stopped.
+recorded digests is a no-op, so interrupted runs resume where they stopped;
+a stage that runs again first deletes the outputs its entry lists.
 With the mock backend the whole pipeline is deterministic: everything
 except the manifest (which carries timestamps) is byte-identical across
 runs.
@@ -44,6 +45,7 @@ from .core import (
     record_to_dict,
     split_corpus,
     verdict_from_dict,
+    write_atomic,
     write_jsonl,
 )
 from .curation import (
@@ -94,16 +96,8 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def write_json_atomic(path: Path, value: Any) -> None:
-    write_text_atomic(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, [json.dumps(value, sort_keys=True, indent=2), "\n"])
 
 
 def write_csv_atomic(path: Path, header: list[str], rows: list[list]) -> None:
@@ -111,7 +105,7 @@ def write_csv_atomic(path: Path, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
+    write_atomic(path, [buf.getvalue()])
 
 
 def _fmt(value: float | None) -> str:
@@ -125,9 +119,13 @@ def _fmt(value: float | None) -> str:
 
 @dataclass
 class StageContext:
+    """What one stage run may touch: its declared inputs (manifest label ->
+    path) and the outputs it records, as it writes them, under `run_dir`."""
+
     config: RunConfig
     run_dir: Path
-    input_dir: Path | None = None
+    inputs: dict[str, Path] = dataclasses.field(default_factory=dict)
+    outputs: list[Path] = dataclasses.field(default_factory=list, init=False)
 
     def __post_init__(self):
         self._gateway: Gateway | None = None
@@ -156,8 +154,16 @@ class StageContext:
     def template_dir(self) -> Path | None:
         return self.config.template_dir
 
-    def path(self, name: str) -> Path:
-        return self.run_dir / name
+    def input(self, label: str) -> Path:
+        if label not in self.inputs:
+            raise StageError(f"{label!r} is not a declared input of this stage")
+        return self.inputs[label]
+
+    def output(self, name: str) -> Path:
+        """Record `name` (relative to the run directory) as an output."""
+        path = self.run_dir / name
+        self.outputs.append(path)
+        return path
 
     def pmap(self, fn: Callable, items: Sequence) -> list:
         """Order-preserving map: on up to `concurrency` worker threads when
@@ -180,25 +186,23 @@ class StageContext:
 
 
 # ---------------------------------------------------------------------------
-# Stage runners (each returns the list of files it wrote)
+# Stage runners (each reads ctx.input files and writes ctx.output files)
 # ---------------------------------------------------------------------------
 
 
-def _stage_ingest(ctx: StageContext) -> list[Path]:
-    assert ctx.input_dir is not None
-    datasets = load_datasets(ctx.input_dir / "datasets.jsonl")
-    papers = load_papers(ctx.input_dir / "papers.jsonl")
+def _stage_ingest(ctx: StageContext) -> None:
+    datasets = load_datasets(ctx.input("input:datasets.jsonl"))
+    papers = load_papers(ctx.input("input:papers.jsonl"))
     ids = [p.id for p in papers]
     if len(set(ids)) != len(ids):
         raise StageError("duplicate paper ids in input")
-    write_jsonl(ctx.path("datasets.jsonl"), datasets)
-    write_jsonl(ctx.path("papers.jsonl"), papers)
-    return [ctx.path("datasets.jsonl"), ctx.path("papers.jsonl")]
+    write_jsonl(ctx.output("datasets.jsonl"), datasets)
+    write_jsonl(ctx.output("papers.jsonl"), papers)
 
 
-def _stage_match(ctx: StageContext) -> list[Path]:
-    datasets = load_datasets(ctx.path("datasets.jsonl"))
-    papers = {p.id: p for p in load_papers(ctx.path("papers.jsonl"))}
+def _stage_match(ctx: StageContext) -> None:
+    datasets = load_datasets(ctx.input("datasets.jsonl"))
+    papers = {p.id: p for p in load_papers(ctx.input("papers.jsonl"))}
     tasks: list[tuple[DatasetRecord, str]] = []
     for d in datasets:
         for pid in d.linked_paper_ids:
@@ -226,8 +230,7 @@ def _stage_match(ctx: StageContext) -> list[Path]:
         }
 
     rows = ctx.pmap(work, tasks)
-    write_jsonl(ctx.path("matches.jsonl"), rows)
-    return [ctx.path("matches.jsonl")]
+    write_jsonl(ctx.output("matches.jsonl"), rows)
 
 
 def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
@@ -239,10 +242,10 @@ def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
     return [(lab, text) for lab, text in sections if lab is not SectionLabel.NONE]
 
 
-def _stage_parse(ctx: StageContext) -> list[Path]:
-    datasets = {d.id: d for d in load_datasets(ctx.path("datasets.jsonl"))}
-    papers = {p.id: p for p in load_papers(ctx.path("papers.jsonl"))}
-    matches = [row for _, row in read_jsonl(ctx.path("matches.jsonl"))]
+def _stage_parse(ctx: StageContext) -> None:
+    datasets = {d.id: d for d in load_datasets(ctx.input("datasets.jsonl"))}
+    papers = {p.id: p for p in load_papers(ctx.input("papers.jsonl"))}
+    matches = [row for _, row in read_jsonl(ctx.input("matches.jsonl"))]
     positive = [(m["dataset_id"], m["paper_id"]) for m in matches if m["used"]]
 
     needed = sorted({pid for _, pid in positive})
@@ -278,21 +281,20 @@ def _stage_parse(ctx: StageContext) -> list[Path]:
     for got, local in results:
         units.extend(got)
         warnings.extend(local)
-    write_jsonl(ctx.path("aspects.jsonl"), units)
-    write_json_atomic(ctx.path("parse_meta.json"), {"warnings": warnings})
-    return [ctx.path("aspects.jsonl"), ctx.path("parse_meta.json")]
+    write_jsonl(ctx.output("aspects.jsonl"), units)
+    write_json_atomic(ctx.output("parse_meta.json"), {"warnings": warnings})
 
 
 def _datasets_with_aspects(ctx: StageContext) -> list[tuple[DatasetRecord, list[AspectUnit]]]:
     """Every dataset, in file order, with its verified aspect units."""
-    datasets = load_datasets(ctx.path("datasets.jsonl"))
+    datasets = load_datasets(ctx.input("datasets.jsonl"))
     by_ds: dict[str, list[AspectUnit]] = {}
-    for a in load_aspects(ctx.path("aspects.jsonl")):
+    for a in load_aspects(ctx.input("aspects.jsonl")):
         by_ds.setdefault(a.dataset_id, []).append(a)
     return [(d, by_ds.get(d.id, [])) for d in datasets]
 
 
-def _stage_generate(ctx: StageContext) -> list[Path]:
+def _stage_generate(ctx: StageContext) -> None:
     grouped = _datasets_with_aspects(ctx)
     taxonomy = ctx.taxonomy()
 
@@ -330,9 +332,9 @@ def _stage_generate(ctx: StageContext) -> list[Path]:
     for got, local in results:
         pairs.extend(got)
         warnings.extend(local)
-    write_jsonl(ctx.path("qapairs.jsonl"), pairs)
+    write_jsonl(ctx.output("qapairs.jsonl"), pairs)
     write_json_atomic(
-        ctx.path("generation_meta.json"),
+        ctx.output("generation_meta.json"),
         {
             "dedup": "none",
             "total_pairs": len(pairs),
@@ -340,11 +342,10 @@ def _stage_generate(ctx: StageContext) -> list[Path]:
             "warnings": warnings,
         },
     )
-    return [ctx.path("qapairs.jsonl"), ctx.path("generation_meta.json")]
 
 
-def _stage_filter(ctx: StageContext) -> list[Path]:
-    pairs = load_qapairs(ctx.path("qapairs.jsonl"))
+def _stage_filter(ctx: StageContext) -> None:
+    pairs = load_qapairs(ctx.input("qapairs.jsonl"))
     contexts = {d.id: build_context(d, asp) for d, asp in _datasets_with_aspects(ctx)}
 
     def work(pair: QAPair) -> dict:
@@ -359,12 +360,10 @@ def _stage_filter(ctx: StageContext) -> list[Path]:
         return row
 
     rows = ctx.pmap(work, pairs)
-    write_jsonl(ctx.path("verdicts.jsonl"), rows)
-    written = [ctx.path("verdicts.jsonl")]
+    write_jsonl(ctx.output("verdicts.jsonl"), rows)
 
-    labels_path = ctx.config.filter_labels_path
-    if labels_path is not None:
-        labels_doc = json.loads(Path(labels_path).read_text(encoding="utf-8"))
+    if "filter_labels" in ctx.inputs:
+        labels_doc = json.loads(ctx.input("filter_labels").read_text(encoding="utf-8"))
         by_id = {row["pair_id"]: row for row in rows}
         unknown = sorted(set(labels_doc) - set(by_id))
         if unknown:
@@ -374,28 +373,24 @@ def _stage_filter(ctx: StageContext) -> list[Path]:
         labels = [lab for _, lab in labeled]
         report = evaluate_filter(decisions, labels)
         write_csv_atomic(
-            ctx.path("reports/filter_eval.csv"),
+            ctx.output("reports/filter_eval.csv"),
             ["precision", "recall", "f1", "n"],
             [[_fmt(report.precision), _fmt(report.recall), _fmt(report.f1), len(labeled)]],
         )
-        written.append(ctx.path("reports/filter_eval.csv"))
         deltas = [row["delta"] for row, _ in labeled]
         if any(labels) and not all(labels):
             pr, roc = curve_points(deltas, labels)
             thresholds = sorted(set(deltas), reverse=True)
             write_csv_atomic(
-                ctx.path("reports/filter_pr_curve.csv"),
+                ctx.output("reports/filter_pr_curve.csv"),
                 ["threshold", "recall", "precision"],
                 [[_fmt(t), _fmt(r), _fmt(p)] for t, (r, p) in zip(thresholds, pr)],
             )
             write_csv_atomic(
-                ctx.path("reports/filter_roc_curve.csv"),
+                ctx.output("reports/filter_roc_curve.csv"),
                 ["threshold", "fpr", "tpr"],
                 [[_fmt(t), _fmt(f), _fmt(tp)] for t, (f, tp) in zip(thresholds, roc)],
             )
-            written.append(ctx.path("reports/filter_pr_curve.csv"))
-            written.append(ctx.path("reports/filter_roc_curve.csv"))
-    return written
 
 
 _INDEX_FILES = {
@@ -404,10 +399,9 @@ _INDEX_FILES = {
 }
 
 
-def _stage_index(ctx: StageContext) -> list[Path]:
-    datasets = load_datasets(ctx.path("datasets.jsonl"))
-    aspects = load_aspects(ctx.path("aspects.jsonl"))
-    written = []
+def _stage_index(ctx: StageContext) -> None:
+    datasets = load_datasets(ctx.input("datasets.jsonl"))
+    aspects = load_aspects(ctx.input("aspects.jsonl"))
     for cfg, name in _INDEX_FILES.items():
         index = build_index(datasets, aspects, cfg, k1=ctx.config.k1, b=ctx.config.b)
         doc = {
@@ -419,9 +413,7 @@ def _stage_index(ctx: StageContext) -> list[Path]:
                 for u in index.units
             ],
         }
-        write_json_atomic(ctx.path(name), doc)
-        written.append(ctx.path(name))
-    return written
+        write_json_atomic(ctx.output(name), doc)
 
 
 def load_index(path: Path) -> Index:
@@ -433,9 +425,9 @@ def load_index(path: Path) -> Index:
 
 
 def _accepted_pairs(ctx: StageContext) -> list[QAPair]:
-    pairs = load_qapairs(ctx.path("qapairs.jsonl"))
+    pairs = load_qapairs(ctx.input("qapairs.jsonl"))
     verdicts = {}
-    for _, row in read_jsonl(ctx.path("verdicts.jsonl")):
+    for _, row in read_jsonl(ctx.input("verdicts.jsonl")):
         verdicts[row["pair_id"]] = row
     missing = [p.id for p in pairs if p.id not in verdicts]
     if missing:
@@ -473,7 +465,7 @@ def _embedding_client(ctx: StageContext):
     return _http_backend(ctx, emb)
 
 
-def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
+def _stage_bench_retrieval(ctx: StageContext) -> None:
     pairs = _bench_pairs(ctx)
     questions = [p.question for p in pairs]
     golds = [p.dataset_id for p in pairs]
@@ -481,7 +473,7 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
     cutoff = ctx.config.mrr_cutoff
     k_max = max(max(ks), cutoff)
 
-    indexes = {cfg: load_index(ctx.path(name)) for cfg, name in _INDEX_FILES.items()}
+    indexes = {cfg: load_index(ctx.input(name)) for cfg, name in _INDEX_FILES.items()}
     client = _embedding_client(ctx)
 
     header = ["method"]
@@ -516,9 +508,9 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
             )
         rows.append(emb_row)
 
-    write_csv_atomic(ctx.path("reports/retrieval.csv"), header, rows)
+    write_csv_atomic(ctx.output("reports/retrieval.csv"), header, rows)
     write_json_atomic(
-        ctx.path("reports/retrieval_meta.json"),
+        ctx.output("reports/retrieval_meta.json"),
         {
             "aggregation": "dataset score = max over its doc units",
             "tie_break": "ascending dataset id",
@@ -530,7 +522,6 @@ def _stage_bench_retrieval(ctx: StageContext) -> list[Path]:
             "embedding": ctx.config.embedding["kind"] if client else None,
         },
     )
-    return [ctx.path("reports/retrieval.csv"), ctx.path("reports/retrieval_meta.json")]
 
 
 def _entailment_scorer(ctx: StageContext):
@@ -545,9 +536,9 @@ def _share_correct(rows: list[dict]) -> str:
     return _fmt(sum(1 for r in rows if r["correct"]) / len(rows)) if rows else ""
 
 
-def _stage_bench_qa(ctx: StageContext) -> list[Path]:
+def _stage_bench_qa(ctx: StageContext) -> None:
     accepted = _bench_pairs(ctx)
-    with_index = load_index(ctx.path(_INDEX_FILES[IndexConfig.WITH_PAPER]))
+    with_index = load_index(ctx.input(_INDEX_FILES[IndexConfig.WITH_PAPER]))
     store = PassageStore.from_index(
         with_index, ctx.config.chunk_size, k1=ctx.config.k1, b=ctx.config.b
     )
@@ -603,31 +594,26 @@ def _stage_bench_qa(ctx: StageContext) -> list[Path]:
             ]
         )
 
-    write_jsonl(ctx.path("reports/qaeval.jsonl"), eval_rows)
+    write_jsonl(ctx.output("reports/qaeval.jsonl"), eval_rows)
     write_csv_atomic(
-        ctx.path("reports/qa_summary.csv"),
+        ctx.output("reports/qa_summary.csv"),
         ["k", "n", "accuracy", "short_accuracy", "long_accuracy", "long_rouge_l"],
         summary_rows,
     )
     write_csv_atomic(
-        ctx.path("reports/qa_by_level.csv"),
+        ctx.output("reports/qa_by_level.csv"),
         ["k", "micro_avg", "C1", "C2", "C3", "C4", "C5", "C6"],
         by_level_rows,
     )
-    return [
-        ctx.path("reports/qaeval.jsonl"),
-        ctx.path("reports/qa_summary.csv"),
-        ctx.path("reports/qa_by_level.csv"),
-    ]
 
 
-def _stage_stats(ctx: StageContext) -> list[Path]:
+def _stage_stats(ctx: StageContext) -> None:
     accepted = _accepted_pairs(ctx)
     if not accepted:
         raise StageError("no accepted pairs to summarize")
     rows = aggregate_stats(accepted)
     write_csv_atomic(
-        ctx.path("reports/stats.csv"),
+        ctx.output("reports/stats.csv"),
         ["label", "count", "pct", "avg_question_words", "avg_answer_words"],
         [
             [r.label, r.count, _fmt(r.pct), _fmt(r.avg_question_words), _fmt(r.avg_answer_words)]
@@ -640,20 +626,19 @@ def _stage_stats(ctx: StageContext) -> list[Path]:
     )
     dist = LevelDistribution.from_levels(levels)
     write_csv_atomic(
-        ctx.path("reports/levels.csv"),
+        ctx.output("reports/levels.csv"),
         ["C1", "C2", "C3", "C4", "C5", "C6", "total", "diversity_index"],
         [list(dist.counts) + [dist.total, _fmt(diversity_index(dist))]],
     )
-    return [ctx.path("reports/stats.csv"), ctx.path("reports/levels.csv")]
 
 
-def _stage_split(ctx: StageContext) -> list[Path]:
-    datasets = load_datasets(ctx.path("datasets.jsonl"))
+def _stage_split(ctx: StageContext) -> None:
+    datasets = load_datasets(ctx.input("datasets.jsonl"))
     train, dev, test = split_corpus(
         datasets, ctx.config.split_ratios, ctx.config.split_seed
     )
     write_json_atomic(
-        ctx.path("splits.json"),
+        ctx.output("splits.json"),
         {
             "ratios": list(ctx.config.split_ratios),
             "seed": ctx.config.split_seed,
@@ -662,7 +647,6 @@ def _stage_split(ctx: StageContext) -> list[Path]:
             "test": sorted(test),
         },
     )
-    return [ctx.path("splits.json")]
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +669,7 @@ class Stage:
     name: str
     deps: tuple[str, ...]
     inputs: tuple[str, ...]
-    run: Callable[[StageContext], list[Path]]
+    run: Callable[[StageContext], None]
 
 
 _BENCH_INPUTS = (
@@ -748,6 +732,18 @@ def _changed_outputs(run_dir: Path, entry: dict) -> list[tuple[str, str]]:
     return changed
 
 
+def _remove_outputs(run_dir: Path, entry: dict) -> None:
+    """Delete the files a stage's manifest entry lists, so that running the
+    stage again leaves only what that run writes.  The manifest comes from
+    disk: a name that resolves outside the run directory, or to the manifest
+    itself, is left alone."""
+    root = run_dir.resolve()
+    for name in entry.get("outputs", {}):
+        path = (run_dir / name).resolve()
+        if root in path.parents and path != root / "manifest.json" and path.is_file():
+            path.unlink()
+
+
 def run_stage(
     name: str,
     config: RunConfig,
@@ -793,34 +789,34 @@ def run_stage(
         and not _changed_outputs(run_dir, entry)
     ):
         return "noop"
+    if entry:
+        _remove_outputs(run_dir, entry)
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    ctx = StageContext(config=config, run_dir=run_dir, input_dir=input_dir)
-    try:
-        outputs = stage.run(ctx)
-    except Exception as exc:
+    ctx = StageContext(config=config, run_dir=run_dir, inputs=inputs)
+
+    def record(status: str, **extra: str) -> None:
+        # A failed attempt lists what it wrote too, so the next run removes it.
         manifest["stages"][name] = {
-            "status": "failed",
+            "status": status,
             "inputs": input_digests,
-            "outputs": {},
+            "outputs": {
+                str(p.relative_to(run_dir)): file_digest(p) for p in ctx.outputs if p.exists()
+            },
             "started_at": started,
             "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "error": f"{type(exc).__name__}: {exc}",
+            **extra,
         }
         write_json_atomic(manifest_path, manifest)
+
+    try:
+        stage.run(ctx)
+    except Exception as exc:
+        record("failed", error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
         ctx.close()
-    manifest["stages"][name] = {
-        "status": "done",
-        "inputs": input_digests,
-        "outputs": {
-            str(p.relative_to(run_dir)): file_digest(p) for p in outputs
-        },
-        "started_at": started,
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    write_json_atomic(manifest_path, manifest)
+    record("done")
     return "done"
 
 

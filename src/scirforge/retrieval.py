@@ -77,9 +77,6 @@ class Index:
     units: tuple[DocUnit, ...]
     dataset_ids: tuple[str, ...]
     unit_dataset_idx: np.ndarray
-    lengths: np.ndarray
-    avg_len: float
-    norm: np.ndarray
     # term -> (ascending unit ids holding it, the term's BM25 weight in each)
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
     k1: float
@@ -123,7 +120,7 @@ def index_from_units(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Index:
-    """Assemble length statistics and weighted postings for a fixed unit list.
+    """Weighted postings for a fixed unit list.
 
     Each posting stores its term's full BM25 contribution to that unit, so a
     query only adds weights up.
@@ -160,9 +157,6 @@ def index_from_units(
         units=tuple(units),
         dataset_ids=dataset_ids,
         unit_dataset_idx=unit_dataset_idx,
-        lengths=lengths,
-        avg_len=avg_len,
-        norm=norm,
         postings=postings,
         k1=k1,
         b=b,
@@ -301,9 +295,6 @@ class PassageStore:
         for unit in index.units:
             passages.extend(chunk_passages(unit.text, chunk_size))
         return cls(passages, **kwargs)
-
-    def __len__(self) -> int:
-        return len(self._texts)
 
     @property
     def passages(self) -> tuple[str, ...]:

@@ -20,18 +20,20 @@ def idf(index: Index, term: str) -> float:
 def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
     """Score one unit against a term list; repeated terms accumulate.
 
-    The per-unit reference for score_units: term frequencies come from the
-    unit's own text, not from the weighted postings.
+    The per-unit reference for score_units: term frequencies and the length
+    normalisation come from the units' own texts, not from the weighted
+    postings.  Token counts are integers, so their mean is exact.
     """
     if not 0 <= unit_id < index.n_units:
         raise ValueError(f"unit {unit_id} not in index")
+    lengths = [len(tokenize(unit.text)) for unit in index.units]
+    avg = sum(lengths) / len(lengths)
     unit_terms = tokenize(index.units[unit_id].text)
     score = 0.0
     for term in terms:
         tf = float(unit_terms.count(term))
         if tf == 0.0:
             continue
-        score += idf(index, term) * (tf * (index.k1 + 1.0)) / (
-            tf + float(index.norm[unit_id])
-        )
+        norm = index.k1 * (1.0 - index.b + index.b * (lengths[unit_id] / avg))
+        score += idf(index, term) * (tf * (index.k1 + 1.0)) / (tf + norm)
     return score

@@ -66,5 +66,34 @@ def test_int_accepted_where_default_is_float(tmp_path):
 def test_unknown_model_kind_rejected(tmp_path, section):
     with pytest.raises(ConfigError, match=f"{section}.kind must be mock or http, got 'mok'"):
         load_config(_config(tmp_path, {section: {"kind": "mok"}}))
-    config = load_config(_config(tmp_path, {section: {"kind": "http"}}))
+    doc = {section: {"kind": "http", "endpoint": "http://x.test/v1"}}
+    config = load_config(_config(tmp_path, doc))
     assert getattr(config, section)["kind"] == "http"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"backend": {"kind": "http", "endpoint": "http://x.test/v1"}},
+            "entailment.kind mock replays backend.script_path, which is empty",
+        ),
+        (
+            {"embedding": {"enabled": True, "kind": "http"}},
+            "embedding.endpoint must be set when embedding.kind is http",
+        ),
+        (
+            {"entailment": {"kind": "http"}},
+            "entailment.endpoint must be set when entailment.kind is http",
+        ),
+    ],
+    ids=["mock-entailment-without-script", "http-embedding-without-endpoint",
+         "http-entailment-without-endpoint"],
+)
+def test_config_a_stage_cannot_run_is_rejected_at_load(tmp_path, doc, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(_config(tmp_path, doc))
+
+
+def test_disabled_http_embedding_needs_no_endpoint(tmp_path):
+    load_config(_config(tmp_path, {"embedding": {"kind": "http"}}))

@@ -1,6 +1,7 @@
 """Stage orchestration, manifest semantics, artifact checks, validator, CLI."""
 import csv
 import json
+import random
 import shutil
 import sys
 import threading
@@ -14,7 +15,7 @@ import requests
 
 from conftest import FakeResponse
 
-from scirforge import pipeline
+from scirforge import core, pipeline
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
@@ -67,6 +68,19 @@ def test_stage_graph_is_consistent():
         assert all(dep in seen for dep in stage.deps), stage.name
         assert len(set(stage.inputs)) == len(stage.inputs), stage.name
         seen.add(stage.name)
+
+
+def test_stage_context_opens_only_declared_inputs(tmp_path):
+    ctx = pipeline.StageContext(
+        config=load_config(FIXTURE_CONFIG),
+        run_dir=tmp_path,
+        inputs={"datasets.jsonl": tmp_path / "datasets.jsonl"},
+    )
+    assert ctx.input("datasets.jsonl") == tmp_path / "datasets.jsonl"
+    with pytest.raises(StageError, match="'papers.jsonl' is not a declared input"):
+        ctx.input("papers.jsonl")
+    assert ctx.output("reports/x.csv") == tmp_path / "reports/x.csv"
+    assert ctx.outputs == [tmp_path / "reports/x.csv"]
 
 
 # Manifest input labels are an on-disk format: renaming one reruns that stage
@@ -200,6 +214,46 @@ def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch):
         artifacts = _artifacts(run_dir)
         assert artifacts.keys() == expected.keys(), crash_at
         assert [n for n in expected if artifacts[n] != expected[n]] == [], crash_at
+
+
+def test_resume_after_crash_at_an_artifact_write(tmp_path, monkeypatch):
+    """A process that dies at artifact write N, before the write or between
+    the write and the rename, then runs again without a crash, ends with
+    the artifacts of a run that never stopped and no .tmp file."""
+    real = core.write_atomic
+    state = {"writes": 0, "crash_at": None}
+
+    def crashing(path, chunks):
+        state["writes"] += 1
+        if state["crash_at"] is not None and state["writes"] == state["crash_at"][0]:
+            if state["crash_at"][1] == "before rename":
+                # A complete .tmp beside an untouched target.
+                real(path.with_suffix(path.suffix + ".tmp"), chunks)
+            raise SystemExit(f"crash at write {state['crash_at']}")
+        real(path, chunks)
+
+    # write_jsonl calls core's binding; the JSON, CSV and manifest writers, pipeline's.
+    monkeypatch.setattr(core, "write_atomic", crashing)
+    monkeypatch.setattr(pipeline, "write_atomic", crashing)
+    config = load_config(FIXTURE_CONFIG)
+    run_all(config, tmp_path / "reference", FIXTURE_DIR)
+    expected = _artifacts(tmp_path / "reference")
+    writes = state["writes"]
+
+    points = [(n, when) for n in range(1, writes + 1) for when in ("before write", "before rename")]
+    inner = random.Random(13).sample(points[1:-1], 6)
+    for point in [points[0], *inner, points[-1]]:
+        run_dir = tmp_path / f"run_{point[0]}_{point[1].replace(' ', '_')}"
+        state.update(writes=0, crash_at=point)
+        with pytest.raises(SystemExit):
+            run_all(config, run_dir, FIXTURE_DIR)
+        state.update(crash_at=None)
+        run_all(config, run_dir, FIXTURE_DIR)
+        assert _artifacts(run_dir) == expected, point
+        assert not list(run_dir.rglob("*.tmp")), point
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        listed = [out for entry in manifest["stages"].values() for out in entry["outputs"]]
+        assert not [out for out in listed if out.endswith(".tmp")], point
 
 
 def _fixture_config(inputs: Path, **changes) -> Path:
@@ -373,7 +427,8 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
 
     monkeypatch.setattr(pipeline, "_embedding_client", lambda ctx: CountingClient(dim=16))
     stage = next(s for s in STAGES if s.name == "bench-retrieval")
-    stage.run(pipeline.StageContext(config=config, run_dir=copy))
+    inputs = pipeline._stage_inputs(stage, copy, None, config)
+    stage.run(pipeline.StageContext(config=config, run_dir=copy, inputs=inputs))
     meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
     units = [
         pipeline.load_index(copy / f"index/{side}.json").n_units
@@ -409,7 +464,8 @@ def test_bench_retrieval_keeps_no_ranked_list(fixture_run, tmp_path, monkeypatch
     for name in counts:
         monkeypatch.setattr(pipeline, name, keeping(name))
     stage = next(s for s in STAGES if s.name == "bench-retrieval")
-    stage.run(pipeline.StageContext(config=config, run_dir=copy))
+    inputs = pipeline._stage_inputs(stage, copy, None, config)
+    stage.run(pipeline.StageContext(config=config, run_dir=copy, inputs=inputs))
     meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
     assert counts == {"search": 2 * meta["n_queries"], "embed_search": 2 * meta["n_queries"]}
     assert latest[0]() is None
@@ -546,6 +602,62 @@ def test_damaged_output_reruns_its_stage(fixture_run, tmp_path, capsys, output, 
     assert statuses == {name: "done" if name == stage else "noop" for name in STAGE_ORDER}
     assert (copy / output).read_bytes() == good
     assert validate_outputs(copy) == []
+
+
+def _write_labels(inputs: Path, labels: dict) -> None:
+    (inputs / "labels.json").write_text(json.dumps(labels), encoding="utf-8")
+
+
+def test_rerun_leaves_what_a_fresh_run_leaves(fixture_run, tmp_path):
+    """With every label true the filter writes no curves; a rerun must remove
+    the curves the first labels gave."""
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    config_path = _fixture_config(tmp_path / "inputs")
+    labels = json.loads((config_path.parent / "labels.json").read_text(encoding="utf-8"))
+    _write_labels(config_path.parent, {pid: True for pid in labels})
+    config = load_config(config_path)
+
+    statuses = run_all(config, copy, config_path.parent)
+    assert statuses == {name: "done" if name == "filter" else "noop" for name in STAGE_ORDER}
+    assert not (copy / "reports/filter_pr_curve.csv").exists()
+    run_all(config, tmp_path / "fresh", config_path.parent)
+    assert _artifacts(copy) == _artifacts(tmp_path / "fresh")
+    assert validate_outputs(copy) == []
+
+
+def test_failed_attempt_lists_what_it_wrote(fixture_run, tmp_path):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    config_path = _fixture_config(tmp_path / "inputs")
+    _write_labels(config_path.parent, {"no-such-pair": True})
+    with pytest.raises(StageError, match="unknown pairs"):
+        run_stage("filter", load_config(config_path), copy)
+    entry = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))["stages"]["filter"]
+    assert entry["status"] == "failed"
+    # The reports the earlier run wrote are gone; the verdicts this attempt wrote are listed.
+    assert entry["outputs"] == {"verdicts.jsonl": file_digest(copy / "verdicts.jsonl")}
+    assert not (copy / "reports/filter_eval.csv").exists()
+
+
+def test_rerun_removes_no_file_outside_the_run_dir(fixture_run, tmp_path):
+    """Output names come from a manifest on disk; one that points outside
+    the run directory is not deleted."""
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("keep me", encoding="utf-8")
+    manifest = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"]["split"]["outputs"]["../outside.txt"] = "0" * 64
+    (copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    assert run_stage("split", config, copy) == "done"
+    assert outside.read_text(encoding="utf-8") == "keep me"
+    entry = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))["stages"]["split"]
+    assert list(entry["outputs"]) == ["splits.json"]
 
 
 def test_validate_outputs_reports_an_unparseable_manifest(fixture_run, tmp_path):
