@@ -5,12 +5,15 @@ invariants so anything loaded from disk is known-good downstream.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
+
+R = TypeVar("R")
 
 
 class PipelineError(Exception):
@@ -210,7 +213,7 @@ class DatasetRecord:
 @dataclass(frozen=True)
 class PaperRecord:
     id: str
-    title: str
+    title: str = ""
     segments: tuple[tuple[SectionLabel, str], ...] = ()
 
     def __post_init__(self):
@@ -278,6 +281,8 @@ class QAPair:
     def __post_init__(self):
         object.__setattr__(self, "qtype", QuestionType(self.qtype))
         object.__setattr__(self, "provenance", Provenance(self.provenance))
+        if isinstance(self.verdict, dict):
+            object.__setattr__(self, "verdict", record_from_dict(FilterVerdict, self.verdict))
         if not self.question.strip() or not self.answer.strip():
             raise RecordError(f"qa pair {self.id}: question and answer must be nonempty")
 
@@ -368,80 +373,62 @@ def write_jsonl(path: Path, records: Iterable[Any]) -> None:
 
 
 def read_jsonl(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (1-based line number, parsed object) for every nonblank line."""
-    with Path(path).open("r", encoding="utf-8") as f:
+    """Yield (1-based line number, parsed object) for every nonblank line;
+    a line that is not JSON raises a RecordError naming the file and line."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            yield lineno, json.loads(line)
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise RecordError(f"{path.name}:{lineno}: unparseable JSON: {exc}") from exc
+            yield lineno, row
 
 
-def dataset_from_dict(d: dict[str, Any]) -> DatasetRecord:
-    return DatasetRecord(
-        id=d["id"],
-        title=d["title"],
-        description=d.get("description", ""),
-        topics=tuple(d.get("topics", ())),
-        linked_paper_ids=tuple(d.get("linked_paper_ids", ())),
+# Per record type: (field, declared as str, has a default), in field order.
+@functools.cache
+def _row_fields(cls: type) -> tuple[tuple[str, bool, bool], ...]:
+    return tuple(
+        (
+            f.name,
+            f.type in ("str", str),
+            f.default is not MISSING or f.default_factory is not MISSING,
+        )
+        for f in fields(cls)
     )
 
 
-def paper_from_dict(d: dict[str, Any]) -> PaperRecord:
-    return PaperRecord(
-        id=d["id"],
-        title=d.get("title", ""),
-        segments=tuple((SectionLabel(label), text) for label, text in d.get("segments", ())),
-    )
+def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
+    """JSON row -> `cls` record: the dataclass is the row schema.
+
+    Keys `cls` does not declare are ignored. A field declared `str` must
+    hold a string (ids are looked up in sets); enums and tuples are
+    coerced by the record's own `__post_init__`.
+    """
+    values = {}
+    for name, is_str, optional in _row_fields(cls):
+        if name not in row:
+            if optional:
+                continue
+            raise RecordError(f"missing field {name}")
+        value = values[name] = row[name]
+        if is_str and not isinstance(value, str):
+            raise RecordError(f"{name} must be a string")
+    return cls(**values)
 
 
-def aspect_from_dict(d: dict[str, Any]) -> AspectUnit:
-    return AspectUnit(
-        dataset_id=d["dataset_id"],
-        paper_id=d["paper_id"],
-        aspect=Aspect(d["aspect"]),
-        text=d["text"],
-        word_count=d.get("word_count", -1),
-    )
-
-
-def verdict_from_dict(d: dict[str, Any]) -> FilterVerdict:
-    return FilterVerdict(
-        delta=d["delta"],
-        decision=Decision(d["decision"]),
-        conf_with=d["conf_with"],
-        conf_without=d["conf_without"],
-    )
-
-
-def qapair_from_dict(d: dict[str, Any]) -> QAPair:
-    verdict = d.get("verdict")
-    return QAPair(
-        id=d["id"],
-        dataset_id=d["dataset_id"],
-        qtype=QuestionType(d["qtype"]),
-        question=d["question"],
-        answer=d["answer"],
-        provenance=Provenance(d.get("provenance", Provenance.WITH_PAPER)),
-        verdict=verdict_from_dict(verdict) if verdict else None,
-    )
-
-
-def load_datasets(path: Path) -> list[DatasetRecord]:
-    out = [dataset_from_dict(d) for _, d in read_jsonl(path)]
-    ids = [r.id for r in out]
-    if len(set(ids)) != len(ids):
-        raise RecordError(f"{path}: duplicate dataset ids")
-    return out
-
-
-def load_papers(path: Path) -> list[PaperRecord]:
-    return [paper_from_dict(d) for _, d in read_jsonl(path)]
-
-
-def load_aspects(path: Path) -> list[AspectUnit]:
-    return [aspect_from_dict(d) for _, d in read_jsonl(path)]
-
-
-def load_qapairs(path: Path) -> list[QAPair]:
-    return [qapair_from_dict(d) for _, d in read_jsonl(path)]
+def load_records(path: Path, cls: type[R]) -> list[R]:
+    """Every row of a JSONL file as a `cls` record; a malformed row raises
+    a RecordError naming the file and line."""
+    records = []
+    for lineno, row in read_jsonl(path):
+        try:
+            if not isinstance(row, dict):
+                raise RecordError(f"expected a JSON object, got {type(row).__name__}")
+            records.append(record_from_dict(cls, row))
+        except (RecordError, ValueError, TypeError) as exc:
+            raise RecordError(f"{Path(path).name}:{lineno}: {exc}") from exc
+    return records

@@ -64,12 +64,6 @@ class AspectDraft:
             tuple((a, tuple(mapping.get(a, ()))) for a in ASPECT_ORDER),
         )
 
-    def get(self, aspect: Aspect) -> tuple[str, ...]:
-        for a, texts in self.candidates:
-            if a is aspect:
-                return texts
-        raise KeyError(aspect)
-
     def has_candidates(self) -> bool:
         return any(texts for _, texts in self.candidates)
 

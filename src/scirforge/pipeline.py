@@ -20,6 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -30,21 +31,17 @@ from .core import (
     AspectUnit,
     Decision,
     DatasetRecord,
+    FilterVerdict,
+    PaperRecord,
     PipelineError,
     QAPair,
     RecordError,
-    aspect_from_dict,
-    dataset_from_dict,
-    load_aspects,
-    load_datasets,
-    load_papers,
-    load_qapairs,
-    paper_from_dict,
-    qapair_from_dict,
+    SectionLabel,
+    load_records,
     read_jsonl,
+    record_from_dict,
     record_to_dict,
     split_corpus,
-    verdict_from_dict,
     write_atomic,
     write_jsonl,
 )
@@ -65,6 +62,7 @@ from .evalqa import (
     rag_answer,
 )
 from .gateway import Gateway, HttpBackend, MockBackend, MockEmbeddingClient
+from .prompts import template_path
 from .qagen import build_context, generate_qa, load_taxonomy, plan_generation
 from .retrieval import (
     DocUnit,
@@ -80,7 +78,6 @@ from .retrieval import (
     search,
 )
 from .seper import curve_points, delta_seper, evaluate_filter
-from .core import SectionLabel
 
 
 class StageError(PipelineError):
@@ -176,14 +173,6 @@ class StageContext:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, items))
 
-    def taxonomy(self):
-        custom = None
-        if self.template_dir is not None:
-            candidate = self.template_dir / "taxonomy.json"
-            if candidate.exists():
-                custom = candidate
-        return load_taxonomy(custom)
-
 
 # ---------------------------------------------------------------------------
 # Stage runners (each reads ctx.input files and writes ctx.output files)
@@ -191,18 +180,19 @@ class StageContext:
 
 
 def _stage_ingest(ctx: StageContext) -> None:
-    datasets = load_datasets(ctx.input("input:datasets.jsonl"))
-    papers = load_papers(ctx.input("input:papers.jsonl"))
-    ids = [p.id for p in papers]
-    if len(set(ids)) != len(ids):
-        raise StageError("duplicate paper ids in input")
+    datasets = load_records(ctx.input("input:datasets.jsonl"), DatasetRecord)
+    papers = load_records(ctx.input("input:papers.jsonl"), PaperRecord)
+    for kind, records in (("dataset", datasets), ("paper", papers)):
+        ids = [r.id for r in records]
+        if len(set(ids)) != len(ids):
+            raise StageError(f"duplicate {kind} ids in input")
     write_jsonl(ctx.output("datasets.jsonl"), datasets)
     write_jsonl(ctx.output("papers.jsonl"), papers)
 
 
 def _stage_match(ctx: StageContext) -> None:
-    datasets = load_datasets(ctx.input("datasets.jsonl"))
-    papers = {p.id: p for p in load_papers(ctx.input("papers.jsonl"))}
+    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
+    papers = {p.id: p for p in load_records(ctx.input("papers.jsonl"), PaperRecord)}
     tasks: list[tuple[DatasetRecord, str]] = []
     for d in datasets:
         for pid in d.linked_paper_ids:
@@ -243,8 +233,8 @@ def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
 
 
 def _stage_parse(ctx: StageContext) -> None:
-    datasets = {d.id: d for d in load_datasets(ctx.input("datasets.jsonl"))}
-    papers = {p.id: p for p in load_papers(ctx.input("papers.jsonl"))}
+    datasets = {d.id: d for d in load_records(ctx.input("datasets.jsonl"), DatasetRecord)}
+    papers = {p.id: p for p in load_records(ctx.input("papers.jsonl"), PaperRecord)}
     matches = [row for _, row in read_jsonl(ctx.input("matches.jsonl"))]
     positive = [(m["dataset_id"], m["paper_id"]) for m in matches if m["used"]]
 
@@ -287,16 +277,16 @@ def _stage_parse(ctx: StageContext) -> None:
 
 def _datasets_with_aspects(ctx: StageContext) -> list[tuple[DatasetRecord, list[AspectUnit]]]:
     """Every dataset, in file order, with its verified aspect units."""
-    datasets = load_datasets(ctx.input("datasets.jsonl"))
+    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
     by_ds: dict[str, list[AspectUnit]] = {}
-    for a in load_aspects(ctx.input("aspects.jsonl")):
+    for a in load_records(ctx.input("aspects.jsonl"), AspectUnit):
         by_ds.setdefault(a.dataset_id, []).append(a)
     return [(d, by_ds.get(d.id, [])) for d in datasets]
 
 
 def _stage_generate(ctx: StageContext) -> None:
     grouped = _datasets_with_aspects(ctx)
-    taxonomy = ctx.taxonomy()
+    taxonomy = load_taxonomy(ctx.input("template:taxonomy.json"))
 
     tasks = []
     plans_meta = {}
@@ -345,7 +335,7 @@ def _stage_generate(ctx: StageContext) -> None:
 
 
 def _stage_filter(ctx: StageContext) -> None:
-    pairs = load_qapairs(ctx.input("qapairs.jsonl"))
+    pairs = load_records(ctx.input("qapairs.jsonl"), QAPair)
     contexts = {d.id: build_context(d, asp) for d, asp in _datasets_with_aspects(ctx)}
 
     def work(pair: QAPair) -> dict:
@@ -400,32 +390,29 @@ _INDEX_FILES = {
 
 
 def _stage_index(ctx: StageContext) -> None:
-    datasets = load_datasets(ctx.input("datasets.jsonl"))
-    aspects = load_aspects(ctx.input("aspects.jsonl"))
+    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
+    aspects = load_records(ctx.input("aspects.jsonl"), AspectUnit)
     for cfg, name in _INDEX_FILES.items():
         index = build_index(datasets, aspects, cfg, k1=ctx.config.k1, b=ctx.config.b)
         doc = {
             "config": cfg.value,
             "k1": index.k1,
             "b": index.b,
-            "units": [
-                {"dataset_id": u.dataset_id, "source": u.source, "text": u.text}
-                for u in index.units
-            ],
+            "units": [record_to_dict(u) for u in index.units],
         }
         write_json_atomic(ctx.output(name), doc)
 
 
 def load_index(path: Path) -> Index:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    units = [DocUnit(u["dataset_id"], u["source"], u["text"]) for u in doc["units"]]
+    units = [record_from_dict(DocUnit, u) for u in doc["units"]]
     return index_from_units(
         units, IndexConfig(doc["config"]), k1=doc["k1"], b=doc["b"]
     )
 
 
 def _accepted_pairs(ctx: StageContext) -> list[QAPair]:
-    pairs = load_qapairs(ctx.input("qapairs.jsonl"))
+    pairs = load_records(ctx.input("qapairs.jsonl"), QAPair)
     verdicts = {}
     for _, row in read_jsonl(ctx.input("verdicts.jsonl")):
         verdicts[row["pair_id"]] = row
@@ -633,7 +620,7 @@ def _stage_stats(ctx: StageContext) -> None:
 
 
 def _stage_split(ctx: StageContext) -> None:
-    datasets = load_datasets(ctx.input("datasets.jsonl"))
+    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
     train, dev, test = split_corpus(
         datasets, ctx.config.split_ratios, ctx.config.split_seed
     )
@@ -654,6 +641,7 @@ def _stage_split(ctx: StageContext) -> None:
 # ---------------------------------------------------------------------------
 
 _INPUT = "input:"
+_TEMPLATE = "template:"
 
 
 @dataclass(frozen=True)
@@ -662,8 +650,10 @@ class Stage:
 
     Each entry of `inputs` is a path relative to the run directory and also
     the label under which the manifest stores that file's digest; an
-    ``input:`` prefix resolves against ``--input`` instead.  Labels are an
-    on-disk format: renaming one reruns the stage in every run directory.
+    ``input:`` prefix resolves against ``--input`` instead, and a
+    ``template:`` prefix names a prompt template or ``taxonomy.json``,
+    resolved through ``template_dir``.  Labels are an on-disk format:
+    renaming one reruns the stage in every run directory.
     """
 
     name: str
@@ -672,25 +662,39 @@ class Stage:
     run: Callable[[StageContext], None]
 
 
-_BENCH_INPUTS = (
-    "datasets.jsonl",
-    "aspects.jsonl",
-    "qapairs.jsonl",
-    "verdicts.jsonl",
-    *_INDEX_FILES.values(),
-)
+_PAIRS = ("qapairs.jsonl", "verdicts.jsonl")
 
 # Run order: every stage comes after its deps.
 STAGES = (
     Stage("ingest", (), ("input:datasets.jsonl", "input:papers.jsonl"), _stage_ingest),
-    Stage("match", ("ingest",), ("datasets.jsonl", "papers.jsonl"), _stage_match),
-    Stage("parse", ("match",), ("datasets.jsonl", "papers.jsonl", "matches.jsonl"), _stage_parse),
-    Stage("generate", ("parse",), ("datasets.jsonl", "aspects.jsonl"), _stage_generate),
+    Stage(
+        "match", ("ingest",), ("datasets.jsonl", "papers.jsonl", "template:relevance.txt"),
+        _stage_match,
+    ),
+    Stage(
+        "parse", ("match",),
+        ("datasets.jsonl", "papers.jsonl", "matches.jsonl",
+         "template:segment.txt", "template:extract.txt", "template:verify.txt"),
+        _stage_parse,
+    ),
+    Stage(
+        "generate", ("parse",),
+        ("datasets.jsonl", "aspects.jsonl",
+         "template:select_types.txt", "template:generate.txt", "template:taxonomy.json"),
+        _stage_generate,
+    ),
     Stage("filter", ("generate",), ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl"), _stage_filter),
     Stage("index", ("parse",), ("datasets.jsonl", "aspects.jsonl"), _stage_index),
-    Stage("bench-retrieval", ("index", "filter"), _BENCH_INPUTS, _stage_bench_retrieval),
-    Stage("bench-qa", ("index", "filter"), _BENCH_INPUTS, _stage_bench_qa),
-    Stage("stats", ("filter",), ("qapairs.jsonl", "verdicts.jsonl"), _stage_stats),
+    Stage(
+        "bench-retrieval", ("index", "filter"), (*_PAIRS, *_INDEX_FILES.values()),
+        _stage_bench_retrieval,
+    ),
+    Stage(
+        "bench-qa", ("index", "filter"),
+        (*_PAIRS, _INDEX_FILES[IndexConfig.WITH_PAPER], "template:cognitive.txt", "template:rag.txt"),
+        _stage_bench_qa,
+    ),
+    Stage("stats", ("filter",), (*_PAIRS, "template:cognitive.txt"), _stage_stats),
     Stage("split", ("filter",), ("datasets.jsonl",), _stage_split),
 )
 
@@ -708,7 +712,9 @@ def _stage_inputs(
     """Manifest label -> file, for every input the stage reads."""
     inputs: dict[str, Path] = {}
     for label in stage.inputs:
-        if not label.startswith(_INPUT):
+        if label.startswith(_TEMPLATE):
+            inputs[label] = template_path(label[len(_TEMPLATE):], config.template_dir)
+        elif not label.startswith(_INPUT):
             inputs[label] = run_dir / label
         elif input_dir is None:
             raise StageError(f"{stage.name} requires --input pointing at the source corpus")
@@ -840,9 +846,9 @@ class Violation:
     message: str
 
 
-def _check_jsonl(path: Path, parse, out: list[Violation], *ids: str):
-    """Parse every line, collecting one violation per malformed line; returns
-    (records, line numbers). Each field named in `ids` must hold a string."""
+def _check_jsonl(path: Path, parse: Callable[[dict], Any], out: list[Violation]):
+    """Parse every line's object with `parse`, collecting one violation per
+    malformed line; returns (parsed rows, line numbers)."""
     records = []
     linenos = []
     with path.open("r", encoding="utf-8") as f:
@@ -857,16 +863,16 @@ def _check_jsonl(path: Path, parse, out: list[Violation], *ids: str):
             try:
                 if not isinstance(obj, dict):
                     raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
-                _require_string_ids(obj, *ids)
                 records.append(parse(obj))
                 linenos.append(lineno)
-            except (RecordError, ValueError, KeyError, TypeError) as exc:
+            except (RecordError, ValueError, TypeError) as exc:
                 out.append(Violation(path.name, lineno, str(exc)))
     return records, linenos
 
 
 def _require_string_ids(row: dict, *keys: str) -> None:
-    """Each of `keys` must hold a string: ids are looked up in sets."""
+    """Each of `keys` must hold a string: ids are looked up in sets.  Only
+    for rows that are not records; `record_from_dict` checks those."""
     for key in keys:
         if key not in row:
             raise RecordError(f"missing field {key}")
@@ -875,13 +881,15 @@ def _require_string_ids(row: dict, *keys: str) -> None:
 
 
 def _match_row(row: dict) -> dict:
+    _require_string_ids(row, "dataset_id", "paper_id")
     if "used" not in row:
         raise RecordError("missing field used")
     return row
 
 
 def _verdict_row(row: dict) -> dict:
-    verdict_from_dict(row)
+    _require_string_ids(row, "pair_id")
+    record_from_dict(FilterVerdict, row)
     return row
 
 
@@ -914,7 +922,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
     if not exists("datasets.jsonl"):
         out.append(Violation("datasets.jsonl", 0, "file missing"))
         return out
-    datasets, ds_lines = _check_jsonl(run_dir / "datasets.jsonl", dataset_from_dict, out, "id")
+    datasets, ds_lines = _check_jsonl(
+        run_dir / "datasets.jsonl", partial(record_from_dict, DatasetRecord), out
+    )
     ds_ids = {}
     for d, lineno in zip(datasets, ds_lines):
         if d.id in ds_ids:
@@ -923,7 +933,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
 
     paper_ids: set[str] = set()
     if exists("papers.jsonl"):
-        papers, p_lines = _check_jsonl(run_dir / "papers.jsonl", paper_from_dict, out, "id")
+        papers, p_lines = _check_jsonl(
+            run_dir / "papers.jsonl", partial(record_from_dict, PaperRecord), out
+        )
         for p, lineno in zip(papers, p_lines):
             if p.id in paper_ids:
                 out.append(Violation("papers.jsonl", lineno, f"duplicate paper id {p.id}"))
@@ -936,9 +948,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                     )
 
     if exists("matches.jsonl"):
-        matches, m_lines = _check_jsonl(
-            run_dir / "matches.jsonl", _match_row, out, "dataset_id", "paper_id"
-        )
+        matches, m_lines = _check_jsonl(run_dir / "matches.jsonl", _match_row, out)
         for row, lineno in zip(matches, m_lines):
             if row["dataset_id"] not in ds_ids:
                 out.append(
@@ -949,7 +959,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
 
     if exists("aspects.jsonl"):
         aspects, a_lines = _check_jsonl(
-            run_dir / "aspects.jsonl", aspect_from_dict, out, "dataset_id", "paper_id"
+            run_dir / "aspects.jsonl", partial(record_from_dict, AspectUnit), out
         )
         for a, lineno in zip(aspects, a_lines):
             if a.dataset_id not in ds_ids:
@@ -960,7 +970,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
     pair_ids: set[str] = set()
     if exists("qapairs.jsonl"):
         pairs, q_lines = _check_jsonl(
-            run_dir / "qapairs.jsonl", qapair_from_dict, out, "id", "dataset_id"
+            run_dir / "qapairs.jsonl", partial(record_from_dict, QAPair), out
         )
         for p, lineno in zip(pairs, q_lines):
             if p.id in pair_ids:
@@ -970,7 +980,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                 out.append(Violation("qapairs.jsonl", lineno, f"unknown dataset {p.dataset_id}"))
 
     if exists("verdicts.jsonl"):
-        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _verdict_row, out, "pair_id")
+        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _verdict_row, out)
         for row, lineno in zip(verdicts, v_lines):
             if row["pair_id"] not in pair_ids:
                 out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {row['pair_id']}"))

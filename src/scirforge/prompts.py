@@ -22,10 +22,20 @@ _PLACEHOLDER = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 _TEXTS: dict[tuple, str] = {}
 
 
+def template_path(name: str, template_dir: Path | None = None) -> Path:
+    """`template_dir/name` when that file exists, else the bundled template:
+    a template directory overrides file by file."""
+    if template_dir:
+        path = Path(template_dir) / name
+        if path.exists():
+            return path
+    return TEMPLATE_DIR / name
+
+
 def load_template(name: str, template_dir: Path | None = None) -> str:
     text = _TEXTS.get((template_dir, name))
     if text is None:
-        path = (Path(template_dir) if template_dir else TEMPLATE_DIR) / name
+        path = template_path(name, template_dir)
         if not path.exists():
             raise FileNotFoundError(f"template not found: {path}")
         text = _TEXTS[template_dir, name] = path.read_text(encoding="utf-8")

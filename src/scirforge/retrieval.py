@@ -296,10 +296,6 @@ class PassageStore:
             passages.extend(chunk_passages(unit.text, chunk_size))
         return cls(passages, **kwargs)
 
-    @property
-    def passages(self) -> tuple[str, ...]:
-        return self._texts
-
     def top_k(self, query: str, k: int) -> list[str]:
         """Top-k passage texts in rank order."""
         ranked = search(self._index, query, k)

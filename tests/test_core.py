@@ -19,17 +19,17 @@ from scirforge.core import (
     SectionLabel,
     SHORT_TYPES,
     answer_form,
-    dataset_from_dict,
-    load_datasets,
+    load_records,
     match_question_type,
-    qapair_from_dict,
     read_jsonl,
+    record_from_dict,
     record_to_dict,
     split_corpus,
     split_sizes,
     word_count,
     write_jsonl,
 )
+from scirforge.retrieval import DocUnit
 
 
 def test_taxonomy_shape():
@@ -167,16 +167,9 @@ def test_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "d.jsonl"
     write_jsonl(path, records)
-    assert load_datasets(path) == records
+    assert load_records(path, DatasetRecord) == records
     rows = list(read_jsonl(path))
     assert rows[0][0] == 1 and rows[1][0] == 2
-
-
-def test_jsonl_duplicate_ids_rejected(tmp_path):
-    path = tmp_path / "d.jsonl"
-    write_jsonl(path, [{"id": "d1", "title": "a"}, {"id": "d1", "title": "b"}])
-    with pytest.raises(RecordError):
-        load_datasets(path)
 
 
 def test_qapair_round_trip_with_verdict():
@@ -191,9 +184,82 @@ def test_qapair_round_trip_with_verdict():
     )
     d = record_to_dict(pair)
     assert d["qtype"] == "Definition" and d["provenance"] == "MetadataOnly"
-    assert qapair_from_dict(d) == pair
+    assert record_from_dict(QAPair, d) == pair
 
 
-def test_dataset_from_dict_defaults():
-    d = dataset_from_dict({"id": "d1", "title": "t"})
+def test_record_from_dict_defaults():
+    d = record_from_dict(DatasetRecord, {"id": "d1", "title": "t"})
     assert d.description == "" and d.topics == () and d.linked_paper_ids == ()
+    assert record_from_dict(PaperRecord, {"id": "p1"}) == PaperRecord("p1", "", ())
+    # Keys the record does not declare are ignored (verdict rows carry pair_id and model).
+    row = {"pair_id": "q1", "delta": 0.5, "decision": "Accept", "conf_with": 0.75,
+           "conf_without": 0.25, "model": "m"}
+    assert record_from_dict(FilterVerdict, row) == FilterVerdict(0.5, Decision.ACCEPT, 0.75, 0.25)
+
+
+# One valid row per record type, with the fields declared `str` and the
+# fields without a default.
+_ROWS = {
+    DatasetRecord: ({"id": "d1", "title": "t"}, ("id", "title", "description"), ("id", "title")),
+    PaperRecord: ({"id": "p1", "title": "t", "segments": [["Method", "x"]]}, ("id", "title"), ("id",)),
+    AspectUnit: (
+        {"dataset_id": "d1", "paper_id": "p1", "aspect": "Methods", "text": "we did x"},
+        ("dataset_id", "paper_id", "text"),
+        ("dataset_id", "paper_id", "aspect", "text"),
+    ),
+    FilterVerdict: (
+        {"delta": 0.5, "decision": "Accept", "conf_with": 0.75, "conf_without": 0.25},
+        (),
+        ("delta", "decision", "conf_with", "conf_without"),
+    ),
+    QAPair: (
+        {"id": "q1", "dataset_id": "d1", "qtype": "Definition", "question": "q?", "answer": "a"},
+        ("id", "dataset_id", "question", "answer"),
+        ("id", "dataset_id", "qtype", "question", "answer"),
+    ),
+    DocUnit: (
+        {"dataset_id": "d1", "source": "Aspect:Methods", "text": "we did x"},
+        ("dataset_id", "source", "text"),
+        ("dataset_id", "source", "text"),
+    ),
+}
+_BAD_ROWS = [
+    (cls, {**row, name: ["x"]}, f"{name} must be a string")
+    for cls, (row, strings, _) in _ROWS.items()
+    for name in strings
+] + [
+    (cls, {k: v for k, v in row.items() if k != name}, f"missing field {name}")
+    for cls, (row, _, required) in _ROWS.items()
+    for name in required
+]
+
+
+@pytest.mark.parametrize("cls", list(_ROWS), ids=lambda cls: cls.__name__)
+def test_record_from_dict_reads_the_valid_row(cls):
+    # So each bad row below fails only for the field it changes.
+    assert isinstance(record_from_dict(cls, _ROWS[cls][0]), cls)
+
+
+@pytest.mark.parametrize(
+    "cls, row, message", _BAD_ROWS, ids=[f"{cls.__name__}-{msg}" for cls, _, msg in _BAD_ROWS]
+)
+def test_record_from_dict_names_the_bad_field(cls, row, message):
+    with pytest.raises(RecordError, match=f"^{message}$"):
+        record_from_dict(cls, row)
+
+
+def test_load_records_names_file_and_line(tmp_path):
+    path = tmp_path / "datasets.jsonl"
+    path.write_text('{"id": "d1", "title": "t"}\n\n{"id": ["x"], "title": "t"}\n', encoding="utf-8")
+    with pytest.raises(RecordError, match=r"^datasets\.jsonl:3: id must be a string$"):
+        load_records(path, DatasetRecord)
+    path.write_text('{"id": "d1", "title": "t"}\nnot json\n', encoding="utf-8")
+    with pytest.raises(RecordError, match=r"^datasets\.jsonl:2: unparseable JSON: "):
+        load_records(path, DatasetRecord)
+    path.write_text('[1, 2]\n', encoding="utf-8")
+    with pytest.raises(RecordError, match=r"^datasets\.jsonl:1: expected a JSON object, got list$"):
+        load_records(path, DatasetRecord)
+    # Errors from the record's own checks get the same prefix.
+    path.write_text('{"id": "d1", "title": ""}\n', encoding="utf-8")
+    with pytest.raises(RecordError, match=r"^datasets\.jsonl:1: dataset d1: title must be nonempty$"):
+        load_records(path, DatasetRecord)

@@ -115,18 +115,20 @@ def test_parse_aspect_draft_headers_and_bullets():
         "Findings: [we saw things.]\n",
         dataset_id="d1",
     )
-    assert draft.get(Aspect.BACKGROUND) == ("first sentence.",)
-    assert draft.get(Aspect.METHODS) == ("step one.", "step two.")
-    assert draft.get(Aspect.DATASET) == ()
-    assert draft.get(Aspect.FINDINGS) == ("we saw things.",)
+    got = dict(draft.candidates)
+    assert got[Aspect.BACKGROUND] == ("first sentence.",)
+    assert got[Aspect.METHODS] == ("step one.", "step two.")
+    assert got[Aspect.DATASET] == ()
+    assert got[Aspect.FINDINGS] == ("we saw things.",)
 
 
 def test_parse_aspect_draft_continuation_lines():
     draft = parse_aspect_draft(
         "Challenges: the probe\nbroke twice.\n\nFindings: fine.", dataset_id="d1"
     )
-    assert draft.get(Aspect.CHALLENGES) == ("the probe broke twice.",)
-    assert draft.get(Aspect.FINDINGS) == ("fine.",)
+    got = dict(draft.candidates)
+    assert got[Aspect.CHALLENGES] == ("the probe broke twice.",)
+    assert got[Aspect.FINDINGS] == ("fine.",)
 
 
 def test_parse_aspect_draft_requires_headers():
@@ -140,8 +142,9 @@ def test_merge_drafts_concatenates():
     d2 = AspectDraft.from_mapping("", "", {Aspect.METHODS: ["b"], Aspect.DATASET: ["c"]})
     merged = merge_drafts([d1, d2], "d1", "p1")
     assert merged.dataset_id == "d1" and merged.paper_id == "p1"
-    assert merged.get(Aspect.METHODS) == ("a", "b")
-    assert merged.get(Aspect.DATASET) == ("c",)
+    got = dict(merged.candidates)
+    assert got[Aspect.METHODS] == ("a", "b")
+    assert got[Aspect.DATASET] == ("c",)
 
 
 def test_format_draft_numbering():
@@ -165,7 +168,7 @@ def test_extract_aspects_round_trip(tmp_path):
         ],
     )
     draft = extract_aspects(DS, "We used quartz sensors in the field.", gw)
-    assert draft.get(Aspect.METHODS) == ("We used quartz sensors.",)
+    assert dict(draft.candidates)[Aspect.METHODS] == ("We used quartz sensors.",)
     with pytest.raises(ValueError):
         extract_aspects(DS, "   ", gw)
 

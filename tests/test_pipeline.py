@@ -1,5 +1,6 @@
 """Stage orchestration, manifest semantics, artifact checks, validator, CLI."""
 import csv
+import dataclasses
 import json
 import random
 import shutil
@@ -15,7 +16,7 @@ import requests
 
 from conftest import FakeResponse
 
-from scirforge import core, pipeline
+from scirforge import core, pipeline, prompts, qagen
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
@@ -87,28 +88,38 @@ def test_stage_context_opens_only_declared_inputs(tmp_path):
 # in every existing run directory.  The fixture config sets filter_labels_path.
 MANIFEST_INPUT_LABELS = {
     "ingest": ["input:datasets.jsonl", "input:papers.jsonl"],
-    "match": ["datasets.jsonl", "papers.jsonl"],
-    "parse": ["datasets.jsonl", "matches.jsonl", "papers.jsonl"],
-    "generate": ["aspects.jsonl", "datasets.jsonl"],
+    "match": ["datasets.jsonl", "papers.jsonl", "template:relevance.txt"],
+    "parse": [
+        "datasets.jsonl",
+        "matches.jsonl",
+        "papers.jsonl",
+        "template:extract.txt",
+        "template:segment.txt",
+        "template:verify.txt",
+    ],
+    "generate": [
+        "aspects.jsonl",
+        "datasets.jsonl",
+        "template:generate.txt",
+        "template:select_types.txt",
+        "template:taxonomy.json",
+    ],
     "filter": ["aspects.jsonl", "datasets.jsonl", "filter_labels", "qapairs.jsonl"],
     "index": ["aspects.jsonl", "datasets.jsonl"],
     "bench-retrieval": [
-        "aspects.jsonl",
-        "datasets.jsonl",
         "index/with_paper.json",
         "index/without_paper.json",
         "qapairs.jsonl",
         "verdicts.jsonl",
     ],
     "bench-qa": [
-        "aspects.jsonl",
-        "datasets.jsonl",
         "index/with_paper.json",
-        "index/without_paper.json",
         "qapairs.jsonl",
+        "template:cognitive.txt",
+        "template:rag.txt",
         "verdicts.jsonl",
     ],
-    "stats": ["qapairs.jsonl", "verdicts.jsonl"],
+    "stats": ["qapairs.jsonl", "template:cognitive.txt", "verdicts.jsonl"],
     "split": ["datasets.jsonl"],
 }
 
@@ -131,7 +142,7 @@ def test_manifest_input_labels(fixture_run):
                 todo.extend(deps[name])
         produced = {path for name in upstream for path in entries[name]["outputs"]}
         for label in stage.inputs:
-            if not label.startswith("input:"):
+            if not label.startswith(("input:", "template:")):
                 assert label in produced, (stage.name, label)
 
 
@@ -140,6 +151,94 @@ def _artifacts(run_dir: Path) -> dict[str, bytes]:
         str(path.relative_to(run_dir)): path.read_bytes()
         for path in sorted(run_dir.rglob("*"))
         if path.is_file() and path.name != "manifest.json"
+    }
+
+
+def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
+    """Each stage opens every run-directory input it declares through
+    ctx.input, and every template or taxonomy it reads is declared."""
+    opened: dict[str, set[str]] = {}
+    templates: dict[str, set[str]] = {}
+    current = []  # the mock backend runs every stage on this thread
+
+    def traced(stage):
+        def run(ctx):
+            current[:] = [stage.name]
+            opened[stage.name], templates[stage.name] = set(), set()
+            stage.run(ctx)
+
+        return dataclasses.replace(stage, run=run)
+
+    real_input, real_template, real_taxonomy = (
+        pipeline.StageContext.input, prompts.load_template, qagen.load_taxonomy
+    )
+
+    def input_(ctx, label):
+        opened[current[0]].add(label)
+        return real_input(ctx, label)
+
+    def load_template(name, template_dir=None):
+        templates[current[0]].add(f"template:{name}")
+        return real_template(name, template_dir)
+
+    def load_taxonomy(path=None):
+        templates[current[0]].add("template:taxonomy.json" if path else "bundled taxonomy")
+        return real_taxonomy(path)
+
+    monkeypatch.setattr(pipeline, "STAGES", tuple(traced(s) for s in STAGES))
+    monkeypatch.setattr(pipeline.StageContext, "input", input_)
+    for module in (prompts, qagen):
+        monkeypatch.setattr(module, "load_template", load_template)
+    for module in (pipeline, qagen):
+        monkeypatch.setattr(module, "load_taxonomy", load_taxonomy)
+
+    run_dir = tmp_path / "run"
+    assert set(run_all(load_config(FIXTURE_CONFIG), run_dir, FIXTURE_DIR).values()) == {"done"}
+    entries = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    for name in STAGE_ORDER:
+        declared = set(entries[name]["inputs"])
+        files = {x for x in declared if not x.startswith("template:")}
+        assert files <= opened[name] <= declared, name
+        assert templates[name] <= declared, name
+
+
+def _fixture_copy(tmp_path: Path, **changes) -> tuple[Path, pipeline.RunConfig]:
+    """The bundled fixture copied to tmp_path/inputs, with top-level config
+    keys replaced by `changes`."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(FIXTURE_DIR, inputs)
+    doc = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+    doc.update(changes)
+    (inputs / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    return inputs, load_config(inputs / "config.json")
+
+
+def test_template_dir_overrides_file_by_file(fixture_run, tmp_path):
+    _, fresh, _ = fixture_run
+    custom = tmp_path / "tpl"
+    custom.mkdir()
+    shutil.copy(TEMPLATE_DIR / "taxonomy.json", custom)
+    inputs, config = _fixture_copy(tmp_path, template_dir=str(custom))
+    run_dir = tmp_path / "run"
+    assert set(run_all(config, run_dir, inputs).values()) == {"done"}
+    assert _artifacts(run_dir) == _artifacts(fresh)
+    inputs_of = pipeline._stage_inputs(
+        next(s for s in STAGES if s.name == "generate"), run_dir, None, config
+    )
+    assert inputs_of["template:taxonomy.json"] == custom / "taxonomy.json"
+    assert inputs_of["template:generate.txt"] == TEMPLATE_DIR / "generate.txt"
+
+
+def test_editing_a_template_reruns_the_stages_that_read_it(tmp_path):
+    custom = tmp_path / "tpl"
+    shutil.copytree(TEMPLATE_DIR, custom)
+    inputs, config = _fixture_copy(tmp_path, template_dir=str(custom))
+    run_dir = tmp_path / "run"
+    run_all(config, run_dir, inputs)
+    rag = custom / "rag.txt"
+    rag.write_text(rag.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert run_all(config, run_dir, inputs) == {
+        name: "done" if name == "bench-qa" else "noop" for name in STAGE_ORDER
     }
 
 
@@ -861,6 +960,27 @@ def test_cli_stage_noop(fixture_run, capsys):
     rc = main(["split", "--config", str(FIXTURE_CONFIG), "--output", str(run_dir)])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "split: noop"
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ('{"id": ["x"], "title": "t"}', "RecordError", "datasets.jsonl:6: id must be a string"),
+        ('{"title": "t"}', "RecordError", "datasets.jsonl:6: missing field id"),
+        ("[1, 2]", "RecordError", "datasets.jsonl:6: expected a JSON object, got list"),
+        ("not json", "RecordError",
+         "datasets.jsonl:6: unparseable JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"id": "ds001", "title": "t"}', "StageError", "duplicate dataset ids in input"),
+    ],
+    ids=["id-not-a-string", "missing-id", "not-an-object", "not-json", "duplicate-id"],
+)
+def test_ingest_reports_a_bad_row_as_json(tmp_path, capsys, row, error, message):
+    inputs, _ = _fixture_copy(tmp_path)
+    with (inputs / "datasets.jsonl").open("a", encoding="utf-8") as f:
+        f.write(row + "\n")
+    argv = ["--config", str(inputs / "config.json"), "--output", str(tmp_path / "run")]
+    assert main(["ingest", *argv, "--input", str(inputs)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
 
 
 def test_cli_reports_errors_as_json(tmp_path, capsys):

@@ -8,19 +8,25 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from scirforge.core import (  # noqa: E402
+    Aspect,
+    AspectUnit,
     DatasetRecord,
     Decision,
     FilterVerdict,
+    PaperRecord,
     Provenance,
     QAPair,
     QuestionType,
-    load_datasets,
-    load_qapairs,
+    SectionLabel,
+    load_records,
     read_jsonl,
+    record_from_dict,
+    record_to_dict,
     split_sizes,
     write_jsonl,
 )
 from scirforge.gateway import BackendConfig, Gateway, PromptRequest, _key  # noqa: E402
+from scirforge.retrieval import DocUnit  # noqa: E402
 
 
 @st.composite
@@ -104,9 +110,42 @@ def test_jsonl_round_trip_property(tmp_path_factory, datasets, pairs):
     tmp = tmp_path_factory.mktemp("jsonl")
     write_jsonl(tmp / "d.jsonl", datasets)
     write_jsonl(tmp / "q.jsonl", pairs)
-    assert load_datasets(tmp / "d.jsonl") == datasets
-    assert load_qapairs(tmp / "q.jsonl") == pairs
+    assert load_records(tmp / "d.jsonl", DatasetRecord) == datasets
+    assert load_records(tmp / "q.jsonl", QAPair) == pairs
     assert [n for n, _ in read_jsonl(tmp / "q.jsonl")] == list(range(1, len(pairs) + 1))
+
+
+_RECORDS = st.one_of(
+    _datasets().filter(bool).map(lambda records: records[0]),
+    st.builds(
+        PaperRecord,
+        id=_TEXT,
+        title=st.text(max_size=30),
+        segments=st.lists(st.tuples(st.sampled_from(SectionLabel), _TEXT), max_size=3),
+    ),
+    st.builds(
+        AspectUnit,
+        dataset_id=st.text(max_size=10),
+        paper_id=st.text(max_size=10),
+        aspect=st.sampled_from(Aspect),
+        text=_NONBLANK,
+    ),
+    _verdicts(),
+    _PAIRS,
+    st.builds(
+        DocUnit,
+        dataset_id=st.text(max_size=10),
+        source=st.sampled_from(["Metadata", *(f"Aspect:{a.value}" for a in Aspect)]),
+        text=_NONBLANK,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+def test_record_round_trip_property(record):
+    # Every record type reads back from its own row through the one reader.
+    assert record_from_dict(type(record), record_to_dict(record)) == record
 
 
 @st.composite

@@ -188,8 +188,10 @@ def test_passage_store_from_index_chunks_units():
     store = PassageStore.from_index(index, chunk_size=3, k1=K1, b=B)
     texts = store.top_k("gauging", 10)
     assert any("gauging" in t for t in texts)
-    # every chunk respects the window size
-    assert all(len(t.split()) <= 3 for t in store.passages)
+    # the store holds the units' chunks, and every chunk respects the window size
+    chunks = [c for u in index.units for c in chunk_passages(u.text, 3)]
+    assert set(texts) <= set(chunks)
+    assert all(len(c.split()) <= 3 for c in chunks)
 
 
 def test_embed_search_matches_cosine_oracle():
