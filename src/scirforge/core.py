@@ -11,7 +11,8 @@ import random
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TypeVar
+from types import UnionType
+from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 R = TypeVar("R")
 
@@ -219,13 +220,9 @@ class PaperRecord:
     def __post_init__(self):
         if not self.id:
             raise RecordError("paper id must be nonempty")
-        segs = []
-        for label, text in self.segments:
-            label = SectionLabel(label)
-            if not text:
-                raise RecordError(f"paper {self.id}: empty segment text")
-            segs.append((label, text))
-        object.__setattr__(self, "segments", tuple(segs))
+        if not all(text for _, text in self.segments):
+            raise RecordError(f"paper {self.id}: empty segment text")
+        object.__setattr__(self, "segments", tuple(self.segments))
 
     def full_text(self) -> str:
         return "\n\n".join(text for _, text in self.segments)
@@ -240,7 +237,6 @@ class AspectUnit:
     word_count: int = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "aspect", Aspect(self.aspect))
         if not self.text.strip():
             raise RecordError("aspect unit text must be nonempty")
         wc = word_count(self.text)
@@ -260,7 +256,6 @@ class FilterVerdict:
     conf_without: float
 
     def __post_init__(self):
-        object.__setattr__(self, "decision", Decision(self.decision))
         expected = Decision.ACCEPT if self.delta > 0 else Decision.REJECT
         if self.decision is not expected:
             raise RecordError(
@@ -279,10 +274,6 @@ class QAPair:
     verdict: FilterVerdict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qtype", QuestionType(self.qtype))
-        object.__setattr__(self, "provenance", Provenance(self.provenance))
-        if isinstance(self.verdict, dict):
-            object.__setattr__(self, "verdict", record_from_dict(FilterVerdict, self.verdict))
         if not self.question.strip() or not self.answer.strip():
             raise RecordError(f"qa pair {self.id}: question and answer must be nonempty")
 
@@ -388,36 +379,108 @@ def read_jsonl(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, row
 
 
-# Per record type: (field, declared as str, has a default), in field order.
+class _Mismatch(Exception):
+    """A JSON value unlike its annotation. The message has a `{}` for where
+    the value is; `path` collects that, innermost first, as the error unwinds."""
+
+    def __init__(self, message: str, *path: str):
+        super().__init__(message)
+        self.path = list(path)
+
+
+# Annotation -> (JSON types that may stand for it, what an error says it must be).
+_SCALARS = {str: (str, "a string"), bool: (bool, "true or false"),
+            int: (int, "an integer"), float: ((int, float), "a number")}
+
+
 @functools.cache
-def _row_fields(cls: type) -> tuple[tuple[str, bool, bool], ...]:
-    return tuple(
-        (
-            f.name,
-            f.type in ("str", str),
-            f.default is not MISSING or f.default_factory is not MISSING,
-        )
-        for f in fields(cls)
-    )
+def _reader(tp: Any) -> Callable[[Any], Any]:
+    """The one JSON type rule, compiled once per annotation into a function
+    that returns a JSON value as `tp` or raises _Mismatch. An int may stand
+    for a float (and becomes one) but a bool never for a number; a list
+    stands for a tuple, item by item; a string for an enum, an object for a
+    dataclass and null for ``X | None``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _SCALARS:
+        types, expected = _SCALARS[tp]
+
+        def read_scalar(value):
+            if isinstance(value, types) and (tp is bool or not isinstance(value, bool)):
+                return float(value) if tp is float else value
+            raise _Mismatch("{} must be " + expected)
+
+        return read_scalar
+    if origin is UnionType:  # X | None
+        read = _reader(next(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else read(value)
+    if origin is tuple:
+        fixed = args[-1] is not Ellipsis
+        readers = [_reader(a) for a in args[: len(args) if fixed else 1]]
+        expected = f"a list of {len(args)} items" if fixed else "a list"
+
+        def read_items(value):
+            if not isinstance(value, (list, tuple)) or fixed and len(value) != len(args):
+                raise _Mismatch("{} must be " + expected)
+            for i, item in enumerate(value):
+                try:
+                    yield readers[i if fixed else 0](item)
+                except _Mismatch as exc:
+                    exc.path.append(f"[{i}]")
+                    raise
+
+        return lambda value: tuple(read_items(value))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {m.value: m for m in tp}
+
+        def read_enum(value):
+            try:
+                return members[value]
+            except (KeyError, TypeError):  # not a member's value, or unhashable
+                raise _Mismatch("{} must be one of " + ", ".join(members)) from None
+
+        return read_enum
+    hints = get_type_hints(tp)  # a dataclass: per field, its reader and whether it has a default
+    plan = [
+        (f.name, _reader(hints[f.name]),
+         f.default is not MISSING or f.default_factory is not MISSING)
+        for f in fields(tp)
+    ]
+
+    def read_record(row):
+        if not isinstance(row, dict):
+            raise _Mismatch("{} must be an object")
+        values = {}
+        for name, read, optional in plan:
+            value = row.get(name, MISSING)
+            if value is MISSING:
+                if optional:
+                    continue
+                raise _Mismatch("missing field {}", "." + name)
+            try:
+                values[name] = read(value)
+            except _Mismatch as exc:
+                exc.path.append("." + name)
+                raise
+        return tp(**values)
+
+    return read_record
+
+
+def json_value(tp: Any, value: Any) -> Any:
+    """`value` read as the annotation `tp` by the one JSON type rule, which
+    reads the config and every record row; a value that does not fit raises
+    a RecordError saying where it is (`verdict.delta must be a number`)."""
+    try:
+        return _reader(tp)(value)
+    except _Mismatch as exc:
+        where = "".join(reversed(exc.path)).lstrip(".")
+        raise RecordError(exc.args[0].format(where or "value")) from None
 
 
 def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
-    """JSON row -> `cls` record: the dataclass is the row schema.
-
-    Keys `cls` does not declare are ignored. A field declared `str` must
-    hold a string (ids are looked up in sets); enums and tuples are
-    coerced by the record's own `__post_init__`.
-    """
-    values = {}
-    for name, is_str, optional in _row_fields(cls):
-        if name not in row:
-            if optional:
-                continue
-            raise RecordError(f"missing field {name}")
-        value = values[name] = row[name]
-        if is_str and not isinstance(value, str):
-            raise RecordError(f"{name} must be a string")
-    return cls(**values)
+    """JSON row -> `cls` record: the dataclass is the row schema. Keys `cls`
+    does not declare are ignored."""
+    return json_value(cls, row)
 
 
 def load_records(path: Path, cls: type[R]) -> list[R]:

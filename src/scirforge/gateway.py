@@ -101,14 +101,20 @@ class BackendConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        # Each message starts with the field it names (the config loader
+        # prefixes `backend.`).
         if self.kind not in ("mock", "http"):
-            raise ValueError(f"backend kind must be mock or http, got {self.kind!r}")
+            raise ValueError(f"kind must be mock or http, got {self.kind!r}")
         if self.kind == "mock" and not self.script_path:
-            raise ValueError("mock backend requires script_path")
+            raise ValueError("script_path must be set for the mock backend")
         if self.kind == "http" and not self.endpoint:
-            raise ValueError("http backend requires endpoint")
+            raise ValueError("endpoint must be set for the http backend")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 

@@ -20,13 +20,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import Embedding, Entailment, RunConfig
 from .core import (
     AspectUnit,
     Decision,
@@ -131,10 +130,7 @@ class StageContext:
         # Worker threads only overlap time spent waiting on an HTTP backend
         # (the main one, or bench-qa's entailment scorer). The mock never
         # waits, so under it threads only add switching cost.
-        self.waits_on_http = "http" in (
-            self.config.backend.kind,
-            self.config.entailment["kind"],
-        )
+        self.waits_on_http = "http" in (self.config.backend.kind, self.config.entailment.kind)
 
     @property
     def gateway(self) -> Gateway:
@@ -146,10 +142,6 @@ class StageContext:
     def close(self) -> None:
         if self._gateway is not None:
             self._gateway.close()
-
-    @property
-    def template_dir(self) -> Path | None:
-        return self.config.template_dir
 
     def input(self, label: str) -> Path:
         if label not in self.inputs:
@@ -177,6 +169,20 @@ class StageContext:
 # ---------------------------------------------------------------------------
 # Stage runners (each reads ctx.input files and writes ctx.output files)
 # ---------------------------------------------------------------------------
+
+
+# The fields of matches.jsonl and verdicts.jsonl rows that stages and `validate`
+# read; a row's other keys are ignored.
+@dataclass(frozen=True)
+class _MatchRow:
+    dataset_id: str
+    paper_id: str
+    used: bool
+
+
+@dataclass(frozen=True)
+class _VerdictRow(FilterVerdict):
+    pair_id: str
 
 
 def _stage_ingest(ctx: StageContext) -> None:
@@ -207,10 +213,10 @@ def _stage_match(ctx: StageContext) -> None:
             d,
             paper,
             ctx.gateway,
-            max_paper_chars=ctx.config.max_paper_chars,
-            template_dir=ctx.template_dir,
+            max_paper_chars=ctx.config.curation.max_paper_chars,
+            template_dir=ctx.config.template_dir,
         )
-        _, truncated = truncate_text(paper.full_text(), ctx.config.max_paper_chars)
+        _, truncated = truncate_text(paper.full_text(), ctx.config.curation.max_paper_chars)
         return {
             "dataset_id": d.id,
             "paper_id": pid,
@@ -228,15 +234,16 @@ def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
     if paper.segments and any(lab is not SectionLabel.NONE for lab, _ in paper.segments):
         sections = list(paper.segments)
     else:
-        sections = list(label_segments(paper.full_text(), ctx.gateway, ctx.template_dir))
+        text = paper.full_text()
+        sections = list(label_segments(text, ctx.gateway, ctx.config.template_dir))
     return [(lab, text) for lab, text in sections if lab is not SectionLabel.NONE]
 
 
 def _stage_parse(ctx: StageContext) -> None:
     datasets = {d.id: d for d in load_records(ctx.input("datasets.jsonl"), DatasetRecord)}
     papers = {p.id: p for p in load_records(ctx.input("papers.jsonl"), PaperRecord)}
-    matches = [row for _, row in read_jsonl(ctx.input("matches.jsonl"))]
-    positive = [(m["dataset_id"], m["paper_id"]) for m in matches if m["used"]]
+    matches = load_records(ctx.input("matches.jsonl"), _MatchRow)
+    positive = [(m.dataset_id, m.paper_id) for m in matches if m.used]
 
     needed = sorted({pid for _, pid in positive})
     sections_by_paper = {
@@ -253,7 +260,7 @@ def _stage_parse(ctx: StageContext) -> None:
             local.append(f"{ds_id}/{pid}: paper has no labeled sections")
             return [], local
         drafts = [
-            extract_aspects(dataset, text, ctx.gateway, ctx.template_dir)
+            extract_aspects(dataset, text, ctx.gateway, ctx.config.template_dir)
             for _, text in sections
         ]
         merged = merge_drafts(drafts, ds_id, pid)
@@ -261,7 +268,7 @@ def _stage_parse(ctx: StageContext) -> None:
             local.append(f"{ds_id}/{pid}: extraction produced no candidates")
             return [], local
         units = verify_aspects(
-            merged, dataset, ctx.gateway, ctx.template_dir, warnings=local
+            merged, dataset, ctx.gateway, ctx.config.template_dir, warnings=local
         )
         return units, local
 
@@ -292,7 +299,7 @@ def _stage_generate(ctx: StageContext) -> None:
     plans_meta = {}
     for d, ds_aspects in grouped:
         plan = plan_generation(
-            d, bool(ds_aspects), ctx.gateway, taxonomy, ctx.template_dir
+            d, bool(ds_aspects), ctx.gateway, taxonomy, ctx.config.template_dir
         )
         context = build_context(d, ds_aspects)
         plans_meta[d.id] = {"mode": plan.mode.value, "total": plan.total()}
@@ -309,9 +316,9 @@ def _stage_generate(ctx: StageContext) -> None:
             ctx.gateway,
             dataset_id=ds_id,
             provenance=mode,
-            temperature=ctx.config.gen_temperature,
-            regen_attempts=ctx.config.regen_attempts,
-            template_dir=ctx.template_dir,
+            temperature=ctx.config.generation.temperature,
+            regen_attempts=ctx.config.generation.regen_attempts,
+            template_dir=ctx.config.template_dir,
             warnings=local,
         )
         return pairs, local
@@ -393,7 +400,7 @@ def _stage_index(ctx: StageContext) -> None:
     datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
     aspects = load_records(ctx.input("aspects.jsonl"), AspectUnit)
     for cfg, name in _INDEX_FILES.items():
-        index = build_index(datasets, aspects, cfg, k1=ctx.config.k1, b=ctx.config.b)
+        index = build_index(datasets, aspects, cfg, k1=ctx.config.bm25.k1, b=ctx.config.bm25.b)
         doc = {
             "config": cfg.value,
             "k1": index.k1,
@@ -425,7 +432,7 @@ def _accepted_pairs(ctx: StageContext) -> list[QAPair]:
 def _bench_pairs(ctx: StageContext) -> list[QAPair]:
     """Accepted pairs, capped by rag.max_pairs; benchmarking none is an error."""
     accepted = _accepted_pairs(ctx)
-    cap = ctx.config.bench_max_pairs
+    cap = ctx.config.rag.max_pairs
     if cap > 0:
         accepted = accepted[:cap]
     if not accepted:
@@ -433,22 +440,22 @@ def _bench_pairs(ctx: StageContext) -> list[QAPair]:
     return accepted
 
 
-def _http_backend(ctx: StageContext, section: dict) -> HttpBackend:
+def _http_backend(ctx: StageContext, section: Embedding | Entailment) -> HttpBackend:
     """HTTP backend for an embedding or entailment config section; transport
     settings (timeout, retries, in-flight cap, API key) come from `backend`."""
     main = ctx.config.backend
-    model = section["model"] or main.model
+    model = section.model or main.model
     return HttpBackend(
-        dataclasses.replace(main, kind="http", endpoint=section["endpoint"], model=model)
+        dataclasses.replace(main, kind="http", endpoint=section.endpoint, model=model)
     )
 
 
 def _embedding_client(ctx: StageContext):
     emb = ctx.config.embedding
-    if not emb["enabled"]:
+    if not emb.enabled:
         return None
-    if emb["kind"] == "mock":
-        return MockEmbeddingClient(dim=int(emb["dim"]))
+    if emb.kind == "mock":
+        return MockEmbeddingClient(dim=emb.dim)
     return _http_backend(ctx, emb)
 
 
@@ -456,8 +463,8 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
     pairs = _bench_pairs(ctx)
     questions = [p.question for p in pairs]
     golds = [p.dataset_id for p in pairs]
-    ks = ctx.config.retrieval_ks
-    cutoff = ctx.config.mrr_cutoff
+    ks = ctx.config.retrieval.ks
+    cutoff = ctx.config.retrieval.mrr_cutoff
     k_max = max(max(ks), cutoff)
 
     indexes = {cfg: load_index(ctx.input(name)) for cfg, name in _INDEX_FILES.items()}
@@ -482,7 +489,7 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
 
     if client is not None:
         query_vectors = client.embed(questions)
-        emb_row: list = [f"embedding-{ctx.config.embedding['kind']}"]
+        emb_row: list = [f"embedding-{ctx.config.embedding.kind}"]
         for cfg in configs:
             index = indexes[cfg]
             unit_vectors = embed_corpus(index, client)
@@ -506,14 +513,14 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
             "n_queries": len(questions),
             # Literal so the report stays byte-identical; dropping it changes the format.
             "kernel_backend": "numpy",
-            "embedding": ctx.config.embedding["kind"] if client else None,
+            "embedding": ctx.config.embedding.kind if client else None,
         },
     )
 
 
 def _entailment_scorer(ctx: StageContext):
     ent = ctx.config.entailment
-    if ent["kind"] == "mock":
+    if ent.kind == "mock":
         return MockBackend(ctx.config.backend.script_path)
     return _http_backend(ctx, ent)
 
@@ -527,11 +534,11 @@ def _stage_bench_qa(ctx: StageContext) -> None:
     accepted = _bench_pairs(ctx)
     with_index = load_index(ctx.input(_INDEX_FILES[IndexConfig.WITH_PAPER]))
     store = PassageStore.from_index(
-        with_index, ctx.config.chunk_size, k1=ctx.config.k1, b=ctx.config.b
+        with_index, ctx.config.rag.chunk_size, k1=ctx.config.bm25.k1, b=ctx.config.bm25.b
     )
     scorer = _entailment_scorer(ctx)
     levels = ctx.pmap(
-        lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.template_dir),
+        lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.config.template_dir),
         accepted,
     )
     level_of = {p.id: lv for p, lv in zip(accepted, levels)}
@@ -540,14 +547,14 @@ def _stage_bench_qa(ctx: StageContext) -> None:
     summary_rows: list[list] = []
     by_level_rows: list[list] = []
     warnings: list[str] = []
-    for k in ctx.config.rag_ks:
+    for k in ctx.config.rag.ks:
         def work(pair: QAPair) -> dict:
             prediction = rag_answer(
                 pair.question,
                 store if k > 0 else None,
                 ctx.gateway,
                 k,
-                ctx.template_dir,
+                ctx.config.template_dir,
                 warnings=warnings,
             )
             record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
@@ -608,7 +615,7 @@ def _stage_stats(ctx: StageContext) -> None:
         ],
     )
     levels = ctx.pmap(
-        lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.template_dir),
+        lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.config.template_dir),
         accepted,
     )
     dist = LevelDistribution.from_levels(levels)
@@ -622,13 +629,13 @@ def _stage_stats(ctx: StageContext) -> None:
 def _stage_split(ctx: StageContext) -> None:
     datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
     train, dev, test = split_corpus(
-        datasets, ctx.config.split_ratios, ctx.config.split_seed
+        datasets, ctx.config.split.ratios, ctx.config.split.seed
     )
     write_json_atomic(
         ctx.output("splits.json"),
         {
-            "ratios": list(ctx.config.split_ratios),
-            "seed": ctx.config.split_seed,
+            "ratios": list(ctx.config.split.ratios),
+            "seed": ctx.config.split.seed,
             "train": sorted(train),
             "dev": sorted(dev),
             "test": sorted(test),
@@ -720,8 +727,8 @@ def _stage_inputs(
             raise StageError(f"{stage.name} requires --input pointing at the source corpus")
         else:
             inputs[label] = input_dir / label[len(_INPUT):]
-    if stage.name == "filter" and config.filter_labels_path is not None:
-        inputs["filter_labels"] = config.filter_labels_path
+    if stage.name == "filter" and config.filter_labels_path:
+        inputs["filter_labels"] = Path(config.filter_labels_path)
     return inputs
 
 
@@ -846,9 +853,9 @@ class Violation:
     message: str
 
 
-def _check_jsonl(path: Path, parse: Callable[[dict], Any], out: list[Violation]):
-    """Parse every line's object with `parse`, collecting one violation per
-    malformed line; returns (parsed rows, line numbers)."""
+def _check_jsonl(path: Path, cls: type, out: list[Violation]):
+    """Read every line's object as a `cls` record, collecting one violation
+    per malformed line; returns (records, line numbers)."""
     records = []
     linenos = []
     with path.open("r", encoding="utf-8") as f:
@@ -863,34 +870,11 @@ def _check_jsonl(path: Path, parse: Callable[[dict], Any], out: list[Violation])
             try:
                 if not isinstance(obj, dict):
                     raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
-                records.append(parse(obj))
+                records.append(record_from_dict(cls, obj))
                 linenos.append(lineno)
             except (RecordError, ValueError, TypeError) as exc:
                 out.append(Violation(path.name, lineno, str(exc)))
     return records, linenos
-
-
-def _require_string_ids(row: dict, *keys: str) -> None:
-    """Each of `keys` must hold a string: ids are looked up in sets.  Only
-    for rows that are not records; `record_from_dict` checks those."""
-    for key in keys:
-        if key not in row:
-            raise RecordError(f"missing field {key}")
-        if not isinstance(row[key], str):
-            raise RecordError(f"{key} must be a string")
-
-
-def _match_row(row: dict) -> dict:
-    _require_string_ids(row, "dataset_id", "paper_id")
-    if "used" not in row:
-        raise RecordError("missing field used")
-    return row
-
-
-def _verdict_row(row: dict) -> dict:
-    _require_string_ids(row, "pair_id")
-    record_from_dict(FilterVerdict, row)
-    return row
 
 
 def validate_outputs(run_dir: Path) -> list[Violation]:
@@ -922,9 +906,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
     if not exists("datasets.jsonl"):
         out.append(Violation("datasets.jsonl", 0, "file missing"))
         return out
-    datasets, ds_lines = _check_jsonl(
-        run_dir / "datasets.jsonl", partial(record_from_dict, DatasetRecord), out
-    )
+    datasets, ds_lines = _check_jsonl(run_dir / "datasets.jsonl", DatasetRecord, out)
     ds_ids = {}
     for d, lineno in zip(datasets, ds_lines):
         if d.id in ds_ids:
@@ -933,9 +915,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
 
     paper_ids: set[str] = set()
     if exists("papers.jsonl"):
-        papers, p_lines = _check_jsonl(
-            run_dir / "papers.jsonl", partial(record_from_dict, PaperRecord), out
-        )
+        papers, p_lines = _check_jsonl(run_dir / "papers.jsonl", PaperRecord, out)
         for p, lineno in zip(papers, p_lines):
             if p.id in paper_ids:
                 out.append(Violation("papers.jsonl", lineno, f"duplicate paper id {p.id}"))
@@ -948,19 +928,15 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                     )
 
     if exists("matches.jsonl"):
-        matches, m_lines = _check_jsonl(run_dir / "matches.jsonl", _match_row, out)
-        for row, lineno in zip(matches, m_lines):
-            if row["dataset_id"] not in ds_ids:
-                out.append(
-                    Violation("matches.jsonl", lineno, f"unknown dataset {row['dataset_id']}")
-                )
-            if row["paper_id"] not in paper_ids:
-                out.append(Violation("matches.jsonl", lineno, f"unknown paper {row['paper_id']}"))
+        matches, m_lines = _check_jsonl(run_dir / "matches.jsonl", _MatchRow, out)
+        for m, lineno in zip(matches, m_lines):
+            if m.dataset_id not in ds_ids:
+                out.append(Violation("matches.jsonl", lineno, f"unknown dataset {m.dataset_id}"))
+            if m.paper_id not in paper_ids:
+                out.append(Violation("matches.jsonl", lineno, f"unknown paper {m.paper_id}"))
 
     if exists("aspects.jsonl"):
-        aspects, a_lines = _check_jsonl(
-            run_dir / "aspects.jsonl", partial(record_from_dict, AspectUnit), out
-        )
+        aspects, a_lines = _check_jsonl(run_dir / "aspects.jsonl", AspectUnit, out)
         for a, lineno in zip(aspects, a_lines):
             if a.dataset_id not in ds_ids:
                 out.append(Violation("aspects.jsonl", lineno, f"unknown dataset {a.dataset_id}"))
@@ -969,9 +945,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
 
     pair_ids: set[str] = set()
     if exists("qapairs.jsonl"):
-        pairs, q_lines = _check_jsonl(
-            run_dir / "qapairs.jsonl", partial(record_from_dict, QAPair), out
-        )
+        pairs, q_lines = _check_jsonl(run_dir / "qapairs.jsonl", QAPair, out)
         for p, lineno in zip(pairs, q_lines):
             if p.id in pair_ids:
                 out.append(Violation("qapairs.jsonl", lineno, f"duplicate pair id {p.id}"))
@@ -980,9 +954,9 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
                 out.append(Violation("qapairs.jsonl", lineno, f"unknown dataset {p.dataset_id}"))
 
     if exists("verdicts.jsonl"):
-        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _verdict_row, out)
-        for row, lineno in zip(verdicts, v_lines):
-            if row["pair_id"] not in pair_ids:
-                out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {row['pair_id']}"))
+        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _VerdictRow, out)
+        for v, lineno in zip(verdicts, v_lines):
+            if v.pair_id not in pair_ids:
+                out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {v.pair_id}"))
 
     return out

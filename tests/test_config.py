@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from scirforge.cli import FIXTURE_DIR
 from scirforge.config import ConfigError, load_config
 
 
@@ -15,8 +16,8 @@ def _config(tmp_path, doc):
 
 def test_defaults_load(tmp_path):
     config = load_config(_config(tmp_path, {}))
-    assert config.split_ratios == (80, 15, 5)
-    assert config.mrr_cutoff == 100
+    assert config.split.ratios == (80, 15, 5)
+    assert config.retrieval.mrr_cutoff == 100
 
 
 def test_negative_split_ratio_rejected(tmp_path):
@@ -59,7 +60,7 @@ def test_value_of_another_type_rejected(tmp_path, doc, key):
 
 def test_int_accepted_where_default_is_float(tmp_path):
     config = load_config(_config(tmp_path, {"bm25": {"k1": 2}, "generation": {"temperature": 0}}))
-    assert config.k1 == 2.0 and config.gen_temperature == 0.0
+    assert config.bm25.k1 == 2.0 and config.generation.temperature == 0.0
 
 
 @pytest.mark.parametrize("section", ["embedding", "entailment"])
@@ -68,7 +69,7 @@ def test_unknown_model_kind_rejected(tmp_path, section):
         load_config(_config(tmp_path, {section: {"kind": "mok"}}))
     doc = {section: {"kind": "http", "endpoint": "http://x.test/v1"}}
     config = load_config(_config(tmp_path, doc))
-    assert getattr(config, section)["kind"] == "http"
+    assert getattr(config, section).kind == "http"
 
 
 @pytest.mark.parametrize(
@@ -97,3 +98,64 @@ def test_config_a_stage_cannot_run_is_rejected_at_load(tmp_path, doc, message):
 
 def test_disabled_http_embedding_needs_no_endpoint(tmp_path):
     load_config(_config(tmp_path, {"embedding": {"kind": "http"}}))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"embedding": {"enabled": True, "dim": 1}}, "embedding.dim must be >= 2"),
+        ({"backend": {"script_path": "s.json", "timeout": 0}}, "backend.timeout must be > 0"),
+        ({"backend": {"script_path": "s.json", "retry_backoff": -0.5}},
+         "backend.retry_backoff must be >= 0"),
+        ({"backend": {"kind": "http"}}, "backend.endpoint must be set for the http backend"),
+        ({"backend": {}}, "backend.script_path must be set for the mock backend"),
+        ({"backend": {"script_path": "s.json", "kind": "grpc"}},
+         "backend.kind must be mock or http, got 'grpc'"),
+        ({"backend": {"script_path": "s.json", "max_retries": -1}},
+         "backend.max_retries must be >= 0"),
+        ({"backend": {"script_path": "s.json", "max_in_flight": 0}},
+         "backend.max_in_flight must be >= 1"),
+    ],
+    ids=["mock-embedding-dim-1", "timeout-0", "negative-backoff", "http-without-endpoint",
+         "mock-without-script", "unknown-kind", "negative-retries", "no-requests-in-flight"],
+)
+def test_config_that_cannot_run_names_its_key(tmp_path, doc, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        load_config(_config(tmp_path, doc))
+
+
+def test_disabled_embedding_ignores_dim(tmp_path):
+    assert load_config(_config(tmp_path, {"embedding": {"dim": 1}})).embedding.dim == 1
+
+
+def test_unknown_key_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"^unknown config key bm25\.'k3'$"):
+        load_config(_config(tmp_path, {"bm25": {"k3": 1}}))
+    with pytest.raises(ConfigError, match=r"^unknown config key 'digest'$"):
+        load_config(_config(tmp_path, {"digest": "x"}))
+
+
+def test_paths_resolve_against_the_config_directory(tmp_path):
+    doc = {"backend": {"script_path": "s.json", "cache_dir": "/abs/cache"}, "template_dir": "tpl"}
+    config = load_config(_config(tmp_path, doc))
+    assert config.backend.script_path == str(tmp_path / "s.json")
+    assert config.backend.cache_dir == "/abs/cache"
+    assert (config.template_dir, config.filter_labels_path) == (str(tmp_path / "tpl"), "")
+
+
+# The digest is an on-disk format: a run directory records it, and one
+# written before the section dataclasses must still resume.
+def test_digest_of_the_bundled_config():
+    digest = load_config(FIXTURE_DIR / "config.json").digest
+    assert digest == "813b98447c67b365473f1c788eb1eac3fd3ec3eddcf45fa2e385c50ed85e3ba1"
+
+
+def test_digest_keeps_the_raw_values(tmp_path):
+    doc = {
+        "backend": {"script_path": "s.json", "timeout": 30},
+        "bm25": {"k1": 2, "b": 1},
+        "generation": {"temperature": 0},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    digest = load_config(tmp_path / "config.json").digest
+    assert digest == "48f011e0c3c89266de09a6f22140f4a58d9e95fd3ad42b13ecc87ee964b2741a"

@@ -1,5 +1,6 @@
 """Core record types, question taxonomy plumbing, splits, and persistence."""
 import random
+import re
 
 import pytest
 
@@ -231,6 +232,25 @@ _BAD_ROWS = [
     (cls, {k: v for k, v in row.items() if k != name}, f"missing field {name}")
     for cls, (row, _, required) in _ROWS.items()
     for name in required
+] + [
+    (cls, {**_ROWS[cls][0], **change}, message)
+    for cls, change, message in [
+        (DatasetRecord, {"linked_paper_ids": "p1"}, "linked_paper_ids must be a list"),
+        (DatasetRecord, {"topics": ["a", 1]}, "topics[1] must be a string"),
+        (AspectUnit, {"word_count": 3.0}, "word_count must be an integer"),
+        (AspectUnit, {"word_count": True}, "word_count must be an integer"),
+        (FilterVerdict, {"delta": True}, "delta must be a number"),
+        (FilterVerdict, {"delta": "0.5"}, "delta must be a number"),
+        (FilterVerdict, {"decision": "Maybe"}, "decision must be one of Accept, Reject"),
+        (QAPair, {"verdict": "Accept"}, "verdict must be an object"),
+        (QAPair, {"verdict": {"delta": "x", "decision": "Accept", "conf_with": 0.5,
+                              "conf_without": 0.5}}, "verdict.delta must be a number"),
+        (QAPair, {"verdict": {"delta": 0.5}}, "missing field verdict.decision"),
+        (PaperRecord, {"segments": [["Method"]]}, "segments[0] must be a list of 2 items"),
+        (PaperRecord, {"segments": [["Method", "x"], ["Results", "y"]]},
+         "segments[1][0] must be one of AbstractIntro, RelatedWork, Method, Experiment,"
+         " Conclusion, None"),
+    ]
 ]
 
 
@@ -244,8 +264,19 @@ def test_record_from_dict_reads_the_valid_row(cls):
     "cls, row, message", _BAD_ROWS, ids=[f"{cls.__name__}-{msg}" for cls, _, msg in _BAD_ROWS]
 )
 def test_record_from_dict_names_the_bad_field(cls, row, message):
-    with pytest.raises(RecordError, match=f"^{message}$"):
+    with pytest.raises(RecordError, match=f"^{re.escape(message)}$"):
         record_from_dict(cls, row)
+
+
+def test_record_from_dict_reads_ints_as_floats_and_lists_as_tuples():
+    row = {"delta": 1, "decision": "Accept", "conf_with": 1, "conf_without": 0}
+    verdict = record_from_dict(FilterVerdict, row)
+    assert [type(getattr(verdict, k)) for k in ("delta", "conf_with", "conf_without")] == [float] * 3
+    pair = record_from_dict(QAPair, {**_ROWS[QAPair][0], "verdict": row})
+    assert pair.verdict == verdict and pair.qtype is QuestionType.DEFINITION
+    assert record_from_dict(QAPair, {**_ROWS[QAPair][0], "verdict": None}).verdict is None
+    paper = record_from_dict(PaperRecord, {"id": "p1", "segments": [["Method", "x"]]})
+    assert paper.segments == ((SectionLabel.METHOD, "x"),)
 
 
 def test_load_records_names_file_and_line(tmp_path):

@@ -1,8 +1,10 @@
 """Property tests: fast paths against the plain versions they replaced.
 
 The bit-parallel LCS against the DP, the argsort ranking against the
-(-score, id) sort, eager BM25 weights against per-unit scoring, and the
-sorted sweep behind the filter curves against the per-threshold loop."""
+(-score, id) sort, eager BM25 weights against per-unit scoring, the
+sorted sweep behind the filter curves against the per-threshold loop, and
+the config sections against the defaults table and merge they replaced."""
+import json
 import math
 import random
 from unittest import mock
@@ -13,7 +15,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import config_oracle  # noqa: E402
 from scirforge import kernels, retrieval  # noqa: E402
+from scirforge.config import load_config  # noqa: E402
 from scirforge.retrieval import (  # noqa: E402
     DocUnit,
     IndexConfig,
@@ -181,3 +185,92 @@ def test_curve_points_matches_threshold_loop(data):
         labels[0] = not labels[0]
     deltas = [d for d, _ in pairs]
     assert curve_points(deltas, labels) == curve_points_oracle(deltas, labels)
+
+
+_NAME = st.text("abz./_-é", max_size=6)
+_SET = _NAME.filter(bool)
+_NUMBER = st.integers(-3, 3) | st.floats(-3.0, 3.0)
+
+
+def _some(required=None, **optional):
+    """A config object with the `required` keys and any subset of the rest."""
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+@st.composite
+def _ratios_list(draw):
+    first = draw(st.integers(0, 100))
+    second = draw(st.integers(0, 100 - first))
+    return [first, second, 100 - first - second]
+
+
+# Configs that load both before and after the section dataclasses.
+_CONFIGS = _some(
+    {
+        "backend": _some(
+            {"script_path": _SET, "endpoint": _SET},
+            kind=st.sampled_from(["mock", "http"]),
+            model=_NAME,
+            api_key_env=_NAME,
+            cache_dir=_NAME,
+            timeout=st.integers(1, 90) | st.floats(0.001, 90.0),
+            max_retries=st.integers(0, 5),
+            retry_backoff=st.integers(0, 2) | st.floats(0.0, 2.0),
+            max_in_flight=st.integers(1, 8),
+        )
+    },
+    template_dir=_NAME,
+    concurrency=st.integers(1, 16),
+    curation=_some(max_paper_chars=st.integers(-5, 50000)),
+    generation=_some(temperature=st.integers(0, 2) | st.floats(0.0, 2.0),
+                     regen_attempts=st.integers(0, 4)),
+    bm25=_some(k1=_NUMBER, b=_NUMBER),
+    split=_some(ratios=_ratios_list(), seed=st.integers(-5, 10**6)),
+    retrieval=_some(ks=st.lists(st.integers(1, 200), min_size=1, max_size=5),
+                    mrr_cutoff=st.integers(1, 200)),
+    rag=_some(ks=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+              chunk_size=st.integers(1, 500), max_pairs=st.integers(-3, 50)),
+    embedding=(
+        _some(enabled=st.booleans(), kind=st.just("mock"), dim=st.integers(2, 64),
+              endpoint=_NAME, model=_NAME)
+        | _some({"kind": st.just("http"), "endpoint": _SET},
+                enabled=st.booleans(), dim=st.integers(-3, 64), model=_NAME)
+        | _some({"enabled": st.just(False)}, kind=st.just("mock"), dim=st.integers(-3, 1))
+    ),
+    entailment=(
+        _some(kind=st.just("mock"), endpoint=_NAME, model=_NAME)
+        | _some({"kind": st.just("http"), "endpoint": _SET}, model=_NAME)
+    ),
+    filter_labels_path=_NAME,
+)
+
+# What the removed RunConfig properties resolved against the config's directory.
+_PATH_KEYS = ("script_path", "cache_dir", "template_dir", "filter_labels_path")
+
+
+def _effective(key, default, value, base):
+    """A merged value as the removed properties returned it."""
+    if key in _PATH_KEYS:
+        return str(base / value) if value else ""
+    if isinstance(default, list):
+        return tuple(value)
+    return type(default)(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_config_sections_match_the_defaults_table_and_merge(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    config = load_config(path)
+    assert config.digest == config_oracle.digest(doc)
+    base = path.parent.resolve()
+    for key, value in config_oracle.merged(doc).items():
+        default = config_oracle.DEFAULTS[key]
+        if isinstance(value, dict):
+            pairs = [(getattr(getattr(config, key), k), _effective(k, default[k], v, base))
+                     for k, v in value.items()]
+        else:
+            pairs = [(getattr(config, key), _effective(key, default, value, base))]
+        for got, want in pairs:
+            assert got == want and type(got) is type(want), (key, got, want)

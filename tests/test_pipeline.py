@@ -868,7 +868,7 @@ def test_validator_flags_tampering(fixture_run, tmp_path):
     "name, line, message",
     [
         ("verdicts.jsonl", '{"pair_id": "p", "delta": "x", "decision": "Accept",'
-         ' "conf_with": 0.5, "conf_without": 0.5}', "not supported"),
+         ' "conf_with": 0.5, "conf_without": 0.5}', "delta must be a number"),
         ("verdicts.jsonl", "[1, 2]", "expected a JSON object, got list"),
         ("verdicts.jsonl", '{"pair_id": ["p"], "delta": 0.5, "decision": "Accept",'
          ' "conf_with": 0.5, "conf_without": 0.5}', "pair_id must be a string"),
@@ -906,6 +906,21 @@ def test_validator_reports_each_malformed_row(
     assert message in violations[0].message
     assert main(["validate", "--output", str(copy)]) == 1
     assert f"{name}:2: " in capsys.readouterr().out
+
+
+def test_parse_names_a_bad_match_row(fixture_run, tmp_path, capsys):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    path = copy / "matches.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])
+    del row["used"]
+    path.write_text("\n".join([json.dumps(row), *lines[1:]]) + "\n", encoding="utf-8")
+    assert main(["parse", "--config", str(FIXTURE_CONFIG), "--output", str(copy)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "RecordError", "message": "matches.jsonl:1: missing field used"
+    }
 
 
 def test_http_sections_inherit_backend_transport(tmp_path):
@@ -971,8 +986,11 @@ def test_cli_stage_noop(fixture_run, capsys):
         ("not json", "RecordError",
          "datasets.jsonl:6: unparseable JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"id": "ds001", "title": "t"}', "StageError", "duplicate dataset ids in input"),
+        ('{"id": "d9", "title": "t", "linked_paper_ids": "p1"}', "RecordError",
+         "datasets.jsonl:6: linked_paper_ids must be a list"),
     ],
-    ids=["id-not-a-string", "missing-id", "not-an-object", "not-json", "duplicate-id"],
+    ids=["id-not-a-string", "missing-id", "not-an-object", "not-json", "duplicate-id",
+         "tuple-field-not-a-list"],
 )
 def test_ingest_reports_a_bad_row_as_json(tmp_path, capsys, row, error, message):
     inputs, _ = _fixture_copy(tmp_path)
@@ -981,6 +999,19 @@ def test_ingest_reports_a_bad_row_as_json(tmp_path, capsys, row, error, message)
     argv = ["--config", str(inputs / "config.json"), "--output", str(tmp_path / "run")]
     assert main(["ingest", *argv, "--input", str(inputs)]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+
+
+def test_config_that_cannot_run_fails_before_any_stage(tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(FIXTURE_DIR, inputs)
+    doc = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+    doc["embedding"] = {"enabled": True, "dim": 1}
+    (inputs / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["all", "--config", str(inputs / "config.json"), "--output", str(tmp_path / "run")]
+    assert main([*argv, "--input", str(inputs)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ConfigError" and err["message"].startswith("embedding.dim ")
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_cli_reports_errors_as_json(tmp_path, capsys):
