@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -146,6 +147,9 @@ def _check(config: RunConfig) -> None:
         (sum(ratios) != 100 or min(ratios) < 0,
          f"split.ratios must be nonnegative and sum to 100, got {list(ratios)}"),
         (config.generation.regen_attempts < 0, "generation.regen_attempts must be >= 0"),
+        # Outside these, BM25 weights can be 0/0; ranks are counted on finite scores.
+        (not 0 <= config.bm25.k1 < math.inf, "bm25.k1 must be finite and >= 0"),
+        (not 0 <= config.bm25.b <= 1, "bm25.b must be in [0, 1]"),
         (config.concurrency < 1, "concurrency must be >= 1"),
         (config.rag.chunk_size < 1, "rag.chunk_size must be >= 1"),
         (not retrieval_ks or min(retrieval_ks) < 1, "retrieval.ks must be positive integers"),

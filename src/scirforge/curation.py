@@ -24,8 +24,6 @@ from .core import (
 from .gateway import Gateway
 from .prompts import ask
 
-DEFAULT_MAX_PAPER_CHARS = 24_000
-
 
 @dataclass(frozen=True)
 class RelevanceVerdict:
@@ -91,7 +89,7 @@ def assess_relevance(
     dataset: DatasetRecord,
     paper: PaperRecord,
     gateway: Gateway,
-    max_paper_chars: int = DEFAULT_MAX_PAPER_CHARS,
+    max_paper_chars: int,
     template_dir: Path | None = None,
 ) -> RelevanceVerdict:
     """Ask whether the paper plausibly used this dataset; parse USED/EXPLANATION."""

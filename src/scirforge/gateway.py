@@ -367,6 +367,8 @@ class HttpBackend:
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != len(texts):
             raise GatewayError("embeddings response shape mismatch")
+        if not np.isfinite(arr).all():
+            raise GatewayError("embeddings response holds a non-finite value")
         norms = np.linalg.norm(arr, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return arr / norms

@@ -37,7 +37,6 @@ from .core import (
     RecordError,
     SectionLabel,
     load_records,
-    read_jsonl,
     record_from_dict,
     record_to_dict,
     split_corpus,
@@ -68,11 +67,12 @@ from .retrieval import (
     Index,
     IndexConfig,
     PassageStore,
-    build_index,
+    doc_units,
     embed_corpus,
     embed_search,
     index_from_units,
     mrr_at,
+    rank_of,
     recall_at_k,
     search,
 )
@@ -397,36 +397,38 @@ _INDEX_FILES = {
 
 
 def _stage_index(ctx: StageContext) -> None:
+    """Write each configuration's units; the stages that search an index
+    build its postings."""
     datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
     aspects = load_records(ctx.input("aspects.jsonl"), AspectUnit)
     for cfg, name in _INDEX_FILES.items():
-        index = build_index(datasets, aspects, cfg, k1=ctx.config.bm25.k1, b=ctx.config.bm25.b)
         doc = {
             "config": cfg.value,
-            "k1": index.k1,
-            "b": index.b,
-            "units": [record_to_dict(u) for u in index.units],
+            "k1": ctx.config.bm25.k1,
+            "b": ctx.config.bm25.b,
+            "units": [record_to_dict(u) for u in doc_units(datasets, aspects, cfg)],
         }
         write_json_atomic(ctx.output(name), doc)
 
 
-def load_index(path: Path) -> Index:
+def _read_index(path: Path) -> tuple[dict, list[DocUnit]]:
+    """An index file's settings and its units, with no postings built."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    units = [record_from_dict(DocUnit, u) for u in doc["units"]]
-    return index_from_units(
-        units, IndexConfig(doc["config"]), k1=doc["k1"], b=doc["b"]
-    )
+    return doc, [record_from_dict(DocUnit, u) for u in doc["units"]]
+
+
+def load_index(path: Path) -> Index:
+    doc, units = _read_index(path)
+    return index_from_units(units, IndexConfig(doc["config"]), k1=doc["k1"], b=doc["b"])
 
 
 def _accepted_pairs(ctx: StageContext) -> list[QAPair]:
     pairs = load_records(ctx.input("qapairs.jsonl"), QAPair)
-    verdicts = {}
-    for _, row in read_jsonl(ctx.input("verdicts.jsonl")):
-        verdicts[row["pair_id"]] = row
+    verdicts = {v.pair_id: v for v in load_records(ctx.input("verdicts.jsonl"), _VerdictRow)}
     missing = [p.id for p in pairs if p.id not in verdicts]
     if missing:
         raise StageError(f"pairs missing verdicts: {missing[:5]}")
-    return [p for p in pairs if verdicts[p.id]["decision"] == Decision.ACCEPT.value]
+    return [p for p in pairs if verdicts[p.id].decision is Decision.ACCEPT]
 
 
 def _bench_pairs(ctx: StageContext) -> list[QAPair]:
@@ -465,9 +467,15 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
     golds = [p.dataset_id for p in pairs]
     ks = ctx.config.retrieval.ks
     cutoff = ctx.config.retrieval.mrr_cutoff
-    k_max = max(max(ks), cutoff)
 
     indexes = {cfg: load_index(ctx.input(name)) for cfg, name in _INDEX_FILES.items()}
+    gold_positions = {}
+    for cfg, index in indexes.items():
+        position = {d: i for i, d in enumerate(index.dataset_ids)}
+        unknown = sorted(set(golds) - position.keys())
+        if unknown:
+            raise StageError(f"{_INDEX_FILES[cfg]} has no units for datasets {unknown[:5]}")
+        gold_positions[cfg] = [position[g] for g in golds]
     client = _embedding_client(ctx)
 
     header = ["method"]
@@ -475,15 +483,15 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
         header += [f"{cfg_label}_r_at_{k}" for k in ks]
         header.append(f"{cfg_label}_mrr_at_{cutoff}")
 
-    # Each query keeps only its gold rank; no ranked list outlives its query.
-    def cells(ranks: list[int | None]) -> list[str]:
+    # Each query keeps only its gold rank; no score vector outlives its query.
+    def cells(ranks: list[int]) -> list[str]:
         return [_fmt(recall_at_k(ranks, k)) for k in ks] + [_fmt(mrr_at(ranks, cutoff))]
 
     configs = (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
     bm25_row: list = ["bm25"]
     for cfg in configs:
         bm25_row += cells(
-            [search(indexes[cfg], q, k_max).rank_of(g) for q, g in zip(questions, golds)]
+            [rank_of(search(indexes[cfg], q), g) for q, g in zip(questions, gold_positions[cfg])]
         )
     rows = [bm25_row]
 
@@ -496,8 +504,8 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
             norms = np.linalg.norm(unit_vectors, axis=1)
             emb_row += cells(
                 [
-                    embed_search(index, unit_vectors, v, k_max, norms).rank_of(g)
-                    for v, g in zip(query_vectors, golds)
+                    rank_of(embed_search(index, unit_vectors, v, norms), g)
+                    for v, g in zip(query_vectors, gold_positions[cfg])
                 ]
             )
         rows.append(emb_row)
@@ -532,9 +540,9 @@ def _share_correct(rows: list[dict]) -> str:
 
 def _stage_bench_qa(ctx: StageContext) -> None:
     accepted = _bench_pairs(ctx)
-    with_index = load_index(ctx.input(_INDEX_FILES[IndexConfig.WITH_PAPER]))
-    store = PassageStore.from_index(
-        with_index, ctx.config.rag.chunk_size, k1=ctx.config.bm25.k1, b=ctx.config.bm25.b
+    _, units = _read_index(ctx.input(_INDEX_FILES[IndexConfig.WITH_PAPER]))
+    store = PassageStore.from_units(
+        units, ctx.config.rag.chunk_size, ctx.config.bm25.k1, ctx.config.bm25.b
     )
     scorer = _entailment_scorer(ctx)
     levels = ctx.pmap(

@@ -204,9 +204,9 @@ def generate_qa(
     n: int,
     gateway: Gateway,
     dataset_id: str,
+    temperature: float,
+    regen_attempts: int,
     provenance: Provenance = Provenance.WITH_PAPER,
-    temperature: float = 0.7,
-    regen_attempts: int = 0,
     template_dir: Path | None = None,
     warnings: list[str] | None = None,
 ) -> list[QAPair]:

@@ -19,9 +19,6 @@ import numpy as np
 from .core import Aspect, AspectUnit, DatasetRecord, PipelineError
 from .gateway import EmbeddingClient
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
-
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -51,26 +48,6 @@ class DocUnit:
             Aspect(aspect)
 
 
-@dataclass(frozen=True)
-class RankedList:
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        ids = [d for d, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("ranked list has duplicate dataset ids")
-        scores = [s for _, s in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("ranked list scores must be non-increasing")
-
-    def rank_of(self, dataset_id: str) -> int | None:
-        """1-based rank, or None when absent."""
-        for i, (d, _) in enumerate(self.entries, start=1):
-            if d == dataset_id:
-                return i
-        return None
-
-
 @dataclass
 class Index:
     config: IndexConfig
@@ -91,13 +68,11 @@ def _okapi_idf(n_units: int, df: int) -> float:
     return math.log((n_units - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def build_index(
+def doc_units(
     datasets: Sequence[DatasetRecord],
     aspects: Sequence[AspectUnit],
     config: IndexConfig,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> Index:
+) -> list[DocUnit]:
     """One metadata unit per dataset; WithPaper adds one unit per aspect."""
     if not datasets:
         raise ValueError("cannot index an empty corpus")
@@ -111,14 +86,11 @@ def build_index(
             if a.dataset_id not in known:
                 raise PipelineError(f"aspect references unknown dataset {a.dataset_id}")
             units.append(DocUnit(a.dataset_id, f"Aspect:{a.aspect.value}", a.text))
-    return index_from_units(units, IndexConfig(config), k1=k1, b=b)
+    return units
 
 
 def index_from_units(
-    units: Sequence[DocUnit],
-    config: IndexConfig,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
+    units: Sequence[DocUnit], config: IndexConfig, k1: float, b: float
 ) -> Index:
     """Weighted postings for a fixed unit list.
 
@@ -174,22 +146,17 @@ def score_units(index: Index, query: str) -> np.ndarray:
     return scores
 
 
-def _rank_datasets(index: Index, unit_scores: np.ndarray, k: int) -> RankedList:
+def _dataset_scores(index: Index, unit_scores: np.ndarray) -> np.ndarray:
     # Every dataset owns at least its metadata unit, so the -inf fill never
     # survives the max-aggregation.
     ds_scores = np.full(len(index.dataset_ids), -np.inf, dtype=np.float64)
     np.maximum.at(ds_scores, index.unit_dataset_idx, unit_scores)
-    # dataset_ids is sorted, so a stable sort breaks score ties by ascending id.
-    order = np.argsort(-ds_scores, kind="stable")[:k]
-    ids = [index.dataset_ids[i] for i in order.tolist()]
-    return RankedList(tuple(zip(ids, ds_scores[order].tolist())))
+    return ds_scores
 
 
-def search(index: Index, query: str, k: int) -> RankedList:
-    """Rank datasets by max unit score, descending, ties by ascending id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _rank_datasets(index, score_units(index, query), k)
+def search(index: Index, query: str) -> np.ndarray:
+    """Each dataset's max unit score, in `index.dataset_ids` order."""
+    return _dataset_scores(index, score_units(index, query))
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +164,32 @@ def search(index: Index, query: str, k: int) -> RankedList:
 # ---------------------------------------------------------------------------
 
 
-def recall_at_k(ranks: Sequence[int | None], k: int) -> float:
-    """Fraction of queries whose gold rank (None when unranked) is at most k."""
+def rank_of(scores: np.ndarray, i: int) -> int:
+    """1-based rank of entry i by score descending, ties by ascending
+    position: i's place in a stable argsort of -scores, for any scores but
+    NaN.  dataset_ids is sorted, so over dataset scores ties break by
+    ascending id."""
+    s = scores[i]
+    return 1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:i] == s))
+
+
+def recall_at_k(ranks: Sequence[int], k: int) -> float:
+    """Fraction of queries whose gold rank is at most k."""
     if not ranks:
         raise ValueError("no ranks to score")
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = 0
-    for rank in ranks:
-        if rank is not None and rank <= k:
-            hits += 1
-    return hits / len(ranks)
+    return sum(1 for rank in ranks if rank <= k) / len(ranks)
 
 
-def mrr_at(ranks: Sequence[int | None], cutoff: int = 100) -> float:
-    """Mean reciprocal gold rank (None when unranked), zero beyond the cutoff."""
+def mrr_at(ranks: Sequence[int], cutoff: int) -> float:
+    """Mean reciprocal gold rank, zero beyond the cutoff."""
     if not ranks:
         raise ValueError("no ranks to score")
+    # A plain loop, because sum() over floats rounds differently from Python 3.12 on.
     total = 0.0
     for rank in ranks:
-        if rank is not None and rank <= cutoff:
+        if rank <= cutoff:
             total += 1.0 / rank
     return total / len(ranks)
 
@@ -235,14 +208,12 @@ def embed_search(
     index: Index,
     unit_vectors: np.ndarray,
     query_vector: np.ndarray,
-    k: int,
     unit_norms: np.ndarray | None = None,
-) -> RankedList:
-    """Cosine ranking of an embedded query, with the same aggregation and
-    tie rules as search.  `unit_norms`, the row norms of `unit_vectors`, is
-    computed when not given; callers ranking many queries pass it once."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+) -> np.ndarray:
+    """Each dataset's max cosine similarity to an embedded query, in
+    `index.dataset_ids` order, as search aggregates BM25.  `unit_norms`, the
+    row norms of `unit_vectors`, is computed when not given; callers
+    scoring many queries pass it once."""
     if unit_vectors.ndim != 2 or unit_vectors.shape[0] != index.n_units:
         raise ValueError("unit_vectors shape does not match the index")
     if query_vector.shape[0] != unit_vectors.shape[1]:
@@ -255,7 +226,7 @@ def embed_search(
     denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
     denom[denom == 0.0] = 1.0
     sims = (unit_vectors @ query_vector) / denom
-    return _rank_datasets(index, sims, k)
+    return _dataset_scores(index, sims)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +234,7 @@ def embed_search(
 # ---------------------------------------------------------------------------
 
 
-def chunk_passages(text: str, chunk_size: int = 100) -> list[str]:
+def chunk_passages(text: str, chunk_size: int) -> list[str]:
     """Non-overlapping windows of whitespace tokens, single-space rejoined."""
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -280,7 +251,7 @@ class PassageStore:
     falls out of the dataset machinery unchanged.
     """
 
-    def __init__(self, passages: Sequence[str], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
+    def __init__(self, passages: Sequence[str], k1: float, b: float):
         self._texts = tuple(p for p in passages if p.strip())
         if not self._texts:
             raise ValueError("no passages to index")
@@ -290,13 +261,18 @@ class PassageStore:
         self._index = index_from_units(units, IndexConfig.WITHOUT_PAPER, k1=k1, b=b)
 
     @classmethod
-    def from_index(cls, index: Index, chunk_size: int = 100, **kwargs) -> "PassageStore":
+    def from_units(
+        cls, units: Sequence[DocUnit], chunk_size: int, k1: float, b: float
+    ) -> "PassageStore":
         passages: list[str] = []
-        for unit in index.units:
+        for unit in units:
             passages.extend(chunk_passages(unit.text, chunk_size))
-        return cls(passages, **kwargs)
+        return cls(passages, k1, b)
 
     def top_k(self, query: str, k: int) -> list[str]:
         """Top-k passage texts in rank order."""
-        ranked = search(self._index, query, k)
-        return [self._texts[int(pid[1:])] for pid, _ in ranked.entries]
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        order = np.argsort(-search(self._index, query), kind="stable")[:k]
+        ids = self._index.dataset_ids
+        return [self._texts[int(ids[i][1:])] for i in order.tolist()]

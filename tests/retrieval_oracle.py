@@ -1,5 +1,6 @@
 """Per-unit BM25 reference that the weighted postings of
-`scirforge.retrieval` are checked against.
+`scirforge.retrieval` are checked against, and the ranking that `rank_of`
+gives a score vector.
 
 A plain module, not hypothesis-gated, so that both `test_retrieval.py` and
 `test_oracle_properties.py` can import it."""
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from scirforge.retrieval import Index, _okapi_idf, tokenize
+from scirforge.retrieval import Index, _okapi_idf, rank_of, tokenize
 
 
 def idf(index: Index, term: str) -> float:
@@ -37,3 +38,12 @@ def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
         norm = index.k1 * (1.0 - index.b + index.b * (lengths[unit_id] / avg))
         score += idf(index, term) * (tf * (index.k1 + 1.0)) / (tf + norm)
     return score
+
+
+def ranking(index: Index, scores) -> list[tuple[str, float]]:
+    """(dataset id, score) for every dataset, in the order of their
+    `rank_of` ranks, which are 1..n for finite scores."""
+    ranks = [rank_of(scores, i) for i in range(len(scores))]
+    assert sorted(ranks) == list(range(1, len(scores) + 1)), ranks
+    order = sorted(range(len(scores)), key=ranks.__getitem__)
+    return [(index.dataset_ids[i], float(scores[i])) for i in order]

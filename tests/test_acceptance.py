@@ -9,6 +9,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from scirforge.cli import FIXTURE_DIR, main
@@ -26,9 +27,10 @@ from scirforge.qagen import plan_generation
 from scirforge.retrieval import (
     IndexConfig,
     DocUnit,
-    RankedList,
-    build_index,
+    doc_units,
+    index_from_units,
     mrr_at,
+    rank_of,
     recall_at_k,
     search,
     tokenize,
@@ -36,6 +38,7 @@ from scirforge.retrieval import (
 from scirforge.seper import answer_confidence, curve_points, delta_seper, evaluate_filter
 
 from conftest import make_gateway
+from retrieval_oracle import ranking
 from test_parsers_adversarial import ERROR, check_case, iter_cases
 
 K1, B = 1.2, 0.75
@@ -226,8 +229,10 @@ def test_criterion_05_bm25_against_bruteforce():
                         " ".join(rng.choices(vocab, k=rng.randrange(1, 8))),
                     )
                 )
-        without = build_index(datasets, aspects, IndexConfig.WITHOUT_PAPER, K1, B)
-        with_p = build_index(datasets, aspects, IndexConfig.WITH_PAPER, K1, B)
+        without, with_p = (
+            index_from_units(doc_units(datasets, aspects, cfg), cfg, K1, B)
+            for cfg in (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
+        )
         assert with_p.n_units <= 50
         checked_units += with_p.n_units
 
@@ -239,25 +244,23 @@ def test_criterion_05_bm25_against_bruteforce():
 
         query = " ".join(rng.choices(vocab + ["zzz"], k=rng.randrange(1, 5)))
         for index in (without, with_p):
-            ranked = search(index, query, k=n_ds)
+            ranked = ranking(index, search(index, query))
             expected = _oracle_bm25_ranking(index.units, tokenize(query))
-            assert [d for d, _ in ranked.entries] == [d for d, _ in expected]
-            for (_, got), (_, want) in zip(ranked.entries, expected):
+            assert [d for d, _ in ranked] == [d for d, _ in expected]
+            for (_, got), (_, want) in zip(ranked, expected):
                 assert abs(got - want) <= 1e-12
     print(f"criterion 5 PASS: 200 corpora ({checked_units} units) match the "
           f"brute-force scorer within 1e-12 with identical tie-broken order")
 
 
 def _random_run(rng):
+    """The counted gold rank among tied-heavy scores, and its place in the
+    (-score, position) sort."""
     n = rng.randrange(2, 12)
-    ids = [f"x{i}" for i in range(n)]
-    gold_rank = rng.randrange(1, n + 2)  # n+1 means absent
-    if gold_rank <= n:
-        ids[gold_rank - 1] = "gold"
-    else:
-        gold_rank = None
-    entries = tuple((d, float(n - i)) for i, d in enumerate(ids))
-    return RankedList(entries).rank_of("gold"), gold_rank
+    scores = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(n)]
+    gold = rng.randrange(n)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    return rank_of(np.array(scores), gold), order.index(gold) + 1
 
 
 def test_criterion_06_rank_metrics():
@@ -268,11 +271,12 @@ def test_criterion_06_rank_metrics():
             run, rank = _random_run(rng)
             runs.append(run)
             ranks.append(rank)
+        assert runs == ranks
         for k in (1, 2, 3, 5, 10, 100):
-            want = sum(1 for r in ranks if r is not None and r <= k) / len(runs)
+            want = sum(1 for r in ranks if r <= k) / len(runs)
             assert abs(recall_at_k(runs, k) - want) <= 1e-12
         for cutoff in (1, 3, 100):
-            want = sum(1.0 / r for r in ranks if r is not None and r <= cutoff) / len(runs)
+            want = sum(1.0 / r for r in ranks if r <= cutoff) / len(runs)
             assert abs(mrr_at(runs, cutoff) - want) <= 1e-12
     monotone = 0
     for _ in range(1000):

@@ -115,9 +115,15 @@ def test_disabled_http_embedding_needs_no_endpoint(tmp_path):
          "backend.max_retries must be >= 0"),
         ({"backend": {"script_path": "s.json", "max_in_flight": 0}},
          "backend.max_in_flight must be >= 1"),
+        # BM25 weights would be 0/0 at k1 = -1, b = 0.
+        ({"bm25": {"k1": -1, "b": 0}}, "bm25.k1 must be finite and >= 0"),
+        ({"bm25": {"k1": float("nan")}}, "bm25.k1 must be finite and >= 0"),
+        ({"bm25": {"b": 1.5}}, r"bm25.b must be in \[0, 1\]"),
+        ({"bm25": {"b": -0.25}}, r"bm25.b must be in \[0, 1\]"),
     ],
     ids=["mock-embedding-dim-1", "timeout-0", "negative-backoff", "http-without-endpoint",
-         "mock-without-script", "unknown-kind", "negative-retries", "no-requests-in-flight"],
+         "mock-without-script", "unknown-kind", "negative-retries", "no-requests-in-flight",
+         "negative-k1", "nan-k1", "b-above-1", "negative-b"],
 )
 def test_config_that_cannot_run_names_its_key(tmp_path, doc, message):
     with pytest.raises(ConfigError, match=f"^{message}"):

@@ -540,6 +540,15 @@ def test_http_embed_normalises_rows(monkeypatch):
         backend.embed(["a", "b", "c"])
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_http_embed_rejects_a_non_finite_value(monkeypatch, value):
+    # Python's JSON parser reads these literals, so the body parses.
+    body = f'{{"data": [{{"embedding": [1.0, {value}]}}]}}'
+    backend, _ = _http(monkeypatch, [FakeResponse(200, body)])
+    with pytest.raises(GatewayError, match="non-finite"):
+        backend.embed(["a"])
+
+
 @pytest.mark.parametrize("score", [-0.1, 1.5])
 def test_http_entail_rejects_a_score_out_of_range(monkeypatch, score):
     backend, _ = _http(monkeypatch, [FakeResponse(200, {"score": score})])

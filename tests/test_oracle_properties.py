@@ -1,9 +1,10 @@
 """Property tests: fast paths against the plain versions they replaced.
 
-The bit-parallel LCS against the DP, the argsort ranking against the
-(-score, id) sort, eager BM25 weights against per-unit scoring, the
-sorted sweep behind the filter curves against the per-threshold loop, and
-the config sections against the defaults table and merge they replaced."""
+The bit-parallel LCS against the DP, rank counting against a stable
+argsort and the (-score, id) sort, eager BM25 weights against per-unit
+scoring, the sorted sweep behind the filter curves against the
+per-threshold loop, and the config sections against the defaults table
+and merge they replaced."""
 import json
 import math
 import random
@@ -23,12 +24,13 @@ from scirforge.retrieval import (  # noqa: E402
     IndexConfig,
     embed_search,
     index_from_units,
+    rank_of,
     score_units,
     search,
     tokenize,
 )
 from scirforge.seper import curve_points  # noqa: E402
-from retrieval_oracle import bm25_score  # noqa: E402
+from retrieval_oracle import bm25_score, ranking  # noqa: E402
 from test_kernels import lcs_oracle  # noqa: E402
 
 
@@ -60,10 +62,29 @@ def test_lcs_matches_dp_on_long_side(seed, alphabet, long_len, short_len):
     assert kernels.lcs_length(b, a) == want
 
 
-def rank_oracle(scores, ids, k):
-    """The ranking rule the argsort replaced: score descending, then id."""
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+def rank_oracle(scores, ids):
+    """The ranking rule: score descending, then id."""
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return [(ids[i], scores[i]) for i in order]
+
+
+# Few distinct values (with both zeros), so most ranks are decided by ties.
+_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_SCORES, min_size=1, max_size=40)
+    | st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=40)
+    | st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+)
+def test_rank_of_matches_stable_argsort(scores):
+    # Every position is checked, so gold first and gold last are among them.
+    scores = np.array(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable").tolist()
+    assert [rank_of(scores, i) for i in range(len(scores))] == [
+        order.index(i) + 1 for i in range(len(scores))
+    ]
 
 
 def _dataset_scores(index, unit_scores):
@@ -75,16 +96,14 @@ def _dataset_scores(index, unit_scores):
 
 def _index(owners):
     units = [DocUnit(f"d{o:02d}", "Metadata", f"unit {u}") for u, o in enumerate(owners)]
-    return index_from_units(units, IndexConfig.WITHOUT_PAPER)
+    return index_from_units(units, IndexConfig.WITHOUT_PAPER, k1=1.2, b=0.75)
 
 
-def _assert_ranking(ranked, want):
-    assert [d for d, _ in ranked.entries] == [d for d, _ in want]
-    assert [s for _, s in ranked.entries] == [s for _, s in want]
-
-
-# Few distinct values, so most rankings are decided by the id tie-break.
-_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+def _assert_scores(index, scores, unit_scores):
+    """Per-dataset max, and the ranking rank_of gives it is the sort's."""
+    want = _dataset_scores(index, unit_scores)
+    assert scores.tolist() == want
+    assert ranking(index, scores) == rank_oracle(want, index.dataset_ids)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,11 +114,9 @@ def test_search_matches_sort_oracle(data):
     unit_scores = np.array(
         data.draw(st.lists(_SCORES, min_size=len(owners), max_size=len(owners)))
     )
-    k = data.draw(st.integers(1, len(index.dataset_ids) + 3))
     with mock.patch.object(retrieval, "score_units", return_value=unit_scores):
-        ranked = search(index, "query", k)
-    want = rank_oracle(_dataset_scores(index, unit_scores), index.dataset_ids, k)
-    _assert_ranking(ranked, want)
+        scores = search(index, "query")
+    _assert_scores(index, scores, unit_scores)
 
 
 def _cosine(row, query):
@@ -119,13 +136,10 @@ def test_embed_search_matches_sort_oracle(data):
     vec = st.lists(st.integers(-1, 2), min_size=3, max_size=3)
     rows = data.draw(st.lists(vec, min_size=len(owners), max_size=len(owners)))
     query = data.draw(vec)
-    k = data.draw(st.integers(1, len(index.dataset_ids) + 3))
-    ranked = embed_search(
-        index, np.array(rows, dtype=np.float64), np.array(query, dtype=np.float64), k
+    scores = embed_search(
+        index, np.array(rows, dtype=np.float64), np.array(query, dtype=np.float64)
     )
-    sims = [_cosine(row, query) for row in rows]
-    want = rank_oracle(_dataset_scores(index, sims), index.dataset_ids, k)
-    _assert_ranking(ranked, want)
+    _assert_scores(index, scores, [_cosine(row, query) for row in rows])
 
 
 _WORDS = ["ice", "core", "river", "gauge", "a", "b", "x1"]
@@ -189,7 +203,6 @@ def test_curve_points_matches_threshold_loop(data):
 
 _NAME = st.text("abz./_-é", max_size=6)
 _SET = _NAME.filter(bool)
-_NUMBER = st.integers(-3, 3) | st.floats(-3.0, 3.0)
 
 
 def _some(required=None, **optional):
@@ -224,7 +237,8 @@ _CONFIGS = _some(
     curation=_some(max_paper_chars=st.integers(-5, 50000)),
     generation=_some(temperature=st.integers(0, 2) | st.floats(0.0, 2.0),
                      regen_attempts=st.integers(0, 4)),
-    bm25=_some(k1=_NUMBER, b=_NUMBER),
+    bm25=_some(k1=st.integers(0, 3) | st.floats(0.0, 3.0),
+               b=st.integers(0, 1) | st.floats(0.0, 1.0)),
     split=_some(ratios=_ratios_list(), seed=st.integers(-5, 10**6)),
     retrieval=_some(ks=st.lists(st.integers(1, 200), min_size=1, max_size=5),
                     mrr_cutoff=st.integers(1, 200)),

@@ -540,13 +540,14 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
 
 
 def test_bench_retrieval_keeps_no_ranked_list(fixture_run, tmp_path, monkeypatch):
-    """Every ranked list is gone before the next query is ranked, on the BM25
-    and the embedding path alike, so memory does not grow with queries x k."""
+    """Every score vector is gone before the next query is scored, on the
+    BM25 and the embedding path alike, so memory does not grow with the
+    number of queries."""
     config, run_dir, _ = fixture_run
     copy = tmp_path / "copy"
     shutil.copytree(run_dir, copy)
     counts = {"search": 0, "embed_search": 0}
-    latest = []  # a weak reference to the ranked list made last
+    latest = []  # a weak reference to the score vector made last
 
     def keeping(name):
         inner = getattr(pipeline, name)
@@ -908,18 +909,23 @@ def test_validator_reports_each_malformed_row(
     assert f"{name}:2: " in capsys.readouterr().out
 
 
-def test_parse_names_a_bad_match_row(fixture_run, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "stage, name, field",
+    [("parse", "matches.jsonl", "used"), ("stats", "verdicts.jsonl", "decision")],
+    ids=["parse", "stats"],
+)
+def test_stage_names_a_bad_row(fixture_run, tmp_path, capsys, stage, name, field):
     _, run_dir, _ = fixture_run
     copy = tmp_path / "copy"
     shutil.copytree(run_dir, copy)
-    path = copy / "matches.jsonl"
+    path = copy / name
     lines = path.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[0])
-    del row["used"]
+    del row[field]
     path.write_text("\n".join([json.dumps(row), *lines[1:]]) + "\n", encoding="utf-8")
-    assert main(["parse", "--config", str(FIXTURE_CONFIG), "--output", str(copy)]) == 1
+    assert main([stage, "--config", str(FIXTURE_CONFIG), "--output", str(copy)]) == 1
     assert json.loads(capsys.readouterr().err) == {
-        "error": "RecordError", "message": "matches.jsonl:1: missing field used"
+        "error": "RecordError", "message": f"{name}:1: missing field {field}"
     }
 
 

@@ -150,6 +150,10 @@ def _entry():
     return load_taxonomy()[QuestionType.DEFINITION]
 
 
+# The generation section's values; generate_qa has no defaults of its own.
+_KNOBS = {"temperature": 0.7, "regen_attempts": 0}
+
+
 def _pairs_json(n):
     return json.dumps(
         [{"question": f"q{i}?", "answer": f"a{i}"} for i in range(1, n + 1)]
@@ -161,7 +165,7 @@ def test_generate_qa_happy_path(tmp_path):
         tmp_path,
         [{"kind": "chat", "stage": "generate", "match": "", "response": _pairs_json(3)}],
     )
-    pairs = generate_qa("ctx", _entry(), 3, gw, dataset_id="d1")
+    pairs = generate_qa("ctx", _entry(), 3, gw, dataset_id="d1", **_KNOBS)
     assert [p.id for p in pairs] == ["d1:definition:1", "d1:definition:2", "d1:definition:3"]
     assert all(p.qtype is QuestionType.DEFINITION for p in pairs)
     assert all(p.provenance is Provenance.WITH_PAPER for p in pairs)
@@ -179,7 +183,7 @@ def test_generate_qa_partial_yield_warns(tmp_path):
         tmp_path, [{"kind": "chat", "stage": "generate", "match": "", "response": response}]
     )
     warnings = []
-    pairs = generate_qa("ctx", _entry(), 3, gw, dataset_id="d1", warnings=warnings)
+    pairs = generate_qa("ctx", _entry(), 3, gw, dataset_id="d1", **_KNOBS, warnings=warnings)
     assert len(pairs) == 1
     assert len(warnings) == 1 and "kept 1" in warnings[0]
 
@@ -189,7 +193,7 @@ def test_generate_qa_truncates_overlong_arrays(tmp_path):
         tmp_path,
         [{"kind": "chat", "stage": "generate", "match": "", "response": _pairs_json(7)}],
     )
-    pairs = generate_qa("ctx", _entry(), 3, gw, dataset_id="d1")
+    pairs = generate_qa("ctx", _entry(), 3, gw, dataset_id="d1", **_KNOBS)
     assert len(pairs) == 3
 
 
@@ -207,7 +211,9 @@ def test_generate_qa_regenerates_on_garbage(tmp_path):
             {"kind": "chat", "stage": "generate", "match": "", "response": "no json here"},
         ],
     )
-    pairs = generate_qa("ctx", _entry(), 2, gw, dataset_id="d1", regen_attempts=1)
+    pairs = generate_qa(
+        "ctx", _entry(), 2, gw, dataset_id="d1", temperature=0.7, regen_attempts=1
+    )
     assert len(pairs) == 2
 
 
@@ -217,7 +223,9 @@ def test_generate_qa_exhausts_attempts(tmp_path):
         [{"kind": "chat", "stage": "generate", "match": "", "response": "still no json"}],
     )
     with pytest.raises(ResponseParseError) as err:
-        generate_qa("ctx", _entry(), 2, gw, dataset_id="d1", regen_attempts=2)
+        generate_qa(
+            "ctx", _entry(), 2, gw, dataset_id="d1", temperature=0.7, regen_attempts=2
+        )
     assert err.value.raw == "still no json"
     with pytest.raises(ValueError):
-        generate_qa("ctx", _entry(), 0, gw, dataset_id="d1")
+        generate_qa("ctx", _entry(), 0, gw, dataset_id="d1", **_KNOBS)

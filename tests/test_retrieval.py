@@ -11,21 +11,25 @@ from scirforge.retrieval import (
     DocUnit,
     IndexConfig,
     PassageStore,
-    RankedList,
-    build_index,
     chunk_passages,
+    doc_units,
     embed_corpus,
     embed_search,
     index_from_units,
     mrr_at,
+    rank_of,
     recall_at_k,
     search,
     tokenize,
 )
 
-from retrieval_oracle import bm25_score, idf
+from retrieval_oracle import bm25_score, idf, ranking
 
 K1, B = 1.2, 0.75
+
+
+def build_index(datasets, aspects, config, k1, b):
+    return index_from_units(doc_units(datasets, aspects, config), config, k1, b)
 
 
 def test_tokenize():
@@ -43,15 +47,6 @@ def test_doc_unit_validation():
         DocUnit("d1", "Aspect:NoSuch", "text")
     with pytest.raises(ValueError):
         DocUnit("d1", "Banner", "text")
-
-
-def test_ranked_list_validation():
-    rl = RankedList((("d1", 2.0), ("d2", 2.0), ("d3", 1.0)))
-    assert rl.rank_of("d2") == 2 and rl.rank_of("missing") is None
-    with pytest.raises(ValueError):
-        RankedList((("d1", 1.0), ("d1", 0.5)))
-    with pytest.raises(ValueError):
-        RankedList((("d1", 1.0), ("d2", 2.0)))
 
 
 DS = [
@@ -111,23 +106,22 @@ def test_search_ranks_and_breaks_ties_ascending():
         DatasetRecord(id="d1", title="same words here", description=""),
     ]
     index = build_index(twins, [], IndexConfig.WITHOUT_PAPER, K1, B)
-    ranked = search(index, "same words", k=2)
-    assert [d for d, _ in ranked.entries] == ["d1", "d2"]
-    assert ranked.entries[0][1] == ranked.entries[1][1]
-    with pytest.raises(ValueError):
-        search(index, "same", k=0)
+    scores = search(index, "same words")
+    assert index.dataset_ids == ("d1", "d2")
+    assert scores[0] == scores[1] > 0
+    assert [rank_of(scores, i) for i in range(2)] == [1, 2]
 
 
 def test_search_dataset_score_is_max_over_units():
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
-    ranked = search(index, "gauging stations discharge", k=2)
-    assert ranked.entries[0][0] == "d2"
+    scores = search(index, "gauging stations discharge")
+    assert ranking(index, scores)[0][0] == "d2"
     unit_best = max(
         bm25_score(index, tokenize("gauging stations discharge"), u)
         for u in range(index.n_units)
         if index.units[u].dataset_id == "d2"
     )
-    assert ranked.entries[0][1] == pytest.approx(unit_best, abs=1e-12)
+    assert scores[index.dataset_ids.index("d2")] == pytest.approx(unit_best, abs=1e-12)
 
 
 def test_index_round_trip_through_units():
@@ -137,32 +131,33 @@ def test_index_round_trip_through_units():
     for term, (ids, weights) in index.postings.items():
         assert clone.postings[term][0].tobytes() == ids.tobytes()
         assert clone.postings[term][1].tobytes() == weights.tobytes()
-    assert search(clone, "ice cores", 2).entries == search(index, "ice cores", 2).entries
+    assert search(clone, "ice cores").tobytes() == search(index, "ice cores").tobytes()
 
 
 def _gold_ranks(ranks):
-    """Gold's rank in ten-entry ranked lists where it lands at each given rank."""
-    out = []
-    for r in ranks:
-        ids = [f"x{i}" for i in range(10)]
-        if r is not None:
-            ids[r - 1] = "gold"
-        entries = tuple((d, float(10 - i)) for i, d in enumerate(ids))
-        out.append(RankedList(entries).rank_of("gold"))
-    return out
+    """Gold's rank among 100 descending scores where it sits at each given rank."""
+    scores = np.arange(100, 0, -1, dtype=np.float64)
+    return [rank_of(scores, r - 1) for r in ranks]
 
 
 def test_recall_at_k_oracle():
-    ranks = _gold_ranks([1, 3, None, 7])
+    ranks = _gold_ranks([1, 3, 50, 7])
+    assert ranks == [1, 3, 50, 7]
     assert recall_at_k(ranks, 1) == pytest.approx(0.25)
     assert recall_at_k(ranks, 3) == pytest.approx(0.5)
     assert recall_at_k(ranks, 10) == pytest.approx(0.75)
 
 
 def test_mrr_oracle_and_cutoff():
-    ranks = _gold_ranks([1, 4, None])
-    assert mrr_at(ranks, 100) == pytest.approx((1.0 + 0.25 + 0.0) / 3)
+    ranks = _gold_ranks([1, 4, 50])
+    assert mrr_at(ranks, 10) == pytest.approx((1.0 + 0.25 + 0.0) / 3)  # rank 50 beyond cutoff
     assert mrr_at(ranks, 3) == pytest.approx((1.0 + 0.0 + 0.0) / 3)  # rank 4 beyond cutoff
+    assert mrr_at(ranks, 100) == pytest.approx((1.0 + 0.25 + 0.02) / 3)
+
+
+def test_rank_of_counts_ties_before_gold():
+    scores = np.array([2.0, 3.0, 2.0, -0.0, 0.0, 2.0])
+    assert [rank_of(scores, i) for i in range(6)] == [2, 1, 3, 5, 6, 4]
 
 
 def test_chunk_passages():
@@ -181,11 +176,13 @@ def test_passage_store_top_k():
     top = store.top_k("ice cores", 1)
     assert top == ["ice cores drilled deep"]
     assert len(store.top_k("ice", 5)) <= 2
+    with pytest.raises(ValueError):
+        store.top_k("ice", 0)
 
 
 def test_passage_store_from_index_chunks_units():
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
-    store = PassageStore.from_index(index, chunk_size=3, k1=K1, b=B)
+    store = PassageStore.from_units(index.units, chunk_size=3, k1=K1, b=B)
     texts = store.top_k("gauging", 10)
     assert any("gauging" in t for t in texts)
     # the store holds the units' chunks, and every chunk respects the window size
@@ -201,16 +198,13 @@ def test_embed_search_matches_cosine_oracle():
     assert vectors.shape == (index.n_units, 12)
     query = "ice drilling"
     qv = client.embed([query])[0]
-    ranked = embed_search(index, vectors, qv, k=2)
+    scores = embed_search(index, vectors, qv)
     sims = vectors @ qv
     best = {}
     for u, sim in enumerate(sims):
         d = index.units[u].dataset_id
         best[d] = max(best.get(d, -np.inf), sim)
-    expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert [d for d, _ in ranked.entries] == [d for d, _ in expected]
-    for (d, s), (ed, es) in zip(ranked.entries, expected):
-        assert s == pytest.approx(es, abs=1e-12)
+    assert scores.tolist() == pytest.approx([best[d] for d in index.dataset_ids], abs=1e-12)
 
 
 def test_random_corpora_against_bruteforce():
@@ -228,9 +222,9 @@ def test_random_corpora_against_bruteforce():
                 aspects.append(AspectUnit(f"d{i}", "p", Aspect.METHODS, text))
         index = build_index(datasets, aspects, IndexConfig.WITH_PAPER, K1, B)
         query = " ".join(rng.choices(vocab, k=3))
-        ranked = search(index, query, k=n_ds)
+        scores = search(index, query)
         terms = tokenize(query)
-        scores = {
+        want = {
             d.id: max(
                 bm25_score(index, terms, u)
                 for u in range(index.n_units)
@@ -238,5 +232,5 @@ def test_random_corpora_against_bruteforce():
             )
             for d in datasets
         }
-        expected = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert [d for d, _ in ranked.entries] == [d for d, _ in expected]
+        expected = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert [d for d, _ in ranking(index, scores)] == [d for d, _ in expected]
