@@ -337,9 +337,14 @@ def _plain(value: Any) -> Any:
     return value
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def record_to_dict(record: Any) -> dict[str, Any]:
     """Dataclass -> JSON-ready dict, preserving field order."""
-    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
+    return {name: _plain(getattr(record, name)) for name in _field_names(type(record))}
 
 
 # `json.dumps` with a non-default argument builds a new encoder per call;
@@ -466,6 +471,11 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
     return read_record
 
 
+def _mismatch_message(exc: _Mismatch) -> str:
+    where = "".join(reversed(exc.path)).lstrip(".")
+    return exc.args[0].format(where or "value")
+
+
 def json_value(tp: Any, value: Any) -> Any:
     """`value` read as the annotation `tp` by the one JSON type rule, which
     reads the config and every record row; a value that does not fit raises
@@ -473,8 +483,7 @@ def json_value(tp: Any, value: Any) -> Any:
     try:
         return _reader(tp)(value)
     except _Mismatch as exc:
-        where = "".join(reversed(exc.path)).lstrip(".")
-        raise RecordError(exc.args[0].format(where or "value")) from None
+        raise RecordError(_mismatch_message(exc)) from None
 
 
 def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
@@ -486,12 +495,15 @@ def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
 def load_records(path: Path, cls: type[R]) -> list[R]:
     """Every row of a JSONL file as a `cls` record; a malformed row raises
     a RecordError naming the file and line."""
+    read = _reader(cls)
     records = []
     for lineno, row in read_jsonl(path):
         try:
             if not isinstance(row, dict):
                 raise RecordError(f"expected a JSON object, got {type(row).__name__}")
-            records.append(record_from_dict(cls, row))
+            records.append(read(row))
+        except _Mismatch as exc:
+            raise RecordError(f"{Path(path).name}:{lineno}: {_mismatch_message(exc)}") from None
         except (RecordError, ValueError, TypeError) as exc:
             raise RecordError(f"{Path(path).name}:{lineno}: {exc}") from exc
     return records

@@ -1,12 +1,13 @@
 """Model access layer: one Gateway in front of interchangeable backends.
 
 The gateway owns the disk cache, keyed by the backend's identity and the
-request fields, and coalesces identical concurrent requests.  The cache is
-one append-only log per cache directory, `cache.log`, one entry per line
-(`<64-hex key>\t<JSON value>\n`), indexed in memory by the byte offset of
-each key's latest line, after Bitcask (Sheehy & Smith, 2010).  Transport
-concerns belong to the transport: HttpBackend caps its in-flight requests
-and retries transient failures with backoff, for every call it makes.
+request fields, and through it coalesces identical concurrent requests.
+The cache is one append-only log per cache directory, `cache.log`, one
+entry per line (`<64-hex key>\t<JSON value>\n`), indexed in memory by the
+byte offset of each key's latest line, after Bitcask (Sheehy & Smith,
+2010).  Transport concerns belong to the transport: HttpBackend caps its
+in-flight requests and retries transient failures with backoff, for every
+call it makes.
 
 Two backends ship here.  HttpBackend talks to an OpenAI-style server (chat
 completions for generation, echo+logprobs completions for teacher-forced
@@ -147,6 +148,9 @@ class _ScriptEntry:
     score_value: float = 0.0
 
 
+_SCRIPT_KINDS = ("chat", "score", "entail")
+
+
 def _load_script(data: bytes, path: Path) -> list[_ScriptEntry]:
     raw = json.loads(data.decode("utf-8"))
     if not isinstance(raw, list):
@@ -154,7 +158,7 @@ def _load_script(data: bytes, path: Path) -> list[_ScriptEntry]:
     entries = []
     for i, e in enumerate(raw):
         kind = e.get("kind", "")
-        if kind not in ("chat", "score", "entail"):
+        if kind not in _SCRIPT_KINDS:
             raise GatewayError(f"{path}[{i}]: unknown kind {kind!r}")
         pattern = re.compile(e.get("match", ""), re.DOTALL)
         if kind == "chat":
@@ -204,26 +208,35 @@ def _substitute(template: str, m: re.Match, text: str) -> str:
 
 
 class MockBackend:
-    """Replays canned responses from a script; first matching entry wins.
+    """Replays canned responses from a script.
 
     Entries match on (kind, stage, regex over the request text).  An entry
-    with an empty stage applies to every stage.  Chat responses may use
-    {m1}..{mN} for regex groups and {digest} for a short hash of the matched
-    text.  Score entries give either a single confidence c (every token gets
+    with an empty stage applies to every stage.  Among the entries for the
+    call's kind and stage, the first match in file order wins.  Chat
+    responses may use {m1}..{mN} for regex groups and {digest} for a short
+    hash of the matched text.  Score entries give either a single confidence c (every token gets
     logprob ln(c)) or an explicit per-token logprob list.
     """
 
     def __init__(self, script_path: str | Path):
         data = Path(script_path).read_bytes()
         self.identity = "mock:" + hashlib.sha256(data).hexdigest()
-        self._entries = _load_script(data, Path(script_path))
+        entries = _load_script(data, Path(script_path))
+        # The entries a call of (kind, stage) may match, in file order, for
+        # every stage the script names; (kind, "") holds the stage-less
+        # entries, which are all that any other stage may match. Built here
+        # and only read afterwards, so concurrent callers share them freely.
+        self._routes = {
+            (kind, stage): tuple(e for e in entries if e.kind == kind and e.stage in ("", stage))
+            for kind, stage in {(e.kind, e.stage) for e in entries}
+            | {(k, "") for k in _SCRIPT_KINDS}
+        }
 
     def _find(self, kind: str, stage: str, text: str) -> tuple[_ScriptEntry, re.Match]:
-        for entry in self._entries:
-            if entry.kind != kind:
-                continue
-            if entry.stage and entry.stage != stage:
-                continue
+        route = self._routes.get((kind, stage))
+        if route is None:
+            route = self._routes[kind, ""]
+        for entry in route:
             m = entry.pattern.search(text)
             if m:
                 return entry, m
@@ -402,14 +415,18 @@ T = TypeVar("T")
 
 
 class Gateway:
-    """Caching, coalescing front door to a backend."""
+    """Caching, coalescing front door to a backend.
+
+    With a cache, identical concurrent requests reach the backend once.
+    Without one there is nothing to coalesce: each request goes straight to
+    the backend, and identical ones may be in flight together."""
 
     def __init__(self, backend: Backend, config: BackendConfig):
         self._backend = backend
         self._config = config
-        # One lock per two-hex-digit key prefix, or per request hash mod 256
-        # without a cache: identical requests take turns, and at 4 workers a
-        # request waits on an unrelated one under 1.2 % of the time (3/256).
+        # One lock per two-hex-digit cache key prefix: identical requests take
+        # turns, and at 4 workers a request waits on an unrelated one under
+        # 1.2 % of the time (3/256).
         self._locks = tuple(threading.Lock() for _ in range(256))
         self._guard = threading.Lock()
         self.cache_hits = 0
@@ -450,14 +467,12 @@ class Gateway:
 
     # -- the request paths ---------------------------------------------
 
-    def _uncached(self, request_hash: int, fetch: Callable[[], T]) -> T:
-        """`fetch()`'s value, with no cache key built and nothing stored.
-
-        Identical requests hash alike, so they still take turns."""
-        with self._locks[request_hash & 255]:
-            with self._guard:
-                self.backend_calls += 1
-            return fetch()
+    def _uncached(self, fetch: Callable[[], T]) -> T:
+        """`fetch()`'s value, with no cache key built, no key lock taken and
+        nothing stored."""
+        with self._guard:
+            self.backend_calls += 1
+        return fetch()
 
     def _cached(self, key: bytes, fields: tuple[str, ...], fetch: Callable[[], dict]) -> dict:
         """The value cached under `key`, else `fetch()`'s value, appended to
@@ -532,7 +547,7 @@ class Gateway:
 
     def complete(self, request: PromptRequest, stage: str = "") -> str:
         if self._log is None:
-            return self._uncached(hash(request), lambda: self._backend.complete(request, stage))
+            return self._uncached(lambda: self._backend.complete(request, stage))
 
         def fetch() -> dict:
             return {"response": self._backend.complete(request, stage)}
@@ -549,10 +564,7 @@ class Gateway:
             raise ValueError("continuation must be nonempty")
         model = self._config.model
         if self._log is None:
-            return self._uncached(
-                hash((model, context, continuation)),
-                lambda: self._backend.score(context, continuation, model, stage),
-            )
+            return self._uncached(lambda: self._backend.score(context, continuation, model, stage))
 
         def fetch() -> dict:
             scored = self._backend.score(context, continuation, model, stage)

@@ -122,6 +122,8 @@ class StageContext:
     run_dir: Path
     inputs: dict[str, Path] = dataclasses.field(default_factory=dict)
     outputs: list[Path] = dataclasses.field(default_factory=list, init=False)
+    # Warnings that no artifact holds; the stage's manifest entry lists them.
+    warnings: list[str] = dataclasses.field(default_factory=list, init=False)
 
     def __post_init__(self):
         self._gateway: Gateway | None = None
@@ -554,17 +556,23 @@ def _stage_bench_qa(ctx: StageContext) -> None:
     eval_rows: list[dict] = []
     summary_rows: list[list] = []
     by_level_rows: list[list] = []
-    warnings: list[str] = []
     for k in ctx.config.rag.ks:
+        # Warnings by pair id, listed in pair order whatever order workers
+        # finish in; most questions raise none.
+        shortfalls: dict[str, list[str]] = {}
+
         def work(pair: QAPair) -> dict:
+            local: list[str] = []
             prediction = rag_answer(
                 pair.question,
                 store if k > 0 else None,
                 ctx.gateway,
                 k,
                 ctx.config.template_dir,
-                warnings=warnings,
+                warnings=local,
             )
+            if local:
+                shortfalls[pair.id] = local
             record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
             row = record_to_dict(record)
             row["k"] = k
@@ -572,6 +580,7 @@ def _stage_bench_qa(ctx: StageContext) -> None:
             return row
 
         rows = ctx.pmap(work, accepted)
+        ctx.warnings.extend(w for p in accepted for w in shortfalls.get(p.id, ()))
         eval_rows.extend(rows)
 
         accuracy = _share_correct(rows)
@@ -826,6 +835,7 @@ def run_stage(
             },
             "started_at": started,
             "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            **({"warnings": ctx.warnings} if ctx.warnings else {}),
             **extra,
         }
         write_json_atomic(manifest_path, manifest)

@@ -2,11 +2,12 @@
 
 Templates are plain text files with {lowercase_name} placeholders.  Braces
 that do not wrap a lowercase identifier (JSON examples, set notation) pass
-through untouched, which is why rendering is regex-based rather than
-str.format.
+through untouched, which is why templates are split by a regex rather than
+rendered with str.format.
 """
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 
@@ -42,13 +43,24 @@ def load_template(name: str, template_dir: Path | None = None) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=256)
+def _split(template: str) -> tuple[str, ...]:
+    """The template as literal text and placeholder names, alternating:
+    literals at even positions, names at odd ones."""
+    return tuple(_PLACEHOLDER.split(template))
+
+
 def render(template: str, **values: str) -> str:
     """Substitute every {name} placeholder; missing values are an error."""
-    found = set(_PLACEHOLDER.findall(template))
-    missing = found - set(values)
-    if missing:
-        raise KeyError(f"template placeholders without values: {sorted(missing)}")
-    return _PLACEHOLDER.sub(lambda m: str(values[m.group(1)]), template)
+    parts = _split(template)
+    out = list(parts)
+    try:
+        for i in range(1, len(out), 2):
+            out[i] = str(values[out[i]])
+    except KeyError:
+        missing = set(parts[1::2]) - set(values)
+        raise KeyError(f"template placeholders without values: {sorted(missing)}") from None
+    return "".join(out)
 
 
 def ask(gateway: Gateway, stage: str, template_dir: Path | None = None, **values: str) -> str:

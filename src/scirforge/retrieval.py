@@ -147,6 +147,13 @@ def score_units(index: Index, query: str) -> np.ndarray:
 
 
 def _dataset_scores(index: Index, unit_scores: np.ndarray) -> np.ndarray:
+    if index.n_units == len(index.dataset_ids):
+        # Every dataset owns a unit, so with as many units as datasets each
+        # owns exactly one (a metadata-only index, the passage store): its
+        # score is that unit's, and one scatter places it.
+        ds_scores = np.empty(index.n_units, dtype=np.float64)
+        ds_scores[index.unit_dataset_idx] = unit_scores
+        return ds_scores
     # Every dataset owns at least its metadata unit, so the -inf fill never
     # survives the max-aggregation.
     ds_scores = np.full(len(index.dataset_ids), -np.inf, dtype=np.float64)
@@ -270,9 +277,19 @@ class PassageStore:
         return cls(passages, k1, b)
 
     def top_k(self, query: str, k: int) -> list[str]:
-        """Top-k passage texts in rank order."""
+        """Top-k passage texts in rank order: the first k of a stable sort by
+        descending score, so equal scores keep passage order."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        order = np.argsort(-search(self._index, query), kind="stable")[:k]
+        neg = -search(self._index, query)
+        if k >= len(neg):
+            order = np.argsort(neg, kind="stable")
+        else:
+            # Only passages scoring at least the k-th best can be among the
+            # top k; sorting those, in passage order, ranks them as the full
+            # sort would.
+            kth = np.partition(neg, k - 1)[k - 1]
+            candidates = np.flatnonzero(neg <= kth)
+            order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
         ids = self._index.dataset_ids
         return [self._texts[int(ids[i][1:])] for i in order.tolist()]

@@ -85,14 +85,23 @@ def test_mock_stage_and_order(tmp_path):
     gw = make_gateway(
         tmp_path,
         [
+            {"kind": "score", "match": "ping", "confidence": 0.5},
             {"kind": "chat", "stage": "alpha", "match": "ping", "response": "stage hit"},
             {"kind": "chat", "match": "ping", "response": "generic hit"},
+            {"kind": "chat", "stage": "beta", "match": "p", "response": "beta hit"},
         ],
     )
     assert gw.complete(req("ping"), stage="alpha") == "stage hit"
+    # The first match in file order wins: a stage-less entry before a
+    # stage's own entry shadows it, and an entry of another kind never matches.
     assert gw.complete(req("ping"), stage="beta") == "generic hit"
-    with pytest.raises(ScriptMatchError):
-        gw.complete(req("pong"), stage="beta")
+    assert gw.complete(req("ping"), stage="gamma") == "generic hit"
+    assert gw.complete(req("ping")) == "generic hit"
+    assert gw.complete(req("pong"), stage="beta") == "beta hit"
+    assert gw.score_continuation("ping", " x", stage="alpha").logprobs == (math.log(0.5),)
+    for stage in ("alpha", "gamma", ""):
+        with pytest.raises(ScriptMatchError):
+            gw.complete(req("pong"), stage=stage)
 
 
 def test_mock_substitution(tmp_path):
@@ -400,14 +409,71 @@ def test_key_locks_under_contention(tmp_path, closing, cache):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # identical requests never reach the backend at the same time ...
-    assert backend.overlaps == 0
     if cache:
-        # ... and with a cache they coalesce to one backend call per key
+        # identical requests never reach the backend at the same time, and
+        # they coalesce to one backend call per key
+        assert backend.overlaps == 0
         assert backend.calls == n_keys
         assert gw.cache_hits == n_threads * rounds - n_keys
     else:
-        assert backend.calls == n_threads * rounds
+        # without a cache there is nothing to coalesce: every request is
+        # one backend call, counted once
+        assert backend.calls == gw.backend_calls == n_threads * rounds
+
+
+def test_uncached_mock_calls_under_contention(tmp_path, closing):
+    """Unlocked uncached path: every call is counted and routed as alone."""
+    gw = closing(make_gateway(
+        tmp_path,
+        [
+            {"kind": "chat", "stage": "alpha", "match": r"q(\d)", "response": "alpha {m1}"},
+            {"kind": "chat", "match": r"q([0-4])", "response": "any {m1}"},
+            {"kind": "chat", "stage": "beta", "match": r"q(\d)", "response": "beta {m1}"},
+            {"kind": "score", "stage": "beta", "match": "q", "confidence": 0.5},
+            {"kind": "score", "match": "", "confidence": 0.25},
+        ],
+    ))
+    stages = ("alpha", "beta", "gamma")
+
+    def want(stage, i):
+        if stage == "alpha":
+            return f"alpha {i}"
+        return f"any {i}" if i < 5 else (f"beta {i}" if stage == "beta" else None)
+
+    n_threads, rounds = 8, 150
+    results: list[list] = [[] for _ in range(n_threads)]
+    errors = []
+
+    def work(seed):
+        try:
+            for r in range(rounds):
+                stage, i = stages[(seed + r) % 3], (seed * 7 + r) % 10
+                if want(stage, i) is None:
+                    stage = "alpha"
+                got = gw.complete(req(f"q{i}"), stage=stage)
+                lp = gw.score_continuation(f"q{i}", " t", stage=stage).logprobs[0]
+                results[seed].append((stage, i, got, lp))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [len(r) for r in results] == [rounds] * n_threads
+    for stage, i, got, lp in (row for rows in results for row in rows):
+        assert got == want(stage, i)
+        assert lp == math.log(0.5 if stage == "beta" else 0.25)
+    assert gw.backend_calls == 2 * n_threads * rounds
+    assert gw.cache_hits == 0
 
 
 def _http(monkeypatch, replies, **config):

@@ -1,10 +1,11 @@
 """Property tests: fast paths against the plain versions they replaced.
 
-The bit-parallel LCS against the DP, rank counting against a stable
-argsort and the (-score, id) sort, eager BM25 weights against per-unit
-scoring, the sorted sweep behind the filter curves against the
-per-threshold loop, and the config sections against the defaults table
-and merge they replaced."""
+The bit-parallel LCS against the DP, pre-split template rendering against
+regex substitution, rank counting and the passage store's partial top-k
+against a stable argsort and the (-score, id) sort, eager BM25 weights
+against per-unit scoring, the sorted sweep behind the filter curves
+against the per-threshold loop, and the config sections against the
+defaults table and merge they replaced."""
 import json
 import math
 import random
@@ -17,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import config_oracle  # noqa: E402
-from scirforge import kernels, retrieval  # noqa: E402
+from scirforge import kernels, prompts, retrieval  # noqa: E402
 from scirforge.config import load_config  # noqa: E402
 from scirforge.retrieval import (  # noqa: E402
     DocUnit,
@@ -70,14 +71,16 @@ def rank_oracle(scores, ids):
 
 # Few distinct values (with both zeros), so most ranks are decided by ties.
 _SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
+# Tie-heavy vectors, all-zero vectors, or any float but NaN.
+_SCORE_VECTORS = (
     st.lists(_SCORES, min_size=1, max_size=40)
     | st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=40)
     | st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCORE_VECTORS)
 def test_rank_of_matches_stable_argsort(scores):
     # Every position is checked, so gold first and gold last are among them.
     scores = np.array(scores, dtype=np.float64)
@@ -109,7 +112,12 @@ def _assert_scores(index, scores, unit_scores):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_search_matches_sort_oracle(data):
-    owners = data.draw(st.lists(st.integers(0, 11), min_size=1, max_size=30))
+    # A permutation gives each dataset one unit, so search takes its
+    # scatter path; other lists give some datasets several units.
+    owners = data.draw(
+        st.lists(st.integers(0, 11), min_size=1, max_size=30)
+        | st.integers(1, 12).flatmap(lambda n: st.permutations(range(n)))
+    )
     index = _index(owners)
     unit_scores = np.array(
         data.draw(st.lists(_SCORES, min_size=len(owners), max_size=len(owners)))
@@ -117,6 +125,20 @@ def test_search_matches_sort_oracle(data):
     with mock.patch.object(retrieval, "score_units", return_value=unit_scores):
         scores = search(index, "query")
     _assert_scores(index, scores, unit_scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCORE_VECTORS, st.sampled_from(["1", "n-1", "n", "n+1"]))
+def test_top_k_matches_stable_argsort(scores, which):
+    # Partial selection below n, the full sort at k >= n.
+    n = len(scores)
+    k = max(1, {"1": 1, "n-1": n - 1, "n": n, "n+1": n + 1}[which])
+    texts = [f"passage {i}" for i in range(n)]
+    store = retrieval.PassageStore(texts, k1=1.2, b=0.75)
+    scores = np.array(scores, dtype=np.float64)
+    with mock.patch.object(retrieval, "search", return_value=scores):
+        got = store.top_k("query", k)
+    assert got == [texts[i] for i in np.argsort(-scores, kind="stable")[:k]]
 
 
 def _cosine(row, query):
@@ -140,6 +162,31 @@ def test_embed_search_matches_sort_oracle(data):
         index, np.array(rows, dtype=np.float64), np.array(query, dtype=np.float64)
     )
     _assert_scores(index, scores, [_cosine(row, query) for row in rows])
+
+
+def _render_by_regex(template, **values):
+    """The regex substitution the pre-split templates replaced."""
+    missing = set(prompts._PLACEHOLDER.findall(template)) - set(values)
+    if missing:
+        raise KeyError(f"template placeholders without values: {sorted(missing)}")
+    return prompts._PLACEHOLDER.sub(lambda m: str(values[m.group(1)]), template)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["{a}", "{b_1}", "{B}", "{1a}", "{", "}", "{}", "x", " ", "{{a}}"]))
+    .map("".join),
+    st.dictionaries(st.sampled_from(["a", "b_1", "c"]), st.sampled_from(["", "v", "{a}"])),
+)
+def test_render_matches_regex_substitution(template, values):
+    try:
+        want = _render_by_regex(template, **values)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as got:
+            prompts.render(template, **values)
+        assert got.value.args == exc.args
+    else:
+        assert prompts.render(template, **values) == want
 
 
 _WORDS = ["ice", "core", "river", "gauge", "a", "b", "x1"]

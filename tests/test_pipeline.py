@@ -669,6 +669,23 @@ def test_manifest_records_outputs(fixture_run):
     assert split_entry["outputs"]["splits.json"] == file_digest(run_dir / "splits.json")
 
 
+def test_bench_qa_records_passage_shortfalls_in_the_manifest(fixture_run, tmp_path):
+    _, fresh, _ = fixture_run
+    stages = json.loads((fresh / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert not [name for name, entry in stages.items() if "warnings" in entry]
+
+    # The demo's WithPaper index holds far fewer than 5000 passages.
+    config = load_config(_fixture_config(tmp_path / "inputs", rag={"ks": [0, 2, 5000]}))
+    run_dir = tmp_path / "run"
+    run_all(config, run_dir, tmp_path / "inputs")
+    stages = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert [name for name, entry in stages.items() if "warnings" in entry] == ["bench-qa"]
+    warnings = stages["bench-qa"]["warnings"]
+    assert len(warnings) == 172  # one per benchmarked question, for k = 5000 only
+    assert all(w.startswith("wanted 5000 passages, only ") for w in warnings)
+    assert len({w.split(" available for ")[0] for w in warnings}) == 1
+
+
 def test_rerun_is_noop(fixture_run):
     config, run_dir, _ = fixture_run
     statuses = run_all(config, run_dir, FIXTURE_DIR)

@@ -6,7 +6,7 @@ from conftest import make_gateway
 from scirforge.core import CognitiveLevel
 from scirforge.evalqa import classify_cognitive_level
 from scirforge.gateway import BackendConfig, Gateway
-from scirforge.prompts import TEMPLATE_DIR, ask, load_template
+from scirforge.prompts import TEMPLATE_DIR, ask, load_template, render
 
 
 def test_custom_template_dir_wins_over_bundled(tmp_path):
@@ -65,3 +65,15 @@ def test_ask_sends_stage_template_as_one_user_message(tmp_path):
     assert stage == "rag"
     assert request.messages == (("user", "Q: why? P: none"),)
     assert request.model_name == "m1" and request.temperature == 0.0
+
+
+def test_render_fills_names_and_passes_other_braces_through():
+    template = 'JSON {"a": 1} {set} {Upper} {} {{question}} {question}{passages}{question}'
+    assert render(template, question="Q", passages="P", set="S") == (
+        'JSON {"a": 1} S {Upper} {} {Q} QPQ'
+    )
+    assert render("no placeholders") == "no placeholders"
+    assert render("{n}", n=3) == "3"
+    for _ in range(2):  # the split template is cached; a miss is not
+        with pytest.raises(KeyError, match=r"without values: \['passages', 'z_9'\]"):
+            render("{question} {passages} {z_9} {passages}", question="Q")
