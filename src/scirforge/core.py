@@ -471,11 +471,6 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
     return read_record
 
 
-def _mismatch_message(exc: _Mismatch) -> str:
-    where = "".join(reversed(exc.path)).lstrip(".")
-    return exc.args[0].format(where or "value")
-
-
 def json_value(tp: Any, value: Any) -> Any:
     """`value` read as the annotation `tp` by the one JSON type rule, which
     reads the config and every record row; a value that does not fit raises
@@ -483,7 +478,8 @@ def json_value(tp: Any, value: Any) -> Any:
     try:
         return _reader(tp)(value)
     except _Mismatch as exc:
-        raise RecordError(_mismatch_message(exc)) from None
+        where = "".join(reversed(exc.path)).lstrip(".")
+        raise RecordError(exc.args[0].format(where or "value")) from None
 
 
 def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
@@ -495,15 +491,12 @@ def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
 def load_records(path: Path, cls: type[R]) -> list[R]:
     """Every row of a JSONL file as a `cls` record; a malformed row raises
     a RecordError naming the file and line."""
-    read = _reader(cls)
     records = []
     for lineno, row in read_jsonl(path):
         try:
             if not isinstance(row, dict):
                 raise RecordError(f"expected a JSON object, got {type(row).__name__}")
-            records.append(read(row))
-        except _Mismatch as exc:
-            raise RecordError(f"{Path(path).name}:{lineno}: {_mismatch_message(exc)}") from None
+            records.append(record_from_dict(cls, row))
         except (RecordError, ValueError, TypeError) as exc:
             raise RecordError(f"{Path(path).name}:{lineno}: {exc}") from exc
     return records

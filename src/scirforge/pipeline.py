@@ -557,22 +557,14 @@ def _stage_bench_qa(ctx: StageContext) -> None:
     summary_rows: list[list] = []
     by_level_rows: list[list] = []
     for k in ctx.config.rag.ks:
-        # Warnings by pair id, listed in pair order whatever order workers
-        # finish in; most questions raise none.
-        shortfalls: dict[str, list[str]] = {}
-
         def work(pair: QAPair) -> dict:
-            local: list[str] = []
             prediction = rag_answer(
                 pair.question,
                 store if k > 0 else None,
                 ctx.gateway,
                 k,
                 ctx.config.template_dir,
-                warnings=local,
             )
-            if local:
-                shortfalls[pair.id] = local
             record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
             row = record_to_dict(record)
             row["k"] = k
@@ -580,7 +572,11 @@ def _stage_bench_qa(ctx: StageContext) -> None:
             return row
 
         rows = ctx.pmap(work, accepted)
-        ctx.warnings.extend(w for p in accepted for w in shortfalls.get(p.id, ()))
+        # The shortfall depends only on k and the store's size.
+        if k > len(store) and rows:
+            ctx.warnings.append(
+                f"wanted {k} passages, only {len(store)} available for {len(rows)} questions"
+            )
         eval_rows.extend(rows)
 
         accuracy = _share_correct(rows)

@@ -276,20 +276,22 @@ class PassageStore:
             passages.extend(chunk_passages(unit.text, chunk_size))
         return cls(passages, k1, b)
 
+    def __len__(self) -> int:
+        """Number of passages."""
+        return len(self._texts)
+
     def top_k(self, query: str, k: int) -> list[str]:
         """Top-k passage texts in rank order: the first k of a stable sort by
         descending score, so equal scores keep passage order."""
         if k < 1:
             raise ValueError("k must be >= 1")
         neg = -search(self._index, query)
-        if k >= len(neg):
-            order = np.argsort(neg, kind="stable")
-        else:
-            # Only passages scoring at least the k-th best can be among the
-            # top k; sorting those, in passage order, ranks them as the full
-            # sort would.
-            kth = np.partition(neg, k - 1)[k - 1]
-            candidates = np.flatnonzero(neg <= kth)
-            order = candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+        # Only passages scoring at least the m-th best can be among the top
+        # m; sorting those, in passage order, ranks them as the full sort
+        # would.
+        m = min(k, len(neg))
+        kth = np.partition(neg, m - 1)[m - 1]
+        candidates = np.flatnonzero(neg <= kth)
+        order = candidates[np.argsort(neg[candidates], kind="stable")[:m]]
         ids = self._index.dataset_ids
         return [self._texts[int(ids[i][1:])] for i in order.tolist()]

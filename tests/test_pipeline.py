@@ -680,10 +680,10 @@ def test_bench_qa_records_passage_shortfalls_in_the_manifest(fixture_run, tmp_pa
     run_all(config, run_dir, tmp_path / "inputs")
     stages = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
     assert [name for name, entry in stages.items() if "warnings" in entry] == ["bench-qa"]
-    warnings = stages["bench-qa"]["warnings"]
-    assert len(warnings) == 172  # one per benchmarked question, for k = 5000 only
-    assert all(w.startswith("wanted 5000 passages, only ") for w in warnings)
-    assert len({w.split(" available for ")[0] for w in warnings}) == 1
+    # One warning for k = 5000, counting the benchmarked questions.
+    [warning] = stages["bench-qa"]["warnings"]
+    assert warning.startswith("wanted 5000 passages, only ")
+    assert warning.endswith(" available for 172 questions")
 
 
 def test_rerun_is_noop(fixture_run):
