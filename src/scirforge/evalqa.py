@@ -166,22 +166,17 @@ def rag_answer(
     gateway: Gateway,
     k: int,
     template_dir: Path | None = None,
-    warnings: list[str] | None = None,
 ) -> str:
-    """Answer with the top-k retrieved passages prepended (k=0: no retrieval)."""
+    """Answer with the top-k retrieved passages prepended (k=0: no retrieval);
+    a store with fewer than k passages gives all it has."""
     if k < 0:
         raise ValueError("k must be >= 0")
     passages = ""
     if k > 0:
         if store is None:
             raise ValueError("k > 0 requires a passage store")
-        texts = store.top_k(question, k)
-        if len(texts) < k and warnings is not None:
-            warnings.append(
-                f"wanted {k} passages, only {len(texts)} available for {question[:60]!r}"
-            )
         passages = "".join(
-            f"Passage {i}: {t}\n\n" for i, t in enumerate(texts, start=1)
+            f"Passage {i}: {t}\n\n" for i, t in enumerate(store.top_k(question, k), start=1)
         )
     return ask(gateway, "rag", template_dir, passages=passages, question=question).strip()
 

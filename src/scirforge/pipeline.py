@@ -34,6 +34,7 @@ from .core import (
     PaperRecord,
     PipelineError,
     QAPair,
+    R,
     RecordError,
     SectionLabel,
     load_records,
@@ -64,7 +65,6 @@ from .prompts import template_path
 from .qagen import build_context, generate_qa, load_taxonomy, plan_generation
 from .retrieval import (
     DocUnit,
-    Index,
     IndexConfig,
     PassageStore,
     doc_units,
@@ -112,6 +112,13 @@ def _fmt(value: float | None) -> str:
 # Stage context
 # ---------------------------------------------------------------------------
 
+# What stages made of their inputs, shared by every stage this process runs:
+# (sha256 of each input read, what was made of them) -> (the labels they
+# were read under, the result).  A key names file content, not a path, so
+# an edited file misses; only reads fill it, and run_stage drops each
+# entry that no remaining stage can ask for.
+_PARSED: dict[tuple[tuple[str, ...], Any], tuple[tuple[str, ...], Any]] = {}
+
 
 @dataclass
 class StageContext:
@@ -121,6 +128,9 @@ class StageContext:
     config: RunConfig
     run_dir: Path
     inputs: dict[str, Path] = dataclasses.field(default_factory=dict)
+    # sha256 by input label, as run_stage recorded it for the manifest; an
+    # input missing here is hashed when first read.
+    digests: dict[str, str] = dataclasses.field(default_factory=dict)
     outputs: list[Path] = dataclasses.field(default_factory=list, init=False)
     # Warnings that no artifact holds; the stage's manifest entry lists them.
     warnings: list[str] = dataclasses.field(default_factory=list, init=False)
@@ -149,6 +159,36 @@ class StageContext:
         if label not in self.inputs:
             raise StageError(f"{label!r} is not a declared input of this stage")
         return self.inputs[label]
+
+    def records(self, label: str, cls: type[R]) -> tuple[R, ...]:
+        """Input `label` as `cls` records: one per line of a JSONL file, or
+        a JSON file's whole document as one.  Each file content is parsed
+        once per process and the records are shared, so they must not be
+        changed (the record classes are frozen)."""
+        path = self.input(label)
+
+        def parse() -> tuple:
+            if path.suffix == ".jsonl":
+                return tuple(load_records(path, cls))
+            return (record_from_dict(cls, json.loads(path.read_text(encoding="utf-8"))),)
+
+        return self.derived((label,), cls, parse)
+
+    def derived(self, labels: tuple[str, ...], what: Any, compute: Callable[[], Any]) -> Any:
+        """`compute()`, made once per process for each content of the
+        inputs `labels`; `what` tells apart results made from the same
+        files.  Every label still resolves through `input`."""
+        digests = []
+        for label in labels:
+            path = self.input(label)
+            if label not in self.digests:
+                self.digests[label] = file_digest(path)
+            digests.append(self.digests[label])
+        key = (tuple(digests), what)
+        hit = _PARSED.get(key)
+        if hit is None:
+            hit = _PARSED[key] = (labels, compute())
+        return hit[1]
 
     def output(self, name: str) -> Path:
         """Record `name` (relative to the run directory) as an output."""
@@ -188,8 +228,8 @@ class _VerdictRow(FilterVerdict):
 
 
 def _stage_ingest(ctx: StageContext) -> None:
-    datasets = load_records(ctx.input("input:datasets.jsonl"), DatasetRecord)
-    papers = load_records(ctx.input("input:papers.jsonl"), PaperRecord)
+    datasets = ctx.records("input:datasets.jsonl", DatasetRecord)
+    papers = ctx.records("input:papers.jsonl", PaperRecord)
     for kind, records in (("dataset", datasets), ("paper", papers)):
         ids = [r.id for r in records]
         if len(set(ids)) != len(ids):
@@ -199,8 +239,8 @@ def _stage_ingest(ctx: StageContext) -> None:
 
 
 def _stage_match(ctx: StageContext) -> None:
-    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
-    papers = {p.id: p for p in load_records(ctx.input("papers.jsonl"), PaperRecord)}
+    datasets = ctx.records("datasets.jsonl", DatasetRecord)
+    papers = {p.id: p for p in ctx.records("papers.jsonl", PaperRecord)}
     tasks: list[tuple[DatasetRecord, str]] = []
     for d in datasets:
         for pid in d.linked_paper_ids:
@@ -242,9 +282,9 @@ def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
 
 
 def _stage_parse(ctx: StageContext) -> None:
-    datasets = {d.id: d for d in load_records(ctx.input("datasets.jsonl"), DatasetRecord)}
-    papers = {p.id: p for p in load_records(ctx.input("papers.jsonl"), PaperRecord)}
-    matches = load_records(ctx.input("matches.jsonl"), _MatchRow)
+    datasets = {d.id: d for d in ctx.records("datasets.jsonl", DatasetRecord)}
+    papers = {p.id: p for p in ctx.records("papers.jsonl", PaperRecord)}
+    matches = ctx.records("matches.jsonl", _MatchRow)
     positive = [(m.dataset_id, m.paper_id) for m in matches if m.used]
 
     needed = sorted({pid for _, pid in positive})
@@ -286,9 +326,9 @@ def _stage_parse(ctx: StageContext) -> None:
 
 def _datasets_with_aspects(ctx: StageContext) -> list[tuple[DatasetRecord, list[AspectUnit]]]:
     """Every dataset, in file order, with its verified aspect units."""
-    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
+    datasets = ctx.records("datasets.jsonl", DatasetRecord)
     by_ds: dict[str, list[AspectUnit]] = {}
-    for a in load_records(ctx.input("aspects.jsonl"), AspectUnit):
+    for a in ctx.records("aspects.jsonl", AspectUnit):
         by_ds.setdefault(a.dataset_id, []).append(a)
     return [(d, by_ds.get(d.id, [])) for d in datasets]
 
@@ -344,7 +384,7 @@ def _stage_generate(ctx: StageContext) -> None:
 
 
 def _stage_filter(ctx: StageContext) -> None:
-    pairs = load_records(ctx.input("qapairs.jsonl"), QAPair)
+    pairs = ctx.records("qapairs.jsonl", QAPair)
     contexts = {d.id: build_context(d, asp) for d, asp in _datasets_with_aspects(ctx)}
 
     def work(pair: QAPair) -> dict:
@@ -363,11 +403,18 @@ def _stage_filter(ctx: StageContext) -> None:
 
     if "filter_labels" in ctx.inputs:
         labels_doc = json.loads(ctx.input("filter_labels").read_text(encoding="utf-8"))
+        if not isinstance(labels_doc, dict):
+            raise StageError("filter labels must be a JSON object from pair id to true or false")
         by_id = {row["pair_id"]: row for row in rows}
         unknown = sorted(set(labels_doc) - set(by_id))
         if unknown:
             raise StageError(f"filter labels reference unknown pairs: {unknown[:5]}")
-        labeled = [(by_id[pid], bool(lab)) for pid, lab in sorted(labels_doc.items())]
+        not_bool = sorted(pid for pid, lab in labels_doc.items() if not isinstance(lab, bool))
+        if not_bool:
+            raise StageError(
+                f"filter labels must be true or false; other values for pairs {not_bool[:5]}"
+            )
+        labeled = [(by_id[pid], lab) for pid, lab in sorted(labels_doc.items())]
         decisions = [Decision(row["decision"]) for row, _ in labeled]
         labels = [lab for _, lab in labeled]
         report = evaluate_filter(decisions, labels)
@@ -398,42 +445,52 @@ _INDEX_FILES = {
 }
 
 
+@dataclass(frozen=True)
+class _IndexDoc:
+    """An index file: its units and BM25 settings, with no postings."""
+
+    config: IndexConfig
+    k1: float
+    b: float
+    units: tuple[DocUnit, ...]
+
+
 def _stage_index(ctx: StageContext) -> None:
     """Write each configuration's units; the stages that search an index
     build its postings."""
-    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
-    aspects = load_records(ctx.input("aspects.jsonl"), AspectUnit)
+    datasets = ctx.records("datasets.jsonl", DatasetRecord)
+    aspects = ctx.records("aspects.jsonl", AspectUnit)
     for cfg, name in _INDEX_FILES.items():
-        doc = {
-            "config": cfg.value,
-            "k1": ctx.config.bm25.k1,
-            "b": ctx.config.bm25.b,
-            "units": [record_to_dict(u) for u in doc_units(datasets, aspects, cfg)],
+        units = tuple(doc_units(datasets, aspects, cfg))
+        doc = _IndexDoc(cfg, ctx.config.bm25.k1, ctx.config.bm25.b, units)
+        write_json_atomic(ctx.output(name), record_to_dict(doc))
+
+
+def _index_doc(ctx: StageContext, cfg: IndexConfig) -> _IndexDoc:
+    (doc,) = ctx.records(_INDEX_FILES[cfg], _IndexDoc)
+    return doc
+
+
+def _accepted_pairs(ctx: StageContext) -> tuple[QAPair, ...]:
+    """The pairs whose verdict accepts them, in file order, joined once per
+    process for each content of the two files.  Verdict rows are read only
+    here, and not kept."""
+
+    def join() -> tuple[QAPair, ...]:
+        pairs = ctx.records("qapairs.jsonl", QAPair)
+        decisions = {
+            v.pair_id: v.decision
+            for v in load_records(ctx.input("verdicts.jsonl"), _VerdictRow)
         }
-        write_json_atomic(ctx.output(name), doc)
+        missing = [p.id for p in pairs if p.id not in decisions]
+        if missing:
+            raise StageError(f"pairs missing verdicts: {missing[:5]}")
+        return tuple(p for p in pairs if decisions[p.id] is Decision.ACCEPT)
+
+    return ctx.derived(_PAIRS, "accepted pairs", join)
 
 
-def _read_index(path: Path) -> tuple[dict, list[DocUnit]]:
-    """An index file's settings and its units, with no postings built."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return doc, [record_from_dict(DocUnit, u) for u in doc["units"]]
-
-
-def load_index(path: Path) -> Index:
-    doc, units = _read_index(path)
-    return index_from_units(units, IndexConfig(doc["config"]), k1=doc["k1"], b=doc["b"])
-
-
-def _accepted_pairs(ctx: StageContext) -> list[QAPair]:
-    pairs = load_records(ctx.input("qapairs.jsonl"), QAPair)
-    verdicts = {v.pair_id: v for v in load_records(ctx.input("verdicts.jsonl"), _VerdictRow)}
-    missing = [p.id for p in pairs if p.id not in verdicts]
-    if missing:
-        raise StageError(f"pairs missing verdicts: {missing[:5]}")
-    return [p for p in pairs if verdicts[p.id].decision is Decision.ACCEPT]
-
-
-def _bench_pairs(ctx: StageContext) -> list[QAPair]:
+def _bench_pairs(ctx: StageContext) -> tuple[QAPair, ...]:
     """Accepted pairs, capped by rag.max_pairs; benchmarking none is an error."""
     accepted = _accepted_pairs(ctx)
     cap = ctx.config.rag.max_pairs
@@ -470,7 +527,10 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
     ks = ctx.config.retrieval.ks
     cutoff = ctx.config.retrieval.mrr_cutoff
 
-    indexes = {cfg: load_index(ctx.input(name)) for cfg, name in _INDEX_FILES.items()}
+    indexes = {}
+    for cfg in _INDEX_FILES:
+        doc = _index_doc(ctx, cfg)
+        indexes[cfg] = index_from_units(doc.units, doc.config, k1=doc.k1, b=doc.b)
     gold_positions = {}
     for cfg, index in indexes.items():
         position = {d: i for i, d in enumerate(index.dataset_ids)}
@@ -542,9 +602,11 @@ def _share_correct(rows: list[dict]) -> str:
 
 def _stage_bench_qa(ctx: StageContext) -> None:
     accepted = _bench_pairs(ctx)
-    _, units = _read_index(ctx.input(_INDEX_FILES[IndexConfig.WITH_PAPER]))
     store = PassageStore.from_units(
-        units, ctx.config.rag.chunk_size, ctx.config.bm25.k1, ctx.config.bm25.b
+        _index_doc(ctx, IndexConfig.WITH_PAPER).units,
+        ctx.config.rag.chunk_size,
+        ctx.config.bm25.k1,
+        ctx.config.bm25.b,
     )
     scorer = _entailment_scorer(ctx)
     levels = ctx.pmap(
@@ -640,7 +702,7 @@ def _stage_stats(ctx: StageContext) -> None:
 
 
 def _stage_split(ctx: StageContext) -> None:
-    datasets = load_records(ctx.input("datasets.jsonl"), DatasetRecord)
+    datasets = ctx.records("datasets.jsonl", DatasetRecord)
     train, dev, test = split_corpus(
         datasets, ctx.config.split.ratios, ctx.config.split.seed
     )
@@ -770,6 +832,19 @@ def _remove_outputs(run_dir: Path, entry: dict) -> None:
             path.unlink()
 
 
+def _forget_unreachable(stage: Stage, digests: dict[str, str]) -> None:
+    """Drop every parsed input that no remaining stage can ask for: one read
+    from a file that neither `stage` nor a later stage in STAGES declares, or
+    from other content than `stage` finds in that file now."""
+    live = {label for s in STAGES[STAGES.index(stage):] for label in s.inputs}
+    for key, (labels, _) in list(_PARSED.items()):
+        if any(
+            label not in live or digests.get(label, digest) != digest
+            for label, digest in zip(labels, key[0])
+        ):
+            _PARSED.pop(key, None)
+
+
 def run_stage(
     name: str,
     config: RunConfig,
@@ -806,6 +881,7 @@ def run_stage(
         if not path.exists():
             raise StageError(f"stage {name!r}: missing input {label} ({path})")
     input_digests = {label: file_digest(path) for label, path in inputs.items()}
+    _forget_unreachable(stage, input_digests)
 
     entry = manifest["stages"].get(name)
     if (
@@ -819,7 +895,7 @@ def run_stage(
         _remove_outputs(run_dir, entry)
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    ctx = StageContext(config=config, run_dir=run_dir, inputs=inputs)
+    ctx = StageContext(config=config, run_dir=run_dir, inputs=inputs, digests=dict(input_digests))
 
     def record(status: str, **extra: str) -> None:
         # A failed attempt lists what it wrote too, so the next run removes it.

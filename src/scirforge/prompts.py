@@ -74,6 +74,7 @@ def ask(gateway: Gateway, stage: str, template_dir: Path | None = None, **values
 _ROLE_MARKER = re.compile(r"^(SYSTEM|USER):\s*$", re.MULTILINE)
 
 
+@functools.lru_cache(maxsize=64)
 def split_roles(text: str) -> tuple[tuple[str, str], ...]:
     """Split a template on SYSTEM:/USER: marker lines into chat messages.
 
@@ -92,3 +93,15 @@ def split_roles(text: str) -> tuple[tuple[str, str], ...]:
     if not messages:
         raise ValueError("role markers present but every section is empty")
     return tuple(messages)
+
+
+def render_roles(template: str, **values: str) -> tuple[tuple[str, str], ...]:
+    """A template's chat messages with every placeholder substituted: each
+    section is rendered on its own and stripped, and an empty one dropped.
+    Role markers come from the template alone, so a value holding a
+    SYSTEM: or USER: line stays inside its message."""
+    return tuple(
+        (role, text)
+        for role, section in split_roles(template)
+        if (text := render(section, **values).strip())
+    )

@@ -24,7 +24,7 @@ from .core import (
     match_question_type,
 )
 from .gateway import Gateway, PromptRequest
-from .prompts import TEMPLATE_DIR, ask, load_template, render, split_roles
+from .prompts import TEMPLATE_DIR, ask, load_template, render_roles
 
 WITH_PAPER_QUOTA = 3
 METADATA_ONLY_TYPES = 8
@@ -217,16 +217,14 @@ def generate_qa(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    template = load_template("generate.txt", template_dir)
-    rendered = render(
-        template,
+    messages = render_roles(
+        load_template("generate.txt", template_dir),
         context=context,
         type_name=entry.qtype.value,
         type_definition=entry.definition,
         type_example=entry.example,
         n=str(n),
     )
-    messages = list(split_roles(rendered))
     last_error: ResponseParseError | None = None
     for attempt in range(regen_attempts + 1):
         attempt_messages = list(messages)

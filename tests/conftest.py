@@ -8,6 +8,7 @@ import pytest
 from scirforge.cli import FIXTURE_DIR
 from scirforge.config import load_config
 from scirforge.gateway import BackendConfig, Gateway
+from scirforge import pipeline
 from scirforge.pipeline import run_all
 
 
@@ -33,6 +34,14 @@ class FakeResponse:
 
     def json(self):
         return json.loads(self.text)
+
+
+@pytest.fixture(autouse=True)
+def _no_parsed_inputs_carried_over():
+    """Every test starts without the inputs earlier tests' stages parsed."""
+    pipeline._PARSED.clear()
+    yield
+    pipeline._PARSED.clear()
 
 
 @pytest.fixture(scope="session")

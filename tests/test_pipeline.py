@@ -530,7 +530,7 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
     stage.run(pipeline.StageContext(config=config, run_dir=copy, inputs=inputs))
     meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
     units = [
-        pipeline.load_index(copy / f"index/{side}.json").n_units
+        len(json.loads((copy / f"index/{side}.json").read_text(encoding="utf-8"))["units"])
         for side in ("without_paper", "with_paper")
     ]
     # One batch of all questions, then one batch per index's units.
@@ -757,6 +757,23 @@ def test_failed_attempt_lists_what_it_wrote(fixture_run, tmp_path):
     # The reports the earlier run wrote are gone; the verdicts this attempt wrote are listed.
     assert entry["outputs"] == {"verdicts.jsonl": file_digest(copy / "verdicts.jsonl")}
     assert not (copy / "reports/filter_eval.csv").exists()
+
+
+def test_filter_labels_must_be_json_booleans(fixture_run, tmp_path):
+    """A label written as the string "false" is an error, not a true label."""
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    config_path = _fixture_config(tmp_path / "inputs")
+    labels = json.loads((config_path.parent / "labels.json").read_text(encoding="utf-8"))
+    _write_labels(config_path.parent, {pid: lab or "false" for pid, lab in labels.items()})
+    first = min(pid for pid, lab in labels.items() if not lab)
+    with pytest.raises(StageError, match=f"true or false.*{first}"):
+        run_stage("filter", load_config(config_path), copy)
+    assert not (copy / "reports/filter_eval.csv").exists()
+    (config_path.parent / "labels.json").write_text(json.dumps(list(labels)), encoding="utf-8")
+    with pytest.raises(StageError, match="must be a JSON object"):
+        run_stage("filter", load_config(config_path), copy)
 
 
 def test_rerun_removes_no_file_outside_the_run_dir(fixture_run, tmp_path):
@@ -1042,3 +1059,117 @@ def test_cli_reports_errors_as_json(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "StageError" and "ingest" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# Inputs parsed once per process
+# ---------------------------------------------------------------------------
+
+
+def _counting_reads(monkeypatch) -> dict[Path, int]:
+    """Count every parse of a stage input file, by path."""
+    reads: dict[Path, int] = {}
+    real_load, real_from_dict = pipeline.load_records, pipeline.record_from_dict
+
+    def load_records(path, cls):
+        reads[Path(path)] = reads.get(Path(path), 0) + 1
+        return real_load(path, cls)
+
+    def record_from_dict(cls, row):
+        if cls is pipeline._IndexDoc:
+            key = Path(f"index/{row['config']}")
+            reads[key] = reads.get(key, 0) + 1
+        return real_from_dict(cls, row)
+
+    monkeypatch.setattr(pipeline, "load_records", load_records)
+    monkeypatch.setattr(pipeline, "record_from_dict", record_from_dict)
+    return reads
+
+
+def test_each_file_is_parsed_once_per_run(tmp_path, monkeypatch):
+    reads = _counting_reads(monkeypatch)
+    run_dir = tmp_path / "run"
+    run_all(load_config(FIXTURE_CONFIG), run_dir, FIXTURE_DIR)
+    names = {
+        "datasets.jsonl", "papers.jsonl", "matches.jsonl", "aspects.jsonl",
+        "qapairs.jsonl", "verdicts.jsonl",
+    }
+    assert set(reads) == (
+        {run_dir / n for n in names}
+        | {FIXTURE_DIR / "datasets.jsonl", FIXTURE_DIR / "papers.jsonl"}
+        | {Path("index/WithoutPaper"), Path("index/WithPaper")}
+    )
+    assert set(reads.values()) == {1}
+
+
+def test_parsed_inputs_equal_a_fresh_parse(tmp_path):
+    """After each stage every memo entry equals a fresh parse of the file
+    that has its digest."""
+    config = load_config(FIXTURE_CONFIG)
+    run_dir = tmp_path / "run"
+    checked = set()
+    for name in STAGE_ORDER:
+        run_stage(name, config, run_dir, FIXTURE_DIR if name == "ingest" else None)
+        for (digests, what), (labels, value) in pipeline._PARSED.items():
+            paths = [
+                FIXTURE_DIR / label.removeprefix("input:") if label.startswith("input:")
+                else run_dir / label
+                for label in labels
+            ]
+            assert [file_digest(p) for p in paths] == list(digests)
+            if what == "accepted pairs":
+                qapairs, verdicts = paths
+                accepted = {
+                    row["pair_id"]
+                    for row in map(json.loads, verdicts.read_text(encoding="utf-8").splitlines())
+                    if row["decision"] == "Accept"
+                }
+                pairs = core.load_records(qapairs, core.QAPair)
+                fresh = tuple(p for p in pairs if p.id in accepted)
+            elif paths[0].suffix == ".jsonl":
+                fresh = tuple(core.load_records(paths[0], what))
+            else:
+                doc = json.loads(paths[0].read_text(encoding="utf-8"))
+                fresh = (core.record_from_dict(what, doc),)
+            assert value == fresh, labels
+            checked.update(labels)
+    assert checked == {
+        "input:datasets.jsonl", "input:papers.jsonl", "datasets.jsonl", "papers.jsonl",
+        "matches.jsonl", "aspects.jsonl", "qapairs.jsonl", "verdicts.jsonl",
+        "index/without_paper.json", "index/with_paper.json",
+    }
+
+
+def test_an_edited_input_is_parsed_again(tmp_path, monkeypatch):
+    """Editing qapairs.jsonl between two stages of one process makes the
+    next stage read the new content."""
+    config = load_config(FIXTURE_CONFIG)
+    run_dir = tmp_path / "run"
+    for name in STAGE_ORDER[: STAGE_ORDER.index("filter") + 1]:
+        run_stage(name, config, run_dir, FIXTURE_DIR if name == "ingest" else None)
+    verdicts = (run_dir / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    accepted = [row["pair_id"] for row in map(json.loads, verdicts) if row["decision"] == "Accept"]
+    qapairs = run_dir / "qapairs.jsonl"
+    lines = qapairs.read_text(encoding="utf-8").splitlines(keepends=True)
+    qapairs.write_text(
+        "".join(ln for ln in lines if json.loads(ln)["id"] != accepted[0]), encoding="utf-8"
+    )
+    reads = _counting_reads(monkeypatch)
+    assert run_stage("stats", config, run_dir) == "done"
+    assert reads == {qapairs: 1, run_dir / "verdicts.jsonl": 1}
+    header, rows = _read_csv(run_dir / "reports/levels.csv")
+    assert int(rows[0][header.index("total")]) == len(accepted) - 1
+
+
+def test_a_failed_join_stores_nothing(fixture_run, tmp_path):
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    verdicts = copy / "verdicts.jsonl"
+    good = verdicts.read_bytes()
+    verdicts.write_bytes(b"".join(good.splitlines(keepends=True)[1:]))
+    with pytest.raises(StageError, match="pairs missing verdicts"):
+        run_stage("stats", config, copy)
+    assert [what for _, what in pipeline._PARSED] == [core.QAPair]
+    verdicts.write_bytes(good)
+    assert run_stage("stats", config, copy) == "done"

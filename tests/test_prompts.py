@@ -6,7 +6,7 @@ from conftest import make_gateway
 from scirforge.core import CognitiveLevel
 from scirforge.evalqa import classify_cognitive_level
 from scirforge.gateway import BackendConfig, Gateway
-from scirforge.prompts import TEMPLATE_DIR, ask, load_template, render
+from scirforge.prompts import TEMPLATE_DIR, ask, load_template, render, render_roles, split_roles
 
 
 def test_custom_template_dir_wins_over_bundled(tmp_path):
@@ -77,3 +77,15 @@ def test_render_fills_names_and_passes_other_braces_through():
     for _ in range(2):  # the split template is cached; a miss is not
         with pytest.raises(KeyError, match=r"without values: \['passages', 'z_9'\]"):
             render("{question} {passages} {z_9} {passages}", question="Q")
+
+
+def test_render_roles_equals_splitting_the_rendered_text():
+    """Without a marker line in any value, splitting the template first
+    gives the messages that splitting the rendered text gave."""
+    template = load_template("generate.txt")
+    values = {
+        "context": "- Metadata: Toy.\n\n{not a name}\nSYSTEM: inline, not a marker",
+        "type_name": "Definition", "type_definition": "d", "type_example": "e", "n": "3",
+    }
+    assert render_roles(template, **values) == split_roles(render(template, **values))
+    assert render_roles("no markers {x}\n", x=" y ") == (("user", "no markers  y"),)
