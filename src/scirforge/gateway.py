@@ -5,9 +5,10 @@ request fields, and through it coalesces identical concurrent requests.
 The cache is one append-only log per cache directory, `cache.log`, one
 entry per line (`<64-hex key>\t<JSON value>\n`), indexed in memory by the
 byte offset of each key's latest line, after Bitcask (Sheehy & Smith,
-2010).  Transport concerns belong to the transport: HttpBackend caps its
-in-flight requests and retries transient failures with backoff, for every
-call it makes.
+2010); a process keeps one index per log file, which its gateways share.
+Transport concerns belong to the transport: HttpBackend caps its in-flight
+requests and retries transient failures with backoff, for every call it
+makes.
 
 Two backends ship here.  HttpBackend talks to an OpenAI-style server (chat
 completions for generation, echo+logprobs completions for teacher-forced
@@ -405,13 +406,43 @@ class HttpBackend:
 def _key(*fields: str) -> bytes:
     """Hex sha256 over the fields, each prefixed with its UTF-8 length, so
     that ("ab", " c") and ("a", "b c") hash apart."""
-    blob = b"".join(len(b).to_bytes(8, "big") + b for b in (f.encode() for f in fields))
-    return hashlib.sha256(blob).hexdigest().encode("ascii")
+    parts = []
+    for field in fields:
+        data = field.encode()
+        parts.append(len(data).to_bytes(8, "big"))
+        parts.append(data)
+    return hashlib.sha256(b"".join(parts)).hexdigest().encode("ascii")
 
 
 CACHE_LOG = "cache.log"
 
 T = TypeVar("T")
+
+_decode = json.JSONDecoder().decode
+
+
+class _LogIndex:
+    """The index of one cache log, shared by this process's gateways on it.
+
+    `offsets` maps each key to `offset << 32 | length` of its latest line
+    and covers every complete line before byte `indexed`; `torn` says the
+    line at `indexed` lacked its newline when last read. `stamp` is the
+    log's (size, mtime_ns) when the last gateway using the index closed,
+    with no torn tail, else None. `lock` guards the index and orders this
+    process's appends to the log.
+    """
+
+    def __init__(self):
+        self.offsets: dict[bytes, int] = {}
+        self.indexed = 0
+        self.torn = False
+        self.stamp: tuple[int, int] | None = None
+        self.lock = threading.Lock()
+
+
+# A cache log's (st_dev, st_ino) -> its index in this process.
+_LOG_INDEXES: dict[tuple[int, int], _LogIndex] = {}
+_LOG_INDEXES_LOCK = threading.Lock()
 
 
 class Gateway:
@@ -431,21 +462,22 @@ class Gateway:
         self._guard = threading.Lock()
         self.cache_hits = 0
         self.backend_calls = 0
-        # The log's index: key -> (offset, length) of the key's latest line,
-        # covering every complete line before byte `_indexed`; `_torn` says
-        # the line at `_indexed` lacked its newline when last read.
-        # `_log_lock` guards the index and orders this process's appends.
-        self._log = self._reader = None
-        self._offsets: dict[bytes, tuple[int, int]] = {}
-        self._indexed = 0
-        self._torn = False
-        self._log_lock = threading.Lock()
+        self._log = self._reader = self._index = None
         if config.cache_dir:
             path = Path(config.cache_dir) / CACHE_LOG
             path.parent.mkdir(parents=True, exist_ok=True)
             # Unbuffered, so each append is one write(2) on an O_APPEND file.
             self._log = open(path, "ab", buffering=0)
             self._reader = open(path, "rb")
+            st = os.fstat(self._reader.fileno())
+            self._log_id = (st.st_dev, st.st_ino)
+            # The last gateway's index still holds if the log is as that
+            # gateway left it; otherwise index the log afresh.
+            with _LOG_INDEXES_LOCK:
+                index = _LOG_INDEXES.get(self._log_id)
+                if index is None or index.stamp != (st.st_size, st.st_mtime_ns):
+                    index = _LOG_INDEXES[self._log_id] = _LogIndex()
+            self._index = index
 
     @classmethod
     def from_config(cls, config: BackendConfig) -> "Gateway":
@@ -461,6 +493,11 @@ class Gateway:
 
     def close(self) -> None:
         """Close the cache log; the gateway must not be used afterwards."""
+        index, self._index = self._index, None
+        if index is not None:
+            with index.lock:
+                st = os.fstat(self._reader.fileno())
+                index.stamp = None if index.torn else (st.st_size, st.st_mtime_ns)
         for f in (self._log, self._reader):
             if f is not None:
                 f.close()
@@ -496,18 +533,25 @@ class Gateway:
             return value
 
     def _lookup(self, key: bytes, fields: tuple[str, ...]) -> dict | None:
-        with self._log_lock:
-            if os.fstat(self._reader.fileno()).st_size > self._indexed:
-                self._index_tail()
-            entry = self._offsets.get(key)
+        index = self._index
+        entry = index.offsets.get(key)
         if entry is None:
-            return None
-        offset, length = entry
-        line = os.pread(self._reader.fileno(), length, offset)
+            # Only a miss looks for lines appended since the log was indexed.
+            with index.lock:
+                if os.fstat(self._reader.fileno()).st_size > index.indexed:
+                    self._index_tail()
+                entry = index.offsets.get(key)
+            if entry is None:
+                return None
+        line = os.pread(self._reader.fileno(), entry & 0xFFFFFFFF, entry >> 32)
         if not (line.startswith(key + b"\t") and line.endswith(b"\n")):
+            # The log changed under the index: the next gateway rebuilds it.
+            with _LOG_INDEXES_LOCK:
+                if _LOG_INDEXES.get(self._log_id) is index:
+                    del _LOG_INDEXES[self._log_id]
             return None
         try:
-            value = json.loads(line[len(key) + 1 :])
+            value = _decode(line[len(key) + 1 :].decode("utf-8"))
         except ValueError:
             return None
         if isinstance(value, dict) and all(f in value for f in fields):
@@ -515,33 +559,36 @@ class Gateway:
         return None
 
     def _index_tail(self) -> None:
-        """Index the complete lines past `_indexed`, streaming them, so
+        """Index the complete lines past `indexed`, streaming them, so
         entries that other gateways or processes appended become visible.
-        A last line without its newline is left for the next call."""
-        offset = self._indexed
+        A last line without its newline is left for the next call. The
+        caller holds the index's lock."""
+        index = self._index
+        offset = index.indexed
         self._reader.seek(offset)
-        self._torn = False
+        index.torn = False
         for line in self._reader:
             if not line.endswith(b"\n"):
-                self._torn = True
+                index.torn = True
                 break
             cut = line.find(b"\t")
             if cut > 0:
-                self._offsets[line[:cut]] = (offset, len(line))
+                index.offsets[line[:cut]] = offset << 32 | len(line)
             offset += len(line)
-        self._indexed = offset
+        index.indexed = offset
 
     def _append(self, key: bytes, value: dict) -> None:
         line = key + b"\t" + JSON_LINE.encode(value).encode("utf-8") + b"\n"
-        with self._log_lock:
+        index = self._index
+        with index.lock:
             # End a torn last line first, so that it does not swallow this one.
-            written = b"\n" + line if self._torn else line
-            self._torn = False
+            written = b"\n" + line if index.torn else line
+            index.torn = False
             self._log.write(written)
             end = self._log.tell()
-            self._offsets[key] = (end - len(line), len(line))
-            if end - len(written) == self._indexed:
-                self._indexed = end
+            index.offsets[key] = (end - len(line)) << 32 | len(line)
+            if end - len(written) == index.indexed:
+                index.indexed = end
 
     # -- public API ----------------------------------------------------
 

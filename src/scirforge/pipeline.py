@@ -6,8 +6,8 @@ whose input digests are unchanged and whose outputs still have their
 recorded digests is a no-op, so interrupted runs resume where they stopped;
 a stage that runs again first deletes the outputs its entry lists.
 With the mock backend the whole pipeline is deterministic: everything
-except the manifest (which carries timestamps) is byte-identical across
-runs.
+except the manifest (which carries timestamps, durations and model-call
+counts) is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -895,10 +895,12 @@ def run_stage(
         _remove_outputs(run_dir, entry)
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    clock = time.perf_counter()
     ctx = StageContext(config=config, run_dir=run_dir, inputs=inputs, digests=dict(input_digests))
 
     def record(status: str, **extra: str) -> None:
         # A failed attempt lists what it wrote too, so the next run removes it.
+        gateway = ctx._gateway
         manifest["stages"][name] = {
             "status": status,
             "inputs": input_digests,
@@ -907,6 +909,10 @@ def run_stage(
             },
             "started_at": started,
             "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "duration_s": round(time.perf_counter() - clock, 6),
+            # A stage that sent no model request never opened a gateway.
+            "backend_calls": gateway.backend_calls if gateway else 0,
+            "cache_hits": gateway.cache_hits if gateway else 0,
             **({"warnings": ctx.warnings} if ctx.warnings else {}),
             **extra,
         }

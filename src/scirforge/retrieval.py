@@ -53,7 +53,11 @@ class Index:
     config: IndexConfig
     units: tuple[DocUnit, ...]
     dataset_ids: tuple[str, ...]
-    unit_dataset_idx: np.ndarray
+    # The unit positions grouped by dataset in `dataset_ids` order, and where
+    # each dataset's group starts; None when the units already are one per
+    # dataset in that order.
+    unit_order: np.ndarray | None
+    dataset_starts: np.ndarray | None
     # term -> (ascending unit ids holding it, the term's BM25 weight in each)
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
     k1: float
@@ -102,6 +106,13 @@ def index_from_units(
     dataset_ids = tuple(sorted({u.dataset_id for u in units}))
     ds_index = {d: i for i, d in enumerate(dataset_ids)}
     unit_dataset_idx = np.array([ds_index[u.dataset_id] for u in units], dtype=np.int64)
+    unit_order = dataset_starts = None
+    if not np.array_equal(unit_dataset_idx, np.arange(len(units))):
+        # Stable, so each dataset's units keep their order and the max
+        # compares them in the sequence a per-unit scatter-max would.
+        unit_order = np.argsort(unit_dataset_idx, kind="stable")
+        grouped = unit_dataset_idx[unit_order]
+        dataset_starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
 
     lengths = np.empty(len(units), dtype=np.float64)
     term_hits: dict[str, list[tuple[int, float]]] = {}
@@ -128,7 +139,8 @@ def index_from_units(
         config=IndexConfig(config),
         units=tuple(units),
         dataset_ids=dataset_ids,
-        unit_dataset_idx=unit_dataset_idx,
+        unit_order=unit_order,
+        dataset_starts=dataset_starts,
         postings=postings,
         k1=k1,
         b=b,
@@ -137,28 +149,23 @@ def index_from_units(
 
 def score_units(index: Index, query: str) -> np.ndarray:
     """BM25 score of every unit for the query."""
-    scores = np.zeros(index.n_units, dtype=np.float64)
-    for term in tokenize(query):
-        if term in index.postings:
-            unit_ids, weights = index.postings[term]
-            # A posting lists each unit once, so the fancy-index += is safe.
-            scores[unit_ids] += weights
-    return scores
+    postings = [index.postings[t] for t in tokenize(query) if t in index.postings]
+    if not postings:
+        return np.zeros(index.n_units, dtype=np.float64)
+    # bincount adds the weights in query-token order onto 0.0, as a per-term
+    # `scores[unit_ids] += weights` loop does, so every bit is the same.
+    return np.bincount(
+        np.concatenate([unit_ids for unit_ids, _ in postings]),
+        weights=np.concatenate([weights for _, weights in postings]),
+        minlength=index.n_units,
+    )
 
 
 def _dataset_scores(index: Index, unit_scores: np.ndarray) -> np.ndarray:
-    if index.n_units == len(index.dataset_ids):
-        # Every dataset owns a unit, so with as many units as datasets each
-        # owns exactly one (a metadata-only index, the passage store): its
-        # score is that unit's, and one scatter places it.
-        ds_scores = np.empty(index.n_units, dtype=np.float64)
-        ds_scores[index.unit_dataset_idx] = unit_scores
-        return ds_scores
-    # Every dataset owns at least its metadata unit, so the -inf fill never
-    # survives the max-aggregation.
-    ds_scores = np.full(len(index.dataset_ids), -np.inf, dtype=np.float64)
-    np.maximum.at(ds_scores, index.unit_dataset_idx, unit_scores)
-    return ds_scores
+    if index.unit_order is None:
+        return unit_scores
+    # Every dataset owns at least its metadata unit, so no group is empty.
+    return np.maximum.reduceat(unit_scores[index.unit_order], index.dataset_starts)
 
 
 def search(index: Index, query: str) -> np.ndarray:
@@ -231,7 +238,8 @@ def embed_search(
         unit_norms = np.linalg.norm(unit_vectors, axis=1)
     qnorm = float(np.linalg.norm(query_vector))
     denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
-    denom[denom == 0.0] = 1.0
+    if not denom.all():
+        denom[denom == 0.0] = 1.0
     sims = (unit_vectors @ query_vector) / denom
     return _dataset_scores(index, sims)
 
@@ -251,6 +259,13 @@ def chunk_passages(text: str, chunk_size: int) -> list[str]:
     ]
 
 
+def passage_ids(n: int) -> list[str]:
+    """Ids for n passages that sort in passage order: `p` and the position,
+    zero-padded to at least six digits."""
+    width = max(6, len(str(n - 1)))
+    return [f"p{i:0{width}d}" for i in range(n)]
+
+
 class PassageStore:
     """BM25-searchable store of fixed-size passages for RAG prompting.
 
@@ -263,7 +278,8 @@ class PassageStore:
         if not self._texts:
             raise ValueError("no passages to index")
         units = [
-            DocUnit(f"p{i:06d}", "Metadata", text) for i, text in enumerate(self._texts)
+            DocUnit(pid, "Metadata", text)
+            for pid, text in zip(passage_ids(len(self._texts)), self._texts)
         ]
         self._index = index_from_units(units, IndexConfig.WITHOUT_PAPER, k1=k1, b=b)
 
@@ -285,7 +301,12 @@ class PassageStore:
         descending score, so equal scores keep passage order."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        neg = -search(self._index, query)
+        # The ids sort in passage order, so a score's position is its passage's.
+        scores = search(self._index, query)
+        if k == 1:
+            # argmax takes the first of equal maxima, as the stable sort does.
+            return [self._texts[int(scores.argmax())]]
+        neg = -scores
         # Only passages scoring at least the m-th best can be among the top
         # m; sorting those, in passage order, ranks them as the full sort
         # would.
@@ -293,5 +314,4 @@ class PassageStore:
         kth = np.partition(neg, m - 1)[m - 1]
         candidates = np.flatnonzero(neg <= kth)
         order = candidates[np.argsort(neg[candidates], kind="stable")[:m]]
-        ids = self._index.dataset_ids
-        return [self._texts[int(ids[i][1:])] for i in order.tolist()]
+        return [self._texts[i] for i in order.tolist()]

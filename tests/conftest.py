@@ -8,7 +8,7 @@ import pytest
 from scirforge.cli import FIXTURE_DIR
 from scirforge.config import load_config
 from scirforge.gateway import BackendConfig, Gateway
-from scirforge import pipeline
+from scirforge import gateway, pipeline
 from scirforge.pipeline import run_all
 
 
@@ -42,6 +42,14 @@ def _no_parsed_inputs_carried_over():
     pipeline._PARSED.clear()
     yield
     pipeline._PARSED.clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_cache_log_indexes_carried_over():
+    """Every test starts without the cache-log indexes earlier tests built."""
+    gateway._LOG_INDEXES.clear()
+    yield
+    gateway._LOG_INDEXES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -337,6 +338,100 @@ def test_gateway_sees_lines_appended_after_its_index(tmp_path, log_gateway):
     assert len(log.read_bytes().splitlines()) == 2
 
 
+def test_second_gateway_on_an_unchanged_log_reads_no_line(tmp_path, log_gateway, monkeypatch):
+    first = log_gateway()
+    first.complete(req("a"))
+    first.score_continuation("c", " t")
+    first.close()
+    log = tmp_path / "cache" / CACHE_LOG
+    lines_read = []
+    index_tail = Gateway._index_tail
+
+    def counting(gw):
+        start = gw._index.indexed
+        index_tail(gw)
+        lines_read.append(log.read_bytes()[start : gw._index.indexed].count(b"\n"))
+
+    monkeypatch.setattr(Gateway, "_index_tail", counting)
+    second = log_gateway()
+    assert second.complete(req("a")) == "out"
+    assert second.score_continuation("c", " t") == ScoredContinuation(("t",), (-1.0,))
+    assert second.backend_calls == 0 and second.cache_hits == 2
+    assert sum(lines_read) == 0
+    # Without the shared index, a gateway reads the log to serve a hit.
+    monkeypatch.setattr(gateway, "_LOG_INDEXES", {})
+    third = log_gateway()
+    assert third.complete(req("a")) == "out" and third.cache_hits == 1
+    assert lines_read == [2]
+
+
+def test_a_hit_makes_no_fstat_call(log_gateway, monkeypatch):
+    gw = log_gateway()
+    gw.complete(req("a"))
+    calls = []
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: calls.append(fd) or fstat(fd))
+    assert gw.complete(req("a")) == "out" and gw.cache_hits == 1
+    assert calls == []
+    # A miss checks the log's size once, for lines appended elsewhere.
+    gw.complete(req("b"))
+    assert len(calls) == 1 and gw.backend_calls == 2
+
+
+def test_line_appended_between_gateways_is_found(tmp_path, log_gateway):
+    first = log_gateway()
+    first.complete(req("a"))
+    first.close()
+    # The line another writer appends for "b", made in a cache of its own.
+    other = Gateway(_CountingBackend(), BackendConfig(
+        kind="mock", script_path="unused", cache_dir=str(tmp_path / "other")
+    ))
+    other.complete(req("b"))
+    other.close()
+    log = tmp_path / "cache" / CACHE_LOG
+    with log.open("ab") as f:
+        f.write((tmp_path / "other" / CACHE_LOG).read_bytes())
+    second = log_gateway()
+    assert second.complete(req("b")) == second.complete(req("a")) == "out"
+    assert second.backend_calls == 0 and second.cache_hits == 2
+
+
+def test_log_rewritten_in_place_between_gateways_is_indexed_afresh(tmp_path, log_gateway):
+    first = log_gateway()
+    first.complete(req("a"))
+    first.complete(req("b"))
+    first.close()
+    log = tmp_path / "cache" / CACHE_LOG
+    before = log.stat()
+    a, b = log.read_bytes().splitlines(keepends=True)
+    assert len(a) == len(b)
+    # Same size and same file, each line where the other was; a clock
+    # coarser than this test could leave the mtime as it was, so move it on.
+    log.write_bytes(b + a)
+    os.utime(log, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    assert log.stat().st_ino == before.st_ino and log.stat().st_size == before.st_size
+    second = log_gateway()
+    assert second.complete(req("a")) == second.complete(req("b")) == "out"
+    assert second.backend_calls == 0 and second.cache_hits == 2
+    assert log.read_bytes() == b + a
+
+
+def test_index_that_met_another_keys_line_is_not_passed_on(tmp_path, log_gateway):
+    first = log_gateway()
+    first.complete(req("a"))
+    first.complete(req("b"))
+    log = tmp_path / "cache" / CACHE_LOG
+    a, b = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b + a)
+    # `first` meets b's line at a's offset and appends a afresh; its index
+    # still places b where a's line now is.
+    assert first.complete(req("a")) == "out" and first.backend_calls == 3
+    first.close()
+    second = log_gateway()
+    assert second.complete(req("b")) == "out"
+    assert second.backend_calls == 0 and second.cache_hits == 1
+
+
 def test_old_per_entry_cache_files_are_ignored(tmp_path, log_gateway):
     log_gateway().complete(req("q"))
     log = tmp_path / "cache" / CACHE_LOG
@@ -474,6 +569,61 @@ def test_uncached_mock_calls_under_contention(tmp_path, closing):
         assert lp == math.log(0.5 if stage == "beta" else 0.25)
     assert gw.backend_calls == 2 * n_threads * rounds
     assert gw.cache_hits == 0
+
+
+def test_gateways_sharing_an_index_under_contention(tmp_path, closing):
+    """Two gateways on one index, each with its own key locks, from many
+    threads: every answer is its prompt's, and no append is lost."""
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
+
+    class Echo(_CountingBackend):
+        def complete(self, request, stage):
+            super().complete(request, stage)
+            return "echo " + request.messages[0][1]
+
+    backend = Echo()
+    first = Gateway(backend, config)
+    first.complete(req("key 0"))
+    first.close()
+    a, b = closing(Gateway(backend, config)), closing(Gateway(backend, config))
+    assert a._index is b._index
+    n_keys, n_threads, rounds = 12, 16, 30
+    errors = []
+
+    def work(seed):
+        gw = (a, b)[seed % 2]
+        try:
+            for r in range(rounds):
+                text = f"key {(seed + r) % n_keys}"
+                if gw.complete(req(text)) != "echo " + text:
+                    raise AssertionError(f"wrong answer for {text}")
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # Each gateway coalesces its own requests: at most one call per key each.
+    assert n_keys - 1 <= backend.calls - 1 <= 2 * (n_keys - 1)
+    lines = (tmp_path / "cache" / CACHE_LOG).read_bytes().splitlines(keepends=True)
+    assert len(lines) == backend.calls
+    assert all(line.endswith(b"}\n") and line.count(b"\t") == 1 for line in lines)
+    # Every key is served from the log by a gateway that indexes it afresh.
+    gateway._LOG_INDEXES.clear()
+    fresh = closing(Gateway(backend, config))
+    assert [fresh.complete(req(f"key {i}")) for i in range(n_keys)] == [
+        f"echo key {i}" for i in range(n_keys)
+    ]
+    assert fresh.backend_calls == 0
 
 
 def _http(monkeypatch, replies, **config):

@@ -1,11 +1,12 @@
 """Property tests: fast paths against the plain versions they replaced.
 
 The bit-parallel LCS against the DP, pre-split template rendering against
-regex substitution, rank counting and the passage store's partial top-k
-against a stable argsort and the (-score, id) sort, eager BM25 weights
-against per-unit scoring, the sorted sweep behind the filter curves
-against the per-threshold loop, and the config sections against the
-defaults table and merge they replaced."""
+regex substitution, rank counting and the passage store's top-k against a
+stable argsort and the (-score, id) sort, eager BM25 weights against
+per-unit scoring, one-pass BM25 scoring against the per-term loop, the
+grouped dataset max against `np.maximum.at`, the sorted sweep behind the
+filter curves against the per-threshold loop, and the config sections
+against the defaults table and merge they replaced."""
 import json
 import math
 import random
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import config_oracle  # noqa: E402
 from scirforge import kernels, prompts, retrieval  # noqa: E402
@@ -128,11 +129,15 @@ def test_search_matches_sort_oracle(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_SCORE_VECTORS, st.sampled_from(["1", "n-1", "n", "n+1"]))
+@given(_SCORE_VECTORS, st.sampled_from(["1", "2", "n-1", "n", "n+1"]))
+# Ties for the best score, where k = 1 takes the first passage holding it.
+@example([1.0, 3.0, 0.25, 3.0], "1")
+@example([-0.0, 0.0, 0.0], "1")
+@example([3.0, 3.0, 3.0, 1.0], "2")
 def test_top_k_matches_stable_argsort(scores, which):
-    # Partial selection below n, the full sort at k >= n.
+    # argmax at k = 1, partial selection below n, the full sort at k >= n.
     n = len(scores)
-    k = max(1, {"1": 1, "n-1": n - 1, "n": n, "n+1": n + 1}[which])
+    k = max(1, {"1": 1, "2": 2, "n-1": n - 1, "n": n, "n+1": n + 1}[which])
     texts = [f"passage {i}" for i in range(n)]
     store = retrieval.PassageStore(texts, k1=1.2, b=0.75)
     scores = np.array(scores, dtype=np.float64)
@@ -213,6 +218,51 @@ def test_score_units_matches_bm25_score_bitwise(units, query_terms, k1, b):
     query = " ".join(query_terms)
     want = np.array([bm25_score(index, tokenize(query), u) for u in range(index.n_units)])
     assert score_units(index, query).tobytes() == want.tobytes()
+
+
+def _score_units_by_term(index, query):
+    """The per-term scatter-add that score_units' one bincount replaced."""
+    scores = np.zeros(index.n_units, dtype=np.float64)
+    for term in tokenize(query):
+        if term in index.postings:
+            unit_ids, weights = index.postings[term]
+            scores[unit_ids] += weights
+    return scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12), min_size=1, max_size=15),
+    # Few words, so queries repeat terms; "absent" and "nowhere" are in no unit.
+    st.lists(st.sampled_from(_WORDS + ["absent", "nowhere"]), max_size=12),
+    st.floats(0.1, 3.0),
+    st.floats(0.0, 1.0),
+)
+def test_score_units_matches_per_term_loop_bitwise(units, query_terms, k1, b):
+    index = index_from_units(
+        [DocUnit(f"d{i:02d}", "Metadata", " ".join(words)) for i, words in enumerate(units)],
+        IndexConfig.WITHOUT_PAPER,
+        k1=k1,
+        b=b,
+    )
+    query = " ".join(query_terms)
+    assert score_units(index, query).tobytes() == _score_units_by_term(index, query).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dataset_max_matches_maximum_at(data):
+    # 1 to 4 units per dataset, listed in shuffled dataset order.
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    owners = data.draw(st.permutations([d for d, c in enumerate(counts) for _ in range(c)]))
+    index = _index(owners)
+    unit_scores = np.array(data.draw(
+        st.lists(_SCORES | st.floats(allow_nan=False), min_size=len(owners), max_size=len(owners))
+    ))
+    position = {d: i for i, d in enumerate(index.dataset_ids)}
+    want = np.full(len(index.dataset_ids), -np.inf)
+    np.maximum.at(want, [position[u.dataset_id] for u in index.units], unit_scores)
+    assert retrieval._dataset_scores(index, unit_scores).tobytes() == want.tobytes()
 
 
 def curve_points_oracle(deltas, labels):

@@ -513,6 +513,29 @@ def test_warm_rerun_appends_nothing_to_the_cache(tmp_path, monkeypatch):
     assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
 
 
+def test_manifest_counts_each_stages_calls_and_hits(tmp_path):
+    backend = json.loads(FIXTURE_CONFIG.read_text(encoding="utf-8"))["backend"]
+    inputs = tmp_path / "inputs"
+    config = load_config(_fixture_config(inputs, backend={**backend, "cache_dir": "cache"}))
+
+    def entries(name):
+        run_all(config, tmp_path / name, inputs)
+        return json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))[
+            "stages"
+        ]
+
+    cold, warm = entries("cold"), entries("warm")
+    for entry in (*cold.values(), *warm.values()):
+        assert isinstance(entry["duration_s"], float) and entry["duration_s"] >= 0.0
+    # Stages that send no model request count nothing.
+    calls = {name: e["backend_calls"] + e["cache_hits"] for name, e in cold.items()}
+    assert [name for name in STAGE_ORDER if not calls[name]] == [
+        "ingest", "index", "bench-retrieval", "split",
+    ]
+    assert all(e["backend_calls"] == 0 for e in warm.values())
+    assert {name: e["cache_hits"] for name, e in warm.items()} == calls
+
+
 def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkeypatch):
     config, run_dir, _ = fixture_run
     copy = tmp_path / "copy"

@@ -1,5 +1,6 @@
 """Property tests for split apportionment, the JSONL record format and
 gateway cache keys."""
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,14 @@ def test_different_fields_give_different_keys(fields):
     assume(a != b)
     assert _key(*a) != _key(*b)
     assert _key(*a) == _key(*a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=40), max_size=8))
+def test_key_bytes_are_the_cache_logs(fields):
+    # Another key for the same request would orphan every existing cache.
+    blob = b"".join(len(f.encode()).to_bytes(8, "big") + f.encode() for f in fields)
+    assert _key(*fields) == hashlib.sha256(blob).hexdigest().encode("ascii")
 
 
 class _EchoBackend:

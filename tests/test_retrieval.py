@@ -1,4 +1,5 @@
 """BM25 index, dual configurations, ranking metrics, passage store."""
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from scirforge.retrieval import (
     embed_search,
     index_from_units,
     mrr_at,
+    passage_ids,
     rank_of,
     recall_at_k,
     search,
@@ -178,6 +180,16 @@ def test_passage_store_top_k():
     assert len(store.top_k("ice", 5)) <= 2
     with pytest.raises(ValueError):
         store.top_k("ice", 0)
+
+
+def test_passage_ids_sort_in_passage_order_past_a_million():
+    assert passage_ids(3) == ["p000000", "p000001", "p000002"]
+    assert passage_ids(10**6)[-1] == "p999999"
+    # Seven digits from a millionth passage on, where six would sort
+    # "p1000000" before "p100001".
+    ids = passage_ids(10**6 + 1)
+    assert ids[-1] == "p1000000"
+    assert all(a < b for a, b in itertools.pairwise(ids))
 
 
 def test_passage_store_from_index_chunks_units():
