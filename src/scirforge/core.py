@@ -358,9 +358,38 @@ def write_atomic(path: Path, chunks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as f:
-        f.writelines(chunks)
-    tmp.replace(path)
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        tmp.replace(path)
+    except BaseException:
+        # `chunks` may be computed as it is written: a failure there leaves
+        # the old `path` and no `.tmp`.
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@dataclass(frozen=True)
+class CountedRows:
+    """Rows made while they are written, with their number declared up front:
+    `len` is `count` before any row exists, and iterating runs `make()` and
+    raises a PipelineError if it yields any other number of rows."""
+
+    count: int
+    make: Callable[[], Iterable[Any]]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Any]:
+        made = 0
+        for row in self.make():
+            made += 1
+            if made > self.count:
+                raise PipelineError(f"made more rows than the {self.count} declared")
+            yield row
+        if made != self.count:
+            raise PipelineError(f"made {made} rows, not the {self.count} declared")
 
 
 def write_jsonl(path: Path, records: Iterable[Any]) -> None:

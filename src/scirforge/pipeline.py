@@ -21,13 +21,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import Embedding, Entailment, RunConfig
 from .core import (
+    COGNITIVE_LEVELS,
     AspectUnit,
+    CountedRows,
     Decision,
     DatasetRecord,
     FilterVerdict,
@@ -89,7 +91,12 @@ class StageError(PipelineError):
 
 
 def file_digest(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_json_atomic(path: Path, value: Any) -> None:
@@ -196,16 +203,16 @@ class StageContext:
         self.outputs.append(path)
         return path
 
-    def pmap(self, fn: Callable, items: Sequence) -> list:
-        """Order-preserving map: on up to `concurrency` worker threads when
-        the work can wait on an HTTP backend, else in order on this thread."""
-        if not items:
-            return []
+    def pmap(self, fn: Callable, items: Sequence) -> Iterator:
+        """Yield `fn(item)` for each item, in input order: computed on up to
+        `concurrency` worker threads when the work can wait on an HTTP
+        backend, else one at a time on this thread as they are asked for."""
         workers = min(self.config.concurrency, len(items)) if self.waits_on_http else 1
-        if workers == 1:
-            return [fn(item) for item in items]
+        if workers <= 1:
+            yield from map(fn, items)
+            return
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
+            yield from ex.map(fn, items)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +274,7 @@ def _stage_match(ctx: StageContext) -> None:
             "truncated": truncated,
         }
 
-    rows = ctx.pmap(work, tasks)
+    rows = list(ctx.pmap(work, tasks))
     write_jsonl(ctx.output("matches.jsonl"), rows)
 
 
@@ -398,7 +405,7 @@ def _stage_filter(ctx: StageContext) -> None:
         row["model"] = ctx.gateway.model
         return row
 
-    rows = ctx.pmap(work, pairs)
+    rows = list(ctx.pmap(work, pairs))
     write_jsonl(ctx.output("verdicts.jsonl"), rows)
 
     if "filter_labels" in ctx.inputs:
@@ -595,9 +602,13 @@ def _entailment_scorer(ctx: StageContext):
     return _http_backend(ctx, ent)
 
 
-def _share_correct(rows: list[dict]) -> str:
-    """Formatted share of rows marked correct, or "" when there are none."""
-    return _fmt(sum(1 for r in rows if r["correct"]) / len(rows)) if rows else ""
+_LEVEL_CODES = tuple(level.value for level in COGNITIVE_LEVELS)
+
+
+def _share(tally: list[int]) -> str:
+    """Formatted share correct of an [n, correct] tally, or "" when n is 0."""
+    n, correct = tally
+    return _fmt(correct / n) if n else ""
 
 
 def _stage_bench_qa(ctx: StageContext) -> None:
@@ -614,65 +625,69 @@ def _stage_bench_qa(ctx: StageContext) -> None:
         accepted,
     )
     level_of = {p.id: lv for p, lv in zip(accepted, levels)}
+    ks = ctx.config.rag.ks
+    # Rows are written as they are made; of each k's rows only what the two
+    # summaries read is kept: [n, correct] over all rows, short- and
+    # long-form rows and each level, and the long-form rows' ROUGE-L.
+    tallies: list[tuple[int, dict[str, list[int]], list[float]]] = []
 
-    eval_rows: list[dict] = []
-    summary_rows: list[list] = []
-    by_level_rows: list[list] = []
-    for k in ctx.config.rag.ks:
-        def work(pair: QAPair) -> dict:
-            prediction = rag_answer(
-                pair.question,
-                store if k > 0 else None,
-                ctx.gateway,
-                k,
-                ctx.config.template_dir,
-            )
-            record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
-            row = record_to_dict(record)
-            row["k"] = k
-            row["level"] = level_of[pair.id].value
-            return row
+    def eval_rows() -> Iterator[dict]:
+        for k in ks:
+            counts = {group: [0, 0] for group in ("all", "short", "long", *_LEVEL_CODES)}
+            rouge: list[float] = []
+            tallies.append((k, counts, rouge))
 
-        rows = ctx.pmap(work, accepted)
-        # The shortfall depends only on k and the store's size.
-        if k > len(store) and rows:
-            ctx.warnings.append(
-                f"wanted {k} passages, only {len(store)} available for {len(rows)} questions"
-            )
-        eval_rows.extend(rows)
+            def work(pair: QAPair) -> dict:
+                prediction = rag_answer(
+                    pair.question,
+                    store if k > 0 else None,
+                    ctx.gateway,
+                    k,
+                    ctx.config.template_dir,
+                )
+                record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
+                row = record_to_dict(record)
+                row["k"] = k
+                row["level"] = level_of[pair.id].value
+                return row
 
-        accuracy = _share_correct(rows)
-        long_rows = [r for r in rows if r["rouge_l"] is not None]
-        summary_rows.append(
-            [
-                k,
-                len(rows),
-                accuracy,
-                _share_correct([r for r in rows if r["rouge_l"] is None]),
-                _share_correct(long_rows),
-                _fmt(sum(r["rouge_l"] for r in long_rows) / len(long_rows))
-                if long_rows
-                else "",
-            ]
-        )
-        by_level_rows.append(
-            [k, accuracy]
-            + [
-                _share_correct([r for r in rows if r["level"] == code])
-                for code in ("C1", "C2", "C3", "C4", "C5", "C6")
-            ]
-        )
+            for row in ctx.pmap(work, accepted):
+                if row["rouge_l"] is None:
+                    form = "short"
+                else:
+                    form = "long"
+                    rouge.append(row["rouge_l"])
+                for group in ("all", form, row["level"]):
+                    counts[group][0] += 1
+                    counts[group][1] += row["correct"]
+                yield row
+            # The shortfall depends only on k and the store's size.
+            if k > len(store):
+                ctx.warnings.append(
+                    f"wanted {k} passages, only {len(store)} available"
+                    f" for {len(accepted)} questions"
+                )
 
-    write_jsonl(ctx.output("reports/qaeval.jsonl"), eval_rows)
+    rows = CountedRows(len(ks) * len(accepted), eval_rows)
+    write_jsonl(ctx.output("reports/qaeval.jsonl"), rows)
     write_csv_atomic(
         ctx.output("reports/qa_summary.csv"),
         ["k", "n", "accuracy", "short_accuracy", "long_accuracy", "long_rouge_l"],
-        summary_rows,
+        [
+            # sum() of the list, not a running total: on Python 3.12 sum()
+            # adds floats with compensation, so the last bits differ.
+            [k, counts["all"][0], _share(counts["all"]), _share(counts["short"]),
+             _share(counts["long"]), _fmt(sum(rouge) / len(rouge)) if rouge else ""]
+            for k, counts, rouge in tallies
+        ],
     )
     write_csv_atomic(
         ctx.output("reports/qa_by_level.csv"),
-        ["k", "micro_avg", "C1", "C2", "C3", "C4", "C5", "C6"],
-        by_level_rows,
+        ["k", "micro_avg", *_LEVEL_CODES],
+        [
+            [k, _share(counts["all"]), *(_share(counts[code]) for code in _LEVEL_CODES)]
+            for k, counts, _ in tallies
+        ],
     )
 
 

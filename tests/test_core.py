@@ -6,6 +6,8 @@ import pytest
 
 from scirforge.core import (
     AnswerForm,
+    CountedRows,
+    PipelineError,
     Aspect,
     AspectUnit,
     DatasetRecord,
@@ -171,6 +173,31 @@ def test_jsonl_round_trip(tmp_path):
     assert load_records(path, DatasetRecord) == records
     rows = list(read_jsonl(path))
     assert rows[0][0] == 1 and rows[1][0] == 2
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "x.jsonl"
+    write_jsonl(path, [{"n": 0}])
+    old = path.read_bytes()
+
+    def rows():
+        yield {"n": 1}
+        raise RuntimeError("backend down")
+
+    with pytest.raises(RuntimeError, match="backend down"):
+        write_jsonl(path, rows())
+    for count in (1, 3):  # declares one row fewer, then one more, than it makes
+        with pytest.raises(PipelineError, match=f"the {count} declared"):
+            write_jsonl(path, CountedRows(count, lambda: ({"n": i} for i in range(2))))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+
+
+def test_counted_rows_has_its_length_before_any_row_is_made():
+    made = []
+    rows = CountedRows(2, lambda: (made.append(i) or i for i in range(2)))
+    assert len(rows) == 2 and made == []
+    assert list(rows) == [0, 1] and made == [0, 1]
 
 
 def test_qapair_round_trip_with_verdict():

@@ -1,6 +1,8 @@
 """Stage orchestration, manifest semantics, artifact checks, validator, CLI."""
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import random
 import shutil
@@ -53,12 +55,18 @@ def test_file_helpers(tmp_path):
     write_json_atomic(p, {"b": 1, "a": 2})
     text = p.read_text(encoding="utf-8")
     assert text.index('"a"') < text.index('"b"') and text.endswith("\n")
-    import hashlib
-
     assert file_digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
     c = tmp_path / "t.csv"
     write_csv_atomic(c, ["x", "y"], [[1, "a"], [2, "b"]])
     assert c.read_text(encoding="utf-8") == "x,y\n1,a\n2,b\n"
+
+
+@pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+def test_file_digest_reads_in_chunks(tmp_path, size):
+    """Sizes on each side of the 1 MiB read hash as the whole file does."""
+    p = tmp_path / "blob"
+    p.write_bytes(random.Random(size).randbytes(size))
+    assert file_digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_stage_graph_is_consistent():
@@ -302,6 +310,7 @@ def test_resume_after_crash_matches_uninterrupted_run(tmp_path, monkeypatch):
         state.update(calls=0, crash_at=crash_at)
         with pytest.raises(SystemExit):
             run_all(run_config, run_dir, inputs)
+        assert not list(run_dir.rglob("*.tmp")), crash_at
         manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
         assert sorted(manifest["stages"]) == sorted(STAGE_ORDER[: STAGE_ORDER.index(name)])
 
@@ -381,11 +390,30 @@ def test_stage_workers_share_one_gateway(tmp_path):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        gateways = ctx.pmap(lambda _: ctx.gateway, range(64))
+        gateways = list(ctx.pmap(lambda _: ctx.gateway, range(64)))
     finally:
         sys.setswitchinterval(old)
         ctx.close()
     assert len({id(gw) for gw in gateways}) == 1
+
+
+def test_threaded_pmap_yields_in_input_order(tmp_path):
+    """Items finish in reverse order on four workers; pmap yields them in
+    input order."""
+    config = load_config(_fixture_config(tmp_path / "inputs", backend=_HTTP_BACKEND))
+    ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
+    assert ctx.waits_on_http and ctx.config.concurrency == 4
+    finished = []
+    lock = threading.Lock()
+
+    def slow(i):
+        time.sleep(0.05 * (4 - i))
+        with lock:
+            finished.append(i)
+        return i * i
+
+    assert list(ctx.pmap(slow, range(4))) == [0, 1, 4, 9]
+    assert finished == [3, 2, 1, 0]
 
 
 def test_mock_backend_maps_on_the_calling_thread(tmp_path, monkeypatch):
@@ -400,7 +428,7 @@ def test_mock_backend_maps_on_the_calling_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     caller = threading.get_ident()
-    assert ctx.pmap(lambda i: (i, threading.get_ident()), range(8)) == [
+    assert list(ctx.pmap(lambda i: (i, threading.get_ident()), range(8))) == [
         (i, caller) for i in range(8)
     ]
     assert run_all(config, tmp_path / "run", FIXTURE_DIR) == {
@@ -707,6 +735,71 @@ def test_bench_qa_records_passage_shortfalls_in_the_manifest(fixture_run, tmp_pa
     [warning] = stages["bench-qa"]["warnings"]
     assert warning.startswith("wanted 5000 passages, only ")
     assert warning.endswith(" available for 172 questions")
+
+
+def _qa_summaries_from_rows(rows: list[dict]) -> tuple[str, str]:
+    """qa_summary.csv and qa_by_level.csv recomputed from qaeval.jsonl rows
+    alone, by filtering each k's whole row list."""
+    by_k: dict[int, list[dict]] = {}
+    for row in rows:
+        by_k.setdefault(row["k"], []).append(row)
+
+    def share(group):
+        return f"{sum(1 for r in group if r['correct']) / len(group):.6f}" if group else ""
+
+    summary, by_level = io.StringIO(), io.StringIO()
+    s_out = csv.writer(summary, lineterminator="\n")
+    l_out = csv.writer(by_level, lineterminator="\n")
+    s_out.writerow(["k", "n", "accuracy", "short_accuracy", "long_accuracy", "long_rouge_l"])
+    l_out.writerow(["k", "micro_avg", "C1", "C2", "C3", "C4", "C5", "C6"])
+    for k, group in by_k.items():
+        long_rows = [r for r in group if r["rouge_l"] is not None]
+        rouge = sum(r["rouge_l"] for r in long_rows) / len(long_rows) if long_rows else None
+        s_out.writerow([
+            k, len(group), share(group), share([r for r in group if r["rouge_l"] is None]),
+            share(long_rows), "" if rouge is None else f"{rouge:.6f}",
+        ])
+        l_out.writerow([k, share(group)] + [
+            share([r for r in group if r["level"] == code])
+            for code in ("C1", "C2", "C3", "C4", "C5", "C6")
+        ])
+    return summary.getvalue(), by_level.getvalue()
+
+
+def test_qa_summaries_follow_from_the_eval_rows(tmp_path):
+    """The summaries bench-qa tallies while it streams its rows equal the
+    ones rebuilt from the written rows, with a k past the store's size and
+    a capped pair count."""
+    config = load_config(
+        _fixture_config(tmp_path / "inputs", rag={"ks": [0, 2, 5000], "max_pairs": 61})
+    )
+    run_dir = tmp_path / "run"
+    run_all(config, run_dir, tmp_path / "inputs")
+    text = (run_dir / "reports/qaeval.jsonl").read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert len(rows) == 3 * 61 and [r["k"] for r in rows[::61]] == [0, 2, 5000]
+    summary, by_level = _qa_summaries_from_rows(rows)
+    assert (run_dir / "reports/qa_summary.csv").read_text(encoding="utf-8") == summary
+    assert (run_dir / "reports/qa_by_level.csv").read_text(encoding="utf-8") == by_level
+
+
+@pytest.mark.parametrize("off_by", [1, -1])
+def test_a_miscounted_row_stream_fails_the_stage(fixture_run, tmp_path, monkeypatch, off_by):
+    """bench-qa makes one row more or one fewer than it declares: the stage
+    fails, and neither its rows nor a .tmp file are left."""
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "reports/qa_summary.csv").unlink()  # so that bench-qa runs again
+    monkeypatch.setattr(
+        pipeline, "CountedRows", lambda count, make: core.CountedRows(count - off_by, make)
+    )
+    with pytest.raises(PipelineError, match="declared"):
+        run_stage("bench-qa", config, copy)
+    entry = json.loads((copy / "manifest.json").read_text(encoding="utf-8"))["stages"]["bench-qa"]
+    assert entry["status"] == "failed" and entry["outputs"] == {}
+    assert not (copy / "reports/qaeval.jsonl").exists()
+    assert not list(copy.rglob("*.tmp"))
 
 
 def test_rerun_is_noop(fixture_run):
