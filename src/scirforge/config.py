@@ -155,6 +155,9 @@ def _check(config: RunConfig) -> None:
         (not retrieval_ks or min(retrieval_ks) < 1, "retrieval.ks must be positive integers"),
         (config.retrieval.mrr_cutoff < 1, "retrieval.mrr_cutoff must be >= 1"),
         (not rag_ks or min(rag_ks) < 0, "rag.ks must be nonnegative integers"),
+        # A repeated k would repeat a report column or every RAG call at that k.
+        (len(set(retrieval_ks)) < len(retrieval_ks), "retrieval.ks must not repeat a k"),
+        (len(set(rag_ks)) < len(rag_ks), "rag.ks must not repeat a k"),
     ):
         if broken:
             raise ConfigError(message)

@@ -397,11 +397,10 @@ def write_jsonl(path: Path, records: Iterable[Any]) -> None:
     write_atomic(path, (JSON_LINE.encode(d) + "\n" for d in plain))
 
 
-def read_jsonl(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (1-based line number, parsed object) for every nonblank line;
-    a line that is not JSON raises a RecordError naming the file and line."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
+def read_jsonl(path: Path) -> Iterator[tuple[int, Any]]:
+    """Yield (1-based line number, parsed value) for every nonblank line; a
+    line that is not JSON yields a RecordError that says why in its place."""
+    with Path(path).open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -409,7 +408,7 @@ def read_jsonl(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             try:
                 row = json.loads(line)
             except ValueError as exc:
-                raise RecordError(f"{path.name}:{lineno}: unparseable JSON: {exc}") from exc
+                row = RecordError(f"unparseable JSON: {exc}")
             yield lineno, row
 
 
@@ -517,15 +516,27 @@ def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
     return json_value(cls, row)
 
 
+def read_records(path: Path, cls: type[R]) -> Iterator[tuple[int, R | RecordError]]:
+    """Yield (1-based line number, the row as a `cls` record) for every
+    nonblank line of a JSONL file; a malformed row yields a RecordError
+    that says why in place of its record."""
+    for lineno, row in read_jsonl(path):
+        if not isinstance(row, RecordError):
+            try:
+                if not isinstance(row, dict):
+                    raise RecordError(f"expected a JSON object, got {type(row).__name__}")
+                row = record_from_dict(cls, row)
+            except (RecordError, ValueError, TypeError) as exc:
+                row = RecordError(str(exc))
+        yield lineno, row
+
+
 def load_records(path: Path, cls: type[R]) -> list[R]:
     """Every row of a JSONL file as a `cls` record; a malformed row raises
     a RecordError naming the file and line."""
     records = []
-    for lineno, row in read_jsonl(path):
-        try:
-            if not isinstance(row, dict):
-                raise RecordError(f"expected a JSON object, got {type(row).__name__}")
-            records.append(record_from_dict(cls, row))
-        except (RecordError, ValueError, TypeError) as exc:
-            raise RecordError(f"{Path(path).name}:{lineno}: {exc}") from exc
+    for lineno, got in read_records(path, cls):
+        if isinstance(got, RecordError):
+            raise RecordError(f"{Path(path).name}:{lineno}: {got}") from got
+        records.append(got)
     return records

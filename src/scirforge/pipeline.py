@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .core import (
     RecordError,
     SectionLabel,
     load_records,
+    read_records,
     record_from_dict,
     record_to_dict,
     split_corpus,
@@ -56,6 +57,7 @@ from .curation import (
 )
 from .evalqa import (
     LevelDistribution,
+    QAEvalRecord,
     aggregate_stats,
     classify_cognitive_level,
     diversity_index,
@@ -130,11 +132,13 @@ _PARSED: dict[tuple[tuple[str, ...], Any], tuple[tuple[str, ...], Any]] = {}
 @dataclass
 class StageContext:
     """What one stage run may touch: its declared inputs (manifest label ->
-    path) and the outputs it records, as it writes them, under `run_dir`."""
+    path), the outputs it may write (`writes`, relative to `run_dir`) and
+    those it records, as it writes them."""
 
     config: RunConfig
     run_dir: Path
     inputs: dict[str, Path] = dataclasses.field(default_factory=dict)
+    writes: Collection[str] = ()
     # sha256 by input label, as run_stage recorded it for the manifest; an
     # input missing here is hashed when first read.
     digests: dict[str, str] = dataclasses.field(default_factory=dict)
@@ -199,6 +203,8 @@ class StageContext:
 
     def output(self, name: str) -> Path:
         """Record `name` (relative to the run directory) as an output."""
+        if name not in self.writes:
+            raise StageError(f"{name!r} is not a declared output of this stage")
         path = self.run_dir / name
         self.outputs.append(path)
         return path
@@ -220,18 +226,20 @@ class StageContext:
 # ---------------------------------------------------------------------------
 
 
-# The fields of matches.jsonl and verdicts.jsonl rows that stages and `validate`
-# read; a row's other keys are ignored.
+# The rows of matches.jsonl and verdicts.jsonl, as their stages write them.
 @dataclass(frozen=True)
 class _MatchRow:
     dataset_id: str
     paper_id: str
     used: bool
+    explanation: str
+    truncated: bool
 
 
 @dataclass(frozen=True)
 class _VerdictRow(FilterVerdict):
     pair_id: str
+    model: str
 
 
 def _stage_ingest(ctx: StageContext) -> None:
@@ -255,7 +263,7 @@ def _stage_match(ctx: StageContext) -> None:
                 raise StageError(f"dataset {d.id} links unknown paper {pid}")
             tasks.append((d, pid))
 
-    def work(task: tuple[DatasetRecord, str]) -> dict:
+    def work(task: tuple[DatasetRecord, str]) -> _MatchRow:
         d, pid = task
         paper = papers[pid]
         verdict = assess_relevance(
@@ -266,13 +274,7 @@ def _stage_match(ctx: StageContext) -> None:
             template_dir=ctx.config.template_dir,
         )
         _, truncated = truncate_text(paper.full_text(), ctx.config.curation.max_paper_chars)
-        return {
-            "dataset_id": d.id,
-            "paper_id": pid,
-            "used": verdict.used,
-            "explanation": verdict.explanation,
-            "truncated": truncated,
-        }
+        return _MatchRow(d.id, pid, verdict.used, verdict.explanation, truncated)
 
     rows = list(ctx.pmap(work, tasks))
     write_jsonl(ctx.output("matches.jsonl"), rows)
@@ -394,16 +396,13 @@ def _stage_filter(ctx: StageContext) -> None:
     pairs = ctx.records("qapairs.jsonl", QAPair)
     contexts = {d.id: build_context(d, asp) for d, asp in _datasets_with_aspects(ctx)}
 
-    def work(pair: QAPair) -> dict:
+    def work(pair: QAPair) -> _VerdictRow:
         if pair.dataset_id not in contexts:
             raise StageError(f"pair {pair.id}: unknown dataset {pair.dataset_id}")
         verdict = delta_seper(
             pair.question, contexts[pair.dataset_id], pair.answer, ctx.gateway
         )
-        row = record_to_dict(verdict)
-        row["pair_id"] = pair.id
-        row["model"] = ctx.gateway.model
-        return row
+        return _VerdictRow(**vars(verdict), pair_id=pair.id, model=ctx.gateway.model)
 
     rows = list(ctx.pmap(work, pairs))
     write_jsonl(ctx.output("verdicts.jsonl"), rows)
@@ -412,7 +411,7 @@ def _stage_filter(ctx: StageContext) -> None:
         labels_doc = json.loads(ctx.input("filter_labels").read_text(encoding="utf-8"))
         if not isinstance(labels_doc, dict):
             raise StageError("filter labels must be a JSON object from pair id to true or false")
-        by_id = {row["pair_id"]: row for row in rows}
+        by_id = {row.pair_id: row for row in rows}
         unknown = sorted(set(labels_doc) - set(by_id))
         if unknown:
             raise StageError(f"filter labels reference unknown pairs: {unknown[:5]}")
@@ -422,7 +421,7 @@ def _stage_filter(ctx: StageContext) -> None:
                 f"filter labels must be true or false; other values for pairs {not_bool[:5]}"
             )
         labeled = [(by_id[pid], lab) for pid, lab in sorted(labels_doc.items())]
-        decisions = [Decision(row["decision"]) for row, _ in labeled]
+        decisions = [row.decision for row, _ in labeled]
         labels = [lab for _, lab in labeled]
         report = evaluate_filter(decisions, labels)
         write_csv_atomic(
@@ -430,7 +429,7 @@ def _stage_filter(ctx: StageContext) -> None:
             ["precision", "recall", "f1", "n"],
             [[_fmt(report.precision), _fmt(report.recall), _fmt(report.f1), len(labeled)]],
         )
-        deltas = [row["delta"] for row, _ in labeled]
+        deltas = [row.delta for row, _ in labeled]
         if any(labels) and not all(labels):
             pr, roc = curve_points(deltas, labels)
             thresholds = sorted(set(deltas), reverse=True)
@@ -750,49 +749,52 @@ class Stage:
     ``input:`` prefix resolves against ``--input`` instead, and a
     ``template:`` prefix names a prompt template or ``taxonomy.json``,
     resolved through ``template_dir``.  Labels are an on-disk format:
-    renaming one reruns the stage in every run directory.
+    renaming one reruns the stage in every run directory.  `writes` maps
+    each file the stage may write to its record type (one per JSONL row, or
+    the whole JSON document), or to None for a file that is only hashed.
     """
 
     name: str
-    deps: tuple[str, ...]
     inputs: tuple[str, ...]
+    writes: Mapping[str, type | None]
     run: Callable[[StageContext], None]
+
+    @property
+    def deps(self) -> tuple[str, ...]:
+        """The stages that write one of this stage's inputs, in run order."""
+        return tuple(s.name for s in STAGES if not s.writes.keys().isdisjoint(self.inputs))
 
 
 _PAIRS = ("qapairs.jsonl", "verdicts.jsonl")
 
-# Run order: every stage comes after its deps.
+# Run order: every stage comes after the stages that write its inputs.
 STAGES = (
-    Stage("ingest", (), ("input:datasets.jsonl", "input:papers.jsonl"), _stage_ingest),
-    Stage(
-        "match", ("ingest",), ("datasets.jsonl", "papers.jsonl", "template:relevance.txt"),
-        _stage_match,
-    ),
-    Stage(
-        "parse", ("match",),
-        ("datasets.jsonl", "papers.jsonl", "matches.jsonl",
-         "template:segment.txt", "template:extract.txt", "template:verify.txt"),
-        _stage_parse,
-    ),
-    Stage(
-        "generate", ("parse",),
-        ("datasets.jsonl", "aspects.jsonl",
-         "template:select_types.txt", "template:generate.txt", "template:taxonomy.json"),
-        _stage_generate,
-    ),
-    Stage("filter", ("generate",), ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl"), _stage_filter),
-    Stage("index", ("parse",), ("datasets.jsonl", "aspects.jsonl"), _stage_index),
-    Stage(
-        "bench-retrieval", ("index", "filter"), (*_PAIRS, *_INDEX_FILES.values()),
-        _stage_bench_retrieval,
-    ),
-    Stage(
-        "bench-qa", ("index", "filter"),
-        (*_PAIRS, _INDEX_FILES[IndexConfig.WITH_PAPER], "template:cognitive.txt", "template:rag.txt"),
-        _stage_bench_qa,
-    ),
-    Stage("stats", ("filter",), (*_PAIRS, "template:cognitive.txt"), _stage_stats),
-    Stage("split", ("filter",), ("datasets.jsonl",), _stage_split),
+    Stage("ingest", ("input:datasets.jsonl", "input:papers.jsonl"),
+          {"datasets.jsonl": DatasetRecord, "papers.jsonl": PaperRecord}, _stage_ingest),
+    Stage("match", ("datasets.jsonl", "papers.jsonl", "template:relevance.txt"),
+          {"matches.jsonl": _MatchRow}, _stage_match),
+    Stage("parse", ("datasets.jsonl", "papers.jsonl", "matches.jsonl", "template:segment.txt",
+                    "template:extract.txt", "template:verify.txt"),
+          {"aspects.jsonl": AspectUnit, "parse_meta.json": None}, _stage_parse),
+    Stage("generate", ("datasets.jsonl", "aspects.jsonl", "template:select_types.txt",
+                       "template:generate.txt", "template:taxonomy.json"),
+          {"qapairs.jsonl": QAPair, "generation_meta.json": None}, _stage_generate),
+    Stage("filter", ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl"),
+          {"verdicts.jsonl": _VerdictRow, "reports/filter_eval.csv": None,
+           "reports/filter_pr_curve.csv": None, "reports/filter_roc_curve.csv": None},
+          _stage_filter),
+    Stage("index", ("datasets.jsonl", "aspects.jsonl"),
+          dict.fromkeys(_INDEX_FILES.values(), _IndexDoc), _stage_index),
+    Stage("bench-retrieval", (*_PAIRS, *_INDEX_FILES.values()),
+          {"reports/retrieval.csv": None, "reports/retrieval_meta.json": None},
+          _stage_bench_retrieval),
+    Stage("bench-qa", (*_PAIRS, _INDEX_FILES[IndexConfig.WITH_PAPER],
+                       "template:cognitive.txt", "template:rag.txt"),
+          {"reports/qaeval.jsonl": QAEvalRecord, "reports/qa_summary.csv": None,
+           "reports/qa_by_level.csv": None}, _stage_bench_qa),
+    Stage("stats", (*_PAIRS, "template:cognitive.txt"),
+          {"reports/stats.csv": None, "reports/levels.csv": None}, _stage_stats),
+    Stage("split", ("datasets.jsonl",), {"splits.json": None}, _stage_split),
 )
 
 STAGE_ORDER = tuple(s.name for s in STAGES)
@@ -820,6 +822,21 @@ def _stage_inputs(
     if stage.name == "filter" and config.filter_labels_path:
         inputs["filter_labels"] = Path(config.filter_labels_path)
     return inputs
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at `path`: an object whose `stages` maps each stage to an
+    object, with `outputs`, if any, an object.  Any other shape raises."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise StageError(f"unparseable JSON in {path.name}: {exc}") from exc
+    entries = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(entries, dict) or not all(
+        isinstance(e, dict) and isinstance(e.get("outputs", {}), dict) for e in entries.values()
+    ):
+        raise StageError(f"{path.name} must be an object whose stages are objects")
+    return manifest
 
 
 def _changed_outputs(run_dir: Path, entry: dict) -> list[tuple[str, str]]:
@@ -874,7 +891,7 @@ def run_stage(
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = _read_manifest(manifest_path)
         if manifest.get("config_digest") != config.digest:
             raise StageError(
                 "config digest mismatch: this run directory was started with a "
@@ -911,7 +928,8 @@ def run_stage(
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     clock = time.perf_counter()
-    ctx = StageContext(config=config, run_dir=run_dir, inputs=inputs, digests=dict(input_digests))
+    ctx = StageContext(config=config, run_dir=run_dir, inputs=inputs, writes=stage.writes,
+                       digests=dict(input_digests))
 
     def record(status: str, **extra: str) -> None:
         # A failed attempt lists what it wrote too, so the next run removes it.
@@ -964,30 +982,6 @@ class Violation:
     message: str
 
 
-def _check_jsonl(path: Path, cls: type, out: list[Violation]):
-    """Read every line's object as a `cls` record, collecting one violation
-    per malformed line; returns (records, line numbers)."""
-    records = []
-    linenos = []
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                out.append(Violation(path.name, lineno, f"unparseable JSON: {exc}"))
-                continue
-            try:
-                if not isinstance(obj, dict):
-                    raise RecordError(f"expected a JSON object, got {type(obj).__name__}")
-                records.append(record_from_dict(cls, obj))
-                linenos.append(lineno)
-            except (RecordError, ValueError, TypeError) as exc:
-                out.append(Violation(path.name, lineno, str(exc)))
-    return records, linenos
-
-
 def validate_outputs(run_dir: Path) -> list[Violation]:
     """One violation per output of a done stage that is missing or edited
     since the stage wrote it; running the stage again rewrites it."""
@@ -995,79 +989,69 @@ def validate_outputs(run_dir: Path) -> list[Violation]:
     if not path.exists():
         return []
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        return [Violation("manifest.json", 0, f"unparseable JSON: {exc}")]
+        manifest = _read_manifest(path)
+    except StageError as exc:
+        return [Violation(path.name, 0, str(exc))]
     return [
         Violation(output, 0, f"output of stage {name} {problem}")
-        for name, entry in manifest.get("stages", {}).items()
+        for name, entry in manifest["stages"].items()
         if entry.get("status") == "done"
         for output, problem in _changed_outputs(Path(run_dir), entry)
     ]
 
 
 def validate_corpus(run_dir: Path) -> list[Violation]:
-    """Structural and referential checks over every artifact present."""
+    """Every row of each JSONL file a stage writes rows of a record type to,
+    read as that type, then referential checks across the files present."""
     run_dir = Path(run_dir)
+    if not (run_dir / "datasets.jsonl").exists():
+        return [Violation("datasets.jsonl", 0, "file missing")]
     out: list[Violation] = []
+    # File -> (line, record) for each well-formed row of a file present.
+    # No check below reads a report's rows, so those are parsed, not kept
+    # (bench-qa writes one per pair and k).
+    rows: dict[str, list[tuple[int, Any]]] = {}
+    for stage in STAGES:
+        for name, cls in stage.writes.items():
+            if cls is None or not name.endswith(".jsonl") or not (run_dir / name).exists():
+                continue
+            kept = rows[name] = []
+            for lineno, got in read_records(run_dir / name, cls):
+                if isinstance(got, RecordError):
+                    out.append(Violation(name, lineno, str(got)))
+                elif not name.startswith("reports/"):
+                    kept.append((lineno, got))
 
-    def exists(name: str) -> bool:
-        return (run_dir / name).exists()
+    def ids(name: str, what: str) -> set[str]:
+        """The ids of a file's rows; each repeated id is a violation."""
+        seen: set[str] = set()
+        for lineno, r in rows.get(name, ()):
+            if r.id in seen:
+                out.append(Violation(name, lineno, f"duplicate {what} id {r.id}"))
+            seen.add(r.id)
+        return seen
 
-    if not exists("datasets.jsonl"):
-        out.append(Violation("datasets.jsonl", 0, "file missing"))
-        return out
-    datasets, ds_lines = _check_jsonl(run_dir / "datasets.jsonl", DatasetRecord, out)
-    ds_ids = {}
-    for d, lineno in zip(datasets, ds_lines):
-        if d.id in ds_ids:
-            out.append(Violation("datasets.jsonl", lineno, f"duplicate dataset id {d.id}"))
-        ds_ids[d.id] = lineno
-
-    paper_ids: set[str] = set()
-    if exists("papers.jsonl"):
-        papers, p_lines = _check_jsonl(run_dir / "papers.jsonl", PaperRecord, out)
-        for p, lineno in zip(papers, p_lines):
-            if p.id in paper_ids:
-                out.append(Violation("papers.jsonl", lineno, f"duplicate paper id {p.id}"))
-            paper_ids.add(p.id)
-        for d, lineno in zip(datasets, ds_lines):
+    ds_ids, paper_ids = ids("datasets.jsonl", "dataset"), ids("papers.jsonl", "paper")
+    pair_ids = ids("qapairs.jsonl", "pair")
+    if "papers.jsonl" in rows:
+        for lineno, d in rows["datasets.jsonl"]:
             for pid in d.linked_paper_ids:
                 if pid not in paper_ids:
                     out.append(
                         Violation("datasets.jsonl", lineno, f"{d.id} links unknown paper {pid}")
                     )
-
-    if exists("matches.jsonl"):
-        matches, m_lines = _check_jsonl(run_dir / "matches.jsonl", _MatchRow, out)
-        for m, lineno in zip(matches, m_lines):
-            if m.dataset_id not in ds_ids:
-                out.append(Violation("matches.jsonl", lineno, f"unknown dataset {m.dataset_id}"))
-            if m.paper_id not in paper_ids:
-                out.append(Violation("matches.jsonl", lineno, f"unknown paper {m.paper_id}"))
-
-    if exists("aspects.jsonl"):
-        aspects, a_lines = _check_jsonl(run_dir / "aspects.jsonl", AspectUnit, out)
-        for a, lineno in zip(aspects, a_lines):
-            if a.dataset_id not in ds_ids:
-                out.append(Violation("aspects.jsonl", lineno, f"unknown dataset {a.dataset_id}"))
-            if paper_ids and a.paper_id not in paper_ids:
-                out.append(Violation("aspects.jsonl", lineno, f"unknown paper {a.paper_id}"))
-
-    pair_ids: set[str] = set()
-    if exists("qapairs.jsonl"):
-        pairs, q_lines = _check_jsonl(run_dir / "qapairs.jsonl", QAPair, out)
-        for p, lineno in zip(pairs, q_lines):
-            if p.id in pair_ids:
-                out.append(Violation("qapairs.jsonl", lineno, f"duplicate pair id {p.id}"))
-            pair_ids.add(p.id)
-            if p.dataset_id not in ds_ids:
-                out.append(Violation("qapairs.jsonl", lineno, f"unknown dataset {p.dataset_id}"))
-
-    if exists("verdicts.jsonl"):
-        verdicts, v_lines = _check_jsonl(run_dir / "verdicts.jsonl", _VerdictRow, out)
-        for v, lineno in zip(verdicts, v_lines):
-            if v.pair_id not in pair_ids:
-                out.append(Violation("verdicts.jsonl", lineno, f"unknown pair {v.pair_id}"))
-
+    # File -> (field, what it names, the ids it must be one of) per reference.
+    refs = {
+        "matches.jsonl": [("dataset_id", "dataset", ds_ids), ("paper_id", "paper", paper_ids)],
+        "aspects.jsonl": [("dataset_id", "dataset", ds_ids)],
+        "qapairs.jsonl": [("dataset_id", "dataset", ds_ids)],
+        "verdicts.jsonl": [("pair_id", "pair", pair_ids)],
+    }
+    if paper_ids:  # an aspect's paper is checked only when some paper was read
+        refs["aspects.jsonl"].append(("paper_id", "paper", paper_ids))
+    for name, checks in refs.items():
+        for lineno, r in rows.get(name, ()):
+            for field, what, known in checks:
+                if (value := getattr(r, field)) not in known:
+                    out.append(Violation(name, lineno, f"unknown {what} {value}"))
     return out

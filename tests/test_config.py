@@ -120,10 +120,13 @@ def test_disabled_http_embedding_needs_no_endpoint(tmp_path):
         ({"bm25": {"k1": float("nan")}}, "bm25.k1 must be finite and >= 0"),
         ({"bm25": {"b": 1.5}}, r"bm25.b must be in \[0, 1\]"),
         ({"bm25": {"b": -0.25}}, r"bm25.b must be in \[0, 1\]"),
+        ({"retrieval": {"ks": [1, 1]}}, "retrieval.ks must not repeat a k"),
+        ({"rag": {"ks": [0, 0]}}, "rag.ks must not repeat a k"),
     ],
     ids=["mock-embedding-dim-1", "timeout-0", "negative-backoff", "http-without-endpoint",
          "mock-without-script", "unknown-kind", "negative-retries", "no-requests-in-flight",
-         "negative-k1", "nan-k1", "b-above-1", "negative-b"],
+         "negative-k1", "nan-k1", "b-above-1", "negative-b", "repeated-retrieval-k",
+         "repeated-rag-k"],
 )
 def test_config_that_cannot_run_names_its_key(tmp_path, doc, message):
     with pytest.raises(ConfigError, match=f"^{message}"):

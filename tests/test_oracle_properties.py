@@ -314,7 +314,8 @@ def _ratios_list(draw):
     return [first, second, 100 - first - second]
 
 
-# Configs that load both before and after the section dataclasses.
+# Configs that load both before and after the section dataclasses (a repeated
+# k has been rejected since; the oracle's merge predates that rule).
 _CONFIGS = _some(
     {
         "backend": _some(
@@ -337,9 +338,9 @@ _CONFIGS = _some(
     bm25=_some(k1=st.integers(0, 3) | st.floats(0.0, 3.0),
                b=st.integers(0, 1) | st.floats(0.0, 1.0)),
     split=_some(ratios=_ratios_list(), seed=st.integers(-5, 10**6)),
-    retrieval=_some(ks=st.lists(st.integers(1, 200), min_size=1, max_size=5),
+    retrieval=_some(ks=st.lists(st.integers(1, 200), min_size=1, max_size=5, unique=True),
                     mrr_cutoff=st.integers(1, 200)),
-    rag=_some(ks=st.lists(st.integers(0, 20), min_size=1, max_size=4),
+    rag=_some(ks=st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True),
               chunk_size=st.integers(1, 500), max_pairs=st.integers(-3, 50)),
     embedding=(
         _some(enabled=st.booleans(), kind=st.just("mock"), dim=st.integers(2, 64),

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import shutil
 import sys
 import threading
@@ -73,10 +74,47 @@ def test_stage_graph_is_consistent():
     assert STAGE_ORDER == tuple(stage.name for stage in STAGES)
     assert len(set(STAGE_ORDER)) == len(STAGES) == 10
     seen = set()
+    writers = {}
     for stage in STAGES:
         assert all(dep in seen for dep in stage.deps), stage.name
         assert len(set(stage.inputs)) == len(stage.inputs), stage.name
+        for name in stage.writes:
+            assert writers.setdefault(name, stage.name) == stage.name, name
         seen.add(stage.name)
+
+
+def test_deps_are_the_writers_of_the_run_directory_inputs():
+    writers = {name: stage.name for stage in STAGES for name in stage.writes}
+    for stage in STAGES:
+        files = [label for label in stage.inputs if not label.startswith(("input:", "template:"))]
+        assert all(label in writers for label in files), stage.name
+        assert set(stage.deps) == {writers[label] for label in files}, stage.name
+    deps = {stage.name: stage.deps for stage in STAGES}
+    assert deps["split"] == deps["match"] == ("ingest",)
+    assert deps["bench-qa"] == ("generate", "filter", "index")
+
+
+def test_split_runs_right_after_ingest(tmp_path):
+    config = load_config(FIXTURE_CONFIG)
+    run_dir = tmp_path / "run"
+    assert run_stage("ingest", config, run_dir, FIXTURE_DIR) == "done"
+    assert run_stage("split", config, run_dir) == "done"
+    assert run_stage("split", config, run_dir) == "noop"
+    with pytest.raises(StageError, match="requires 'ingest' to be done first"):
+        run_stage("split", config, tmp_path / "fresh")
+
+
+def test_readme_stage_table_follows_stages():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = readme[readme.index("| stage "):].split("\n\n")[0].splitlines()[2:]
+    table = {}
+    for line in lines:
+        stage, needs, writes = (cell.strip() for cell in line.strip("|").split("|"))
+        table[stage] = (
+            () if needs == "`--input` dir" else tuple(needs.split(", ")),
+            re.findall(r"`([^`]+)`", writes),
+        )
+    assert table == {stage.name: (stage.deps, list(stage.writes)) for stage in STAGES}
 
 
 def test_stage_context_opens_only_declared_inputs(tmp_path):
@@ -84,11 +122,15 @@ def test_stage_context_opens_only_declared_inputs(tmp_path):
         config=load_config(FIXTURE_CONFIG),
         run_dir=tmp_path,
         inputs={"datasets.jsonl": tmp_path / "datasets.jsonl"},
+        writes={"reports/x.csv": None},
     )
     assert ctx.input("datasets.jsonl") == tmp_path / "datasets.jsonl"
     with pytest.raises(StageError, match="'papers.jsonl' is not a declared input"):
         ctx.input("papers.jsonl")
     assert ctx.output("reports/x.csv") == tmp_path / "reports/x.csv"
+    assert ctx.outputs == [tmp_path / "reports/x.csv"]
+    with pytest.raises(StageError, match="'reports/y.csv' is not a declared output"):
+        ctx.output("reports/y.csv")
     assert ctx.outputs == [tmp_path / "reports/x.csv"]
 
 
@@ -578,7 +620,9 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
     monkeypatch.setattr(pipeline, "_embedding_client", lambda ctx: CountingClient(dim=16))
     stage = next(s for s in STAGES if s.name == "bench-retrieval")
     inputs = pipeline._stage_inputs(stage, copy, None, config)
-    stage.run(pipeline.StageContext(config=config, run_dir=copy, inputs=inputs))
+    stage.run(
+        pipeline.StageContext(config=config, run_dir=copy, inputs=inputs, writes=stage.writes)
+    )
     meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
     units = [
         len(json.loads((copy / f"index/{side}.json").read_text(encoding="utf-8"))["units"])
@@ -616,7 +660,9 @@ def test_bench_retrieval_keeps_no_ranked_list(fixture_run, tmp_path, monkeypatch
         monkeypatch.setattr(pipeline, name, keeping(name))
     stage = next(s for s in STAGES if s.name == "bench-retrieval")
     inputs = pipeline._stage_inputs(stage, copy, None, config)
-    stage.run(pipeline.StageContext(config=config, run_dir=copy, inputs=inputs))
+    stage.run(
+        pipeline.StageContext(config=config, run_dir=copy, inputs=inputs, writes=stage.writes)
+    )
     meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
     assert counts == {"search": 2 * meta["n_queries"], "embed_search": 2 * meta["n_queries"]}
     assert latest[0]() is None
@@ -919,6 +965,26 @@ def test_validate_outputs_reports_an_unparseable_manifest(fixture_run, tmp_path)
     assert violation.file == "manifest.json" and "unparseable JSON" in violation.message
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[], {"stages": []}, {"stages": {"split": "done"}}, {"stages": {"split": {"outputs": []}}}],
+    ids=["list", "stages-a-list", "entry-a-string", "outputs-a-list"],
+)
+def test_a_manifest_of_another_shape_is_an_error(fixture_run, tmp_path, capsys, doc):
+    """validate reports one violation and a stage fails with a JSON error;
+    neither stops with a traceback."""
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    message = "manifest.json must be an object whose stages are objects"
+    assert main(["validate", "--output", str(copy)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"manifest.json:0: {message}", "1 violation(s)"]
+    assert main(["split", "--config", str(FIXTURE_CONFIG), "--output", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "StageError", "message": message}
+
+
 def test_rerun_after_input_change(fixture_run, tmp_path):
     config, run_dir, _ = fixture_run
     copy = tmp_path / "copy"
@@ -1033,12 +1099,19 @@ def test_validator_flags_tampering(fixture_run, tmp_path):
          ' "text": "t"}', "paper_id must be a string"),
         ("qapairs.jsonl", '{"id": "q", "dataset_id": ["d"], "qtype": "Verification",'
          ' "question": "q?", "answer": "a"}', "dataset_id must be a string"),
+        ("reports/qaeval.jsonl", '{"pair_id": "p", "model": "m", "prediction": "x",'
+         ' "correct": "yes", "qtype": "Verification"}', "correct must be true or false"),
+        ("matches.jsonl", '{"dataset_id": "ds001", "paper_id": "p1", "used": false,'
+         ' "explanation": "", "truncated": "no"}', "truncated must be true or false"),
+        ("verdicts.jsonl", '{"pair_id": "p", "delta": 0.5, "decision": "Accept",'
+         ' "conf_with": 0.5, "conf_without": 0.5}', "missing field model"),
     ],
     ids=[
         "verdict-delta-not-a-number", "verdict-not-an-object", "verdict-id-not-a-string",
         "match-not-json", "match-missing-field", "match-id-not-a-string",
         "dataset-id-not-a-string", "paper-id-not-a-string", "aspect-id-not-a-string",
-        "pair-id-not-a-string",
+        "pair-id-not-a-string", "qaeval-correct-not-a-bool", "match-truncated-not-a-bool",
+        "verdict-without-model",
     ],
 )
 def test_validator_reports_each_malformed_row(
