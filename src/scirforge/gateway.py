@@ -3,9 +3,10 @@
 The gateway owns the disk cache, keyed by the backend's identity and the
 request fields, and through it coalesces identical concurrent requests.
 The cache is one append-only log per cache directory, `cache.log`, one
-entry per line (`<64-hex key>\t<JSON value>\n`), indexed in memory by the
-byte offset of each key's latest line, after Bitcask (Sheehy & Smith,
-2010); a process keeps one index per log file, which its gateways share.
+entry per line (`<64-hex key>\t<JSON value>\n`), indexed in memory by a
+keydir of fixed-size entries, after Bitcask (Sheehy & Smith, 2010): each
+line's key prefix and its offset and length, 16 bytes a line. A process
+keeps one index per log file, which its gateways share.
 Transport concerns belong to the transport: HttpBackend caps its in-flight
 requests and retries transient failures with backoff, for every call it
 makes.
@@ -21,10 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
 import threading
 import time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, TypeVar
@@ -421,23 +425,93 @@ T = TypeVar("T")
 _decode = json.JSONDecoder().decode
 
 
+# The keydir keeps the integer of each key's first _PREFIX_DIGITS hex digits,
+# and packs a line's offset above _LENGTH_BITS bits of its length (logs up to
+# 1 TiB). A line too long for the field stores the field's largest value and
+# is read on to its newline. `recent` holds _RECENT_MIN lines, or a 32nd of
+# the keydir's if that is more, before it is folded into the keydir.
+_PREFIX_DIGITS = 16
+_LENGTH_BITS = 24
+_RECENT_MIN = 1024
+
+
+def _prefix(key: bytes) -> int | None:
+    """The keydir prefix of a key, or None when its digits are not hex."""
+    try:
+        prefix = int(key[:_PREFIX_DIGITS], 16)
+    except ValueError:
+        return None
+    return prefix if prefix >= 0 else None
+
+
+def _entry(offset: int, length: int) -> int:
+    return offset << _LENGTH_BITS | min(length, (1 << _LENGTH_BITS) - 1)
+
+
+def _column(n: int) -> memoryview:
+    """`n` zeroed 8-byte integers in an anonymous mapping of their own, so
+    that dropping the column unmaps it. A column allocated with malloc
+    would, when freed, raise malloc's mmap threshold to its size and keep
+    the process's later allocations below that size on the heap."""
+    return memoryview(mmap.mmap(-1, 8 * n or 8, flags=mmap.MAP_PRIVATE)).cast("Q")[:n]
+
+
 class _LogIndex:
     """The index of one cache log, shared by this process's gateways on it.
 
-    `offsets` maps each key to `offset << 32 | length` of its latest line
-    and covers every complete line before byte `indexed`; `torn` says the
-    line at `indexed` lacked its newline when last read. `stamp` is the
-    log's (size, mtime_ns) when the last gateway using the index closed,
-    with no torn tail, else None. `lock` guards the index and orders this
-    process's appends to the log.
+    It covers every complete line before byte `indexed`; `torn` says the
+    line at `indexed` lacked its newline when last read. `keydir` is a pair
+    of `_column`s of equal length: the prefix of each indexed line's key, in
+    ascending order, and beside it the line's `_entry`; within a prefix,
+    entries are in the order the index learnt of their lines. A log line
+    costs those 16 bytes; a key appended several times has one entry per
+    line, and its last is its latest. `recent` maps each key indexed since
+    the last fold to its latest entry. A fold builds new columns, so a
+    reader that takes no lock sees either pair whole. `stamp` is the log's
+    (size, mtime_ns) when the last gateway using the index closed, with no
+    torn tail, else None. `lock` guards the index and orders this process's
+    appends to the log.
     """
 
     def __init__(self):
-        self.offsets: dict[bytes, int] = {}
+        self.keydir: tuple[memoryview, memoryview] = (_column(0), _column(0))
+        self.recent: dict[bytes, int] = {}
+        self.limit = _RECENT_MIN
         self.indexed = 0
         self.torn = False
         self.stamp: tuple[int, int] | None = None
         self.lock = threading.Lock()
+
+    def add(self, key: bytes, entry: int) -> None:
+        """Index a line of `key` newer than every line indexed so far. The
+        caller holds the lock."""
+        self.recent[key] = entry
+        if len(self.recent) > self.limit:
+            self.fold(array("Q"), array("Q"))
+
+    def fold(self, prefixes: array, entries: array) -> None:
+        """Publish new keydir columns: the keydir's entries, then `recent`'s,
+        then the lines given as `prefixes` and `entries`, in the order the
+        index learnt of them, so a key's last entry is the one a dict would
+        hold; then empty `recent`. The caller holds the lock."""
+        prefixes[:0] = array("Q", (int(key[:_PREFIX_DIGITS], 16) for key in self.recent))
+        entries[:0] = array("Q", self.recent.values())
+        new_prefixes = np.frombuffer(prefixes, np.uint64)
+        order = np.argsort(new_prefixes, kind="stable")
+        old_prefixes = self.keydir[0]
+        # Each new entry goes after the keydir's of its prefix.
+        at = np.searchsorted(np.frombuffer(old_prefixes, np.uint64), new_prefixes[order], "right")
+        at += np.arange(len(at), dtype=at.dtype)
+        kept = np.ones(len(old_prefixes) + len(at), bool)
+        kept[at] = False
+        columns = (_column(len(kept)), _column(len(kept)))
+        for column, old, new in zip(columns, self.keydir, (prefixes, entries)):
+            view = np.frombuffer(column, np.uint64)
+            view[kept] = np.frombuffer(old, np.uint64)
+            view[at] = np.frombuffer(new, np.uint64)[order]
+        self.keydir = columns
+        self.recent.clear()
+        self.limit = max(_RECENT_MIN, len(kept) // 32)
 
 
 # A cache log's (st_dev, st_ino) -> its index in this process.
@@ -534,17 +608,16 @@ class Gateway:
 
     def _lookup(self, key: bytes, fields: tuple[str, ...]) -> dict | None:
         index = self._index
-        entry = index.offsets.get(key)
-        if entry is None:
+        line = self._latest(index, key)
+        if line is None:
             # Only a miss looks for lines appended since the log was indexed.
             with index.lock:
                 if os.fstat(self._reader.fileno()).st_size > index.indexed:
                     self._index_tail()
-                entry = index.offsets.get(key)
-            if entry is None:
+                line = self._latest(index, key)
+            if line is None:
                 return None
-        line = os.pread(self._reader.fileno(), entry & 0xFFFFFFFF, entry >> 32)
-        if not (line.startswith(key + b"\t") and line.endswith(b"\n")):
+        if not line:
             # The log changed under the index: the next gateway rebuilds it.
             with _LOG_INDEXES_LOCK:
                 if _LOG_INDEXES.get(self._log_id) is index:
@@ -558,24 +631,84 @@ class Gateway:
             return value
         return None
 
+    def _latest(self, index: _LogIndex, key: bytes) -> bytes | None:
+        """The latest indexed line of `key`; None when no indexed line has
+        it, and b"" when a line the index places there holds neither `key`
+        nor another key of its prefix: the log changed under the index.
+
+        Lines of `key`'s prefix are read latest first; one of another key
+        is a prefix collision, and the one before it is read."""
+        head = key + b"\t"
+        entry = index.recent.get(key)
+        if entry is not None:
+            line = self._read(entry)
+            return line if line.startswith(head) and line.endswith(b"\n") else b""
+        prefixes, entries = index.keydir
+        prefix = int(key[:_PREFIX_DIGITS], 16)
+        i = bisect_right(prefixes, prefix)
+        while i and prefixes[i - 1] == prefix:
+            i -= 1
+            line = self._read(entries[i])
+            if line.startswith(head) and line.endswith(b"\n"):
+                return line
+            if not (line[64:65] == b"\t" and line.endswith(b"\n") and _prefix(line) == prefix):
+                return b""
+        return None
+
+    def _read(self, entry: int) -> bytes:
+        """The line at a keydir entry, read with one pread unless it is too
+        long for the entry to hold its length."""
+        fd, longest = self._reader.fileno(), (1 << _LENGTH_BITS) - 1
+        offset, length = entry >> _LENGTH_BITS, entry & longest
+        line = os.pread(fd, length, offset)
+        while length == longest and not line.endswith(b"\n"):
+            more = os.pread(fd, 1 << 20, offset + len(line))
+            if not more:
+                break
+            end = more.find(b"\n")
+            line += more if end < 0 else more[: end + 1]
+        return line
+
     def _index_tail(self) -> None:
         """Index the complete lines past `indexed`, streaming them, so
         entries that other gateways or processes appended become visible.
-        A last line without its newline is left for the next call. The
-        caller holds the index's lock."""
+        A last line without its newline is left for the next call. A tail
+        that fits in `recent` goes there; a longer one streams into arrays
+        that one fold sorts into the keydir. The caller holds the index's
+        lock."""
         index = self._index
         offset = index.indexed
         self._reader.seek(offset)
         index.torn = False
+        longest = (1 << _LENGTH_BITS) - 1
+        prefixes, entries = array("Q"), array("Q")
+        # The tail's keys, while they fit in `recent`.
+        keys: list[bytes] | None = []
+        room = index.limit - len(index.recent)
+        # `_prefix` and `_entry`, inlined: this loop reads every line of the log.
         for line in self._reader:
             if not line.endswith(b"\n"):
                 index.torn = True
                 break
-            cut = line.find(b"\t")
-            if cut > 0:
-                index.offsets[line[:cut]] = offset << 32 | len(line)
-            offset += len(line)
+            length = len(line)
+            # Only a line with a 64-digit key before its tab can be a hit.
+            if line[64:65] == b"\t":
+                try:
+                    prefixes.append(int(line[:_PREFIX_DIGITS], 16))
+                except (ValueError, OverflowError):  # not hex digits, or signed
+                    pass
+                else:
+                    entries.append(offset << _LENGTH_BITS | min(length, longest))
+                    if keys is not None and len(keys) < room:
+                        keys.append(line[:64])
+                    else:
+                        keys = None
+            offset += length
         index.indexed = offset
+        if keys is None:
+            index.fold(prefixes, entries)
+        else:
+            index.recent.update(zip(keys, entries))
 
     def _append(self, key: bytes, value: dict) -> None:
         line = key + b"\t" + JSON_LINE.encode(value).encode("utf-8") + b"\n"
@@ -586,7 +719,7 @@ class Gateway:
             index.torn = False
             self._log.write(written)
             end = self._log.tell()
-            index.offsets[key] = (end - len(line)) << 32 | len(line)
+            index.add(key, _entry(end - len(line), len(line)))
             if end - len(written) == index.indexed:
                 index.indexed = end
 

@@ -11,11 +11,14 @@ counts) is byte-identical across runs.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
+import fcntl
 import hashlib
 import io
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +32,7 @@ from .config import Embedding, Entailment, RunConfig
 from .core import (
     COGNITIVE_LEVELS,
     AspectUnit,
+    CognitiveLevel,
     CountedRows,
     Decision,
     DatasetRecord,
@@ -240,6 +244,16 @@ class _MatchRow:
 class _VerdictRow(FilterVerdict):
     pair_id: str
     model: str
+
+
+@dataclass(frozen=True, kw_only=True)
+class _QAEvalRow(QAEvalRecord):
+    """A `qaeval.jsonl` row: one pair answered with k passages. bench-qa
+    writes each as its record's dict plus these two keys, which is this
+    type's row, and saves building a record per row."""
+
+    k: int
+    level: CognitiveLevel
 
 
 def _stage_ingest(ctx: StageContext) -> None:
@@ -790,7 +804,7 @@ STAGES = (
           _stage_bench_retrieval),
     Stage("bench-qa", (*_PAIRS, _INDEX_FILES[IndexConfig.WITH_PAPER],
                        "template:cognitive.txt", "template:rag.txt"),
-          {"reports/qaeval.jsonl": QAEvalRecord, "reports/qa_summary.csv": None,
+          {"reports/qaeval.jsonl": _QAEvalRow, "reports/qa_summary.csv": None,
            "reports/qa_by_level.csv": None}, _stage_bench_qa),
     Stage("stats", (*_PAIRS, "template:cognitive.txt"),
           {"reports/stats.csv": None, "reports/levels.csv": None}, _stage_stats),
@@ -934,7 +948,7 @@ def run_stage(
     def record(status: str, **extra: str) -> None:
         # A failed attempt lists what it wrote too, so the next run removes it.
         gateway = ctx._gateway
-        manifest["stages"][name] = {
+        own = {
             "status": status,
             "inputs": input_digests,
             "outputs": {
@@ -949,7 +963,17 @@ def run_stage(
             **({"warnings": ctx.warnings} if ctx.warnings else {}),
             **extra,
         }
-        write_json_atomic(manifest_path, manifest)
+        # Stage commands may run at once on one run directory: each sets only
+        # its own entry in the manifest on disk, under a lock on the directory
+        # (a lock file would be an artifact).
+        fd = os.open(run_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            current = _read_manifest(manifest_path) if manifest_path.exists() else manifest
+            current["stages"][name] = own
+            write_json_atomic(manifest_path, current)
+        finally:
+            os.close(fd)
 
     try:
         stage.run(ctx)
@@ -1000,6 +1024,32 @@ def validate_outputs(run_dir: Path) -> list[Violation]:
     ]
 
 
+def _eval_row_check(
+    rows: dict[str, list[tuple[int, Any]]], name: str, out: list[Violation]
+) -> Callable[[int, _QAEvalRow], None]:
+    """A check of each `qaeval.jsonl` row, given the pairs and verdicts
+    read: the row's pair must be accepted, and have one row per k."""
+    pairs = rows.get("qapairs.jsonl", [])
+    decisions = {v.pair_id: v.decision for _, v in rows.get("verdicts.jsonl", ())}
+    accepted = {
+        p.id: i for i, (_, p) in enumerate(pairs) if decisions.get(p.id) is Decision.ACCEPT
+    }
+    # Per k, a mark for each pair that has its row.
+    seen: dict[int, bytearray] = collections.defaultdict(lambda: bytearray(len(pairs)))
+
+    def check(lineno: int, row: _QAEvalRow) -> None:
+        i = accepted.get(row.pair_id)
+        if i is None:
+            out.append(Violation(name, lineno, f"unknown accepted pair {row.pair_id}"))
+        elif seen[row.k][i]:
+            message = f"duplicate row for pair {row.pair_id} at k {row.k}"
+            out.append(Violation(name, lineno, message))
+        else:
+            seen[row.k][i] = 1
+
+    return check
+
+
 def validate_corpus(run_dir: Path) -> list[Violation]:
     """Every row of each JSONL file a stage writes rows of a record type to,
     read as that type, then referential checks across the files present."""
@@ -1008,7 +1058,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
         return [Violation("datasets.jsonl", 0, "file missing")]
     out: list[Violation] = []
     # File -> (line, record) for each well-formed row of a file present.
-    # No check below reads a report's rows, so those are parsed, not kept
+    # A report's rows are parsed and checked as they are read, not kept
     # (bench-qa writes one per pair and k).
     rows: dict[str, list[tuple[int, Any]]] = {}
     for stage in STAGES:
@@ -1016,9 +1066,12 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
             if cls is None or not name.endswith(".jsonl") or not (run_dir / name).exists():
                 continue
             kept = rows[name] = []
+            check = _eval_row_check(rows, name, out) if cls is _QAEvalRow else None
             for lineno, got in read_records(run_dir / name, cls):
                 if isinstance(got, RecordError):
                     out.append(Violation(name, lineno, str(got)))
+                elif check:
+                    check(lineno, got)
                 elif not name.startswith("reports/"):
                     kept.append((lineno, got))
 

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -378,6 +379,38 @@ def test_a_hit_makes_no_fstat_call(log_gateway, monkeypatch):
     assert len(calls) == 1 and gw.backend_calls == 2
 
 
+def test_a_miss_looks_again_after_waiting_for_another_tail_read(tmp_path, log_gateway, monkeypatch):
+    log_gateway().close()
+    writer, reader = log_gateway(), log_gateway()
+    assert writer._index is reader._index
+    # A line for "a" that another process appended: only a tail read finds it.
+    other = Gateway(_CountingBackend(), BackendConfig(
+        kind="mock", script_path="unused", cache_dir=str(tmp_path / "other")
+    ))
+    other.complete(req("a"))
+    other.close()
+    with (tmp_path / "cache" / CACHE_LOG).open("ab") as f:
+        f.write((tmp_path / "other" / CACHE_LOG).read_bytes())
+    index_tail = Gateway._index_tail
+    reading = threading.Event()
+
+    def slow(gw):
+        reading.set()
+        time.sleep(0.2)
+        index_tail(gw)
+
+    monkeypatch.setattr(Gateway, "_index_tail", slow)
+    # `writer` misses "b" and reads the tail, holding the index's lock;
+    # `reader` misses "a" before that read and waits for the lock.
+    thread = threading.Thread(target=writer.complete, args=(req("b"),))
+    thread.start()
+    assert reading.wait(timeout=10)
+    assert reader.complete(req("a")) == "out"
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert reader.cache_hits == 1 and reader.backend_calls == 0
+
+
 def test_line_appended_between_gateways_is_found(tmp_path, log_gateway):
     first = log_gateway()
     first.complete(req("a"))
@@ -447,6 +480,110 @@ def test_old_per_entry_cache_files_are_ignored(tmp_path, log_gateway):
     assert gw.backend_calls == 1 and gw.cache_hits == 0
     assert old.read_text(encoding="utf-8") == value
     assert log.read_text(encoding="utf-8") == f"{key}\t{value}\n"
+
+
+def test_keydir_entry_past_4_gib_round_trips(tmp_path, log_gateway, monkeypatch):
+    gw = log_gateway()
+    gw.complete(req("a"))
+    line = (tmp_path / "cache" / CACHE_LOG).read_bytes()
+    far = 2**32 + 1
+    entry = gateway._entry(far, len(line))
+    assert entry >> gateway._LENGTH_BITS == far
+    assert entry & (1 << gateway._LENGTH_BITS) - 1 == len(line)
+    # The index places the key's only line past 4 GiB; pread serves it there.
+    pread = os.pread
+    monkeypatch.setattr(
+        os, "pread", lambda fd, n, at: line[:n] if at == far else pread(fd, n, at)
+    )
+    index = gw._index
+    with index.lock:
+        index.recent.clear()
+        index.keydir = (array("Q"), array("Q"))
+        index.fold(array("Q", [gateway._prefix(line)]), array("Q", [entry]))
+    assert list(index.keydir[1]) == [entry]
+    assert gw.complete(req("a")) == "out" and gw.cache_hits == 1
+    with index.lock:
+        index.add(line[:64], entry)
+    assert gw.complete(req("a")) == "out" and gw.cache_hits == 2
+
+
+def test_line_longer_than_its_length_field_is_read_to_its_end(tmp_path, log_gateway, monkeypatch):
+    monkeypatch.setattr(gateway, "_LENGTH_BITS", 6)  # every line is longer than 63 bytes
+    first = log_gateway()
+    first.complete(req("a"))
+    first.complete(req("b" * 3000))
+    assert first.complete(req("a")) == first.complete(req("b" * 3000)) == "out"
+    monkeypatch.setattr(gateway, "_LOG_INDEXES", {})
+    second = log_gateway()
+    assert second.complete(req("b" * 3000)) == second.complete(req("a")) == "out"
+    assert first.cache_hits == second.cache_hits == 2 and second.backend_calls == 0
+
+
+def test_lines_that_cannot_hold_a_key_are_skipped(tmp_path, log_gateway, monkeypatch):
+    first = log_gateway()
+    first.complete(req("a"))
+    first.complete(req("b"))
+    first.close()
+    log = tmp_path / "cache" / CACHE_LOG
+    a, b = log.read_bytes().splitlines(keepends=True)
+    junk = [b"-" * 64 + b"\t{}\n", b"z" * 64 + b"\t{}\n", b"short\t{}\n", b"\n"]
+    log.write_bytes(a + b"".join(junk) + b)
+    monkeypatch.setattr(gateway, "_RECENT_MIN", 1)  # the fresh index folds the log
+    monkeypatch.setattr(gateway, "_LOG_INDEXES", {})
+    second = log_gateway()
+    assert second.complete(req("b")) == second.complete(req("a")) == "out"
+    assert second.backend_calls == 0 and second.cache_hits == 2
+    assert len(second._index.keydir[0]) == 2
+
+
+def _sharing_first_digit(n):
+    """`n` request texts whose cache keys share their first hex digit."""
+    by_digit = {}
+    for i in range(200):
+        text = f"q{i}"
+        key = gateway._key("counting", "chat", "mock-model", (0.0).hex(), "1024", "user", text)
+        group = by_digit.setdefault(key[:1], [])
+        group.append(text)
+        if len(group) == n:
+            return group
+    raise AssertionError("no shared digit")
+
+
+def test_prefix_collision_is_read_past_and_keeps_the_index(tmp_path, log_gateway, monkeypatch):
+    monkeypatch.setattr(gateway, "_PREFIX_DIGITS", 1)
+    monkeypatch.setattr(gateway, "_RECENT_MIN", 1)  # a fresh index of the log folds it
+    older, newer = _sharing_first_digit(2)
+    first = log_gateway()
+    first.complete(req(older))
+    first.complete(req(newer))
+    first.close()
+    monkeypatch.setattr(gateway, "_LOG_INDEXES", {})
+    second = log_gateway()
+    # `newer`'s line is read first, holds another key of the same prefix,
+    # and is passed over for `older`'s.
+    assert second.complete(req(older)) == second.complete(req(newer)) == "out"
+    assert second.backend_calls == 0 and second.cache_hits == 2
+    assert list(gateway._LOG_INDEXES.values()) == [second._index]
+    assert len(second._index.keydir[0]) == 2
+
+
+def test_fresh_index_streams_the_log_into_the_keydir(tmp_path, log_gateway, monkeypatch):
+    monkeypatch.setattr(gateway, "_RECENT_MIN", 4)
+    first = log_gateway()
+    for i in range(40):
+        first.complete(req(f"q{i}"))
+    # Appends fold `recent` into the keydir once it passes its bound.
+    assert len(first._index.recent) <= 4
+    first.close()
+    monkeypatch.setattr(gateway, "_LOG_INDEXES", {})
+    folds = []
+    fold = gateway._LogIndex.fold
+    monkeypatch.setattr(gateway._LogIndex, "fold", lambda *a: folds.append(len(a[1])) or fold(*a))
+    second = log_gateway()
+    assert second.complete(req("q0")) == "out" and second.cache_hits == 1
+    # The whole log went to the keydir in one sort, and none of it to `recent`.
+    assert folds == [40] and second._index.recent == {}
+    assert len(second._index.keydir[0]) == 40
 
 
 class _OverlapBackend:

@@ -6,7 +6,9 @@ import io
 import json
 import random
 import re
+import os
 import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -202,6 +204,56 @@ def _artifacts(run_dir: Path) -> dict[str, bytes]:
         for path in sorted(run_dir.rglob("*"))
         if path.is_file() and path.name != "manifest.json"
     }
+
+
+# Runs one stage command whose manifest writes take 50 ms longer, so that
+# commands finishing together overlap between reading and writing it.
+_SLOW_MANIFEST_COMMAND = """
+import sys, time
+from scirforge import pipeline
+from scirforge.cli import main
+write = pipeline.write_json_atomic
+def slow(path, doc):
+    if path.name == "manifest.json":
+        time.sleep(0.05)
+    write(path, doc)
+pipeline.write_json_atomic = slow
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_concurrent_stage_commands_keep_every_manifest_entry(fixture_run, tmp_path):
+    """Four stage commands started at once on one run directory: each one's
+    manifest entry survives the others', over several trials, and the
+    artifacts are the serial run's."""
+    _, run_dir, _ = fixture_run
+    stages = ("bench-retrieval", "bench-qa", "stats", "split")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for trial in range(4):
+        copy = tmp_path / f"trial{trial}"
+        shutil.copytree(run_dir, copy)
+        manifest_path = copy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        for stage in stages:
+            del manifest["stages"][stage]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _SLOW_MANIFEST_COMMAND, stage,
+                 "--config", str(FIXTURE_DIR / "config.json"), "--output", str(copy)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for stage in stages
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        entries = json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]
+        assert sorted(entries) == sorted(STAGE_ORDER), trial
+        assert all(entries[stage]["status"] == "done" for stage in stages)
+        assert _artifacts(copy) == _artifacts(run_dir)
 
 
 def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
@@ -1079,6 +1131,42 @@ def test_validator_flags_tampering(fixture_run, tmp_path):
     assert any("unknown paper ghost-paper" in m for m in messages)
     assert any("unparseable JSON" in m for m in messages)
     assert any("unknown pair ghost-pair" in m for m in messages)
+
+
+def test_validator_checks_each_qaeval_row_against_the_accepted_pairs(fixture_run, tmp_path):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    path = copy / "reports/qaeval.jsonl"
+    text = path.read_text(encoding="utf-8")
+    # bench-qa writes each row as its declared type's row, bytes and key order.
+    for line in text.splitlines():
+        row = core.record_from_dict(pipeline._QAEvalRow, json.loads(line))
+        assert core.JSON_LINE.encode(core.record_to_dict(row)) == line
+    first = json.loads(text.splitlines()[0])
+    verdicts = (copy / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    rejected = next(
+        row["pair_id"] for row in map(json.loads, verdicts) if row["decision"] != "Accept"
+    )
+    n = len(text.splitlines())
+    extra = [
+        first,  # a copy of the first row
+        {**first, "pair_id": "ghost"},
+        {**first, "pair_id": rejected},
+        {**first, "k": 7},  # a k the config does not name still has one row per pair
+        {key: first[key] for key in first if key not in ("k", "level")} | {"pair_id": "ghost"},
+    ]
+    path.write_text(text + "".join(json.dumps(row) + "\n" for row in extra), encoding="utf-8")
+
+    violations = validate_corpus(copy)
+    assert [(v.file, v.line, v.message) for v in violations] == [
+        ("reports/qaeval.jsonl", n + 1,
+         f"duplicate row for pair {first['pair_id']} at k {first['k']}"),
+        ("reports/qaeval.jsonl", n + 2, "unknown accepted pair ghost"),
+        ("reports/qaeval.jsonl", n + 3, f"unknown accepted pair {rejected}"),
+        ("reports/qaeval.jsonl", n + 5, "missing field k"),
+    ]
+    assert validate_corpus(run_dir) == []
 
 
 @pytest.mark.parametrize(

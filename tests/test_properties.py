@@ -1,6 +1,8 @@
-"""Property tests for split apportionment, the JSONL record format and
-gateway cache keys."""
+"""Property tests for split apportionment, the JSONL record format,
+gateway cache keys and the cache log's keydir."""
 import hashlib
+import json
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,8 @@ from scirforge.core import (  # noqa: E402
     split_sizes,
     write_jsonl,
 )
-from scirforge.gateway import BackendConfig, Gateway, PromptRequest, _key  # noqa: E402
+from scirforge import gateway  # noqa: E402
+from scirforge.gateway import CACHE_LOG, BackendConfig, Gateway, PromptRequest, _key  # noqa: E402
 from scirforge.retrieval import DocUnit  # noqa: E402
 
 
@@ -204,3 +207,121 @@ def test_messages_split_differently_are_cached_apart(tmp_path_factory, splits, r
         assert gw.complete(request) == repr(request.messages)
     assert backend.calls == 2 and gw.cache_hits == 0
     gw.close()
+
+
+class _DictIndex:
+    """The oracle for the keydir: the cache log indexed by one dict from
+    each key to the offset and length of its latest line. It reads the log
+    the gateway writes and follows the gateway's rules: a miss indexes the
+    unread tail, an append ends a torn last line first, and a new gateway
+    keeps the index only when the last one closed with no torn tail."""
+
+    def __init__(self, log):
+        self.log = log
+        self.offsets = {}
+        self.indexed = 0
+        self.torn = False
+
+    def lookup(self, key):
+        """The value a lookup of `key` serves, or None for a miss."""
+        if key not in self.offsets and self.log.stat().st_size > self.indexed:
+            *lines, rest = self.log.read_bytes()[self.indexed :].split(b"\n")
+            for line in lines:
+                cut = line.find(b"\t")
+                if cut > 0:
+                    self.offsets[line[:cut]] = (self.indexed, len(line) + 1)
+                self.indexed += len(line) + 1
+            self.torn = rest != b""
+        if key not in self.offsets:
+            return None
+        offset, length = self.offsets[key]
+        line = self.log.read_bytes()[offset : offset + length]
+        assert line.startswith(key + b"\t") and line.endswith(b"\n")  # append-only
+        try:
+            value = json.loads(line[len(key) + 1 :])
+        except ValueError:
+            return None
+        return value if isinstance(value, dict) and "response" in value else None
+
+    def appended(self, key, before, after):
+        """Index the line the gateway appended for `key`, which took the
+        log from `before` to `after` bytes."""
+        length = after - before - self.torn
+        self.offsets[key] = (after - length, length)
+        if before == self.indexed:
+            self.indexed = after
+        self.torn = False
+
+
+_N_TEXTS = 8
+_KEYDIR_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("call"), st.integers(0, _N_TEXTS - 1)),
+        st.tuples(st.just("write"), st.integers(0, _N_TEXTS - 1)),
+        st.tuples(st.just("torn"), st.integers(0, _N_TEXTS - 1), st.integers(1, 120)),
+        st.tuples(st.just("reopen")),
+        st.tuples(st.just("restart")),
+        st.tuples(st.just("fold")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _KEYDIR_OPS,
+    st.sampled_from([1, 16]),  # 1 hex digit: 16 prefixes for 8 keys, so collisions are common
+    st.sampled_from([6, 24]),  # 6 bits: every line is longer than its length field
+    st.integers(1, 4),
+)
+def test_keydir_matches_a_dict_index(tmp_path_factory, ops, digits, length_bits, recent_min):
+    """Appends, re-appended keys, lines another process appends, torn
+    tails a crashed writer leaves, gateways that take over the index or
+    index afresh, and folds: every lookup serves what a dict index of the
+    same log would."""
+    log = tmp_path_factory.mktemp("keydir") / CACHE_LOG
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(log.parent))
+    keys = [_key("keydir", str(i)) for i in range(_N_TEXTS)]
+    calls = 0
+
+    def fetch():
+        nonlocal calls
+        calls += 1
+        return {"response": f"answer {calls}"}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gateway, "_PREFIX_DIGITS", digits)
+        mp.setattr(gateway, "_LENGTH_BITS", length_bits)
+        mp.setattr(gateway, "_RECENT_MIN", recent_min)
+        mp.setattr(gateway, "_LOG_INDEXES", {})
+        gw, oracle = Gateway(None, config), _DictIndex(log)
+        try:
+            for op, *args in ops + [("call", i) for i in range(_N_TEXTS)]:
+                if op == "call":
+                    key = keys[args[0]]
+                    want, hits, before = oracle.lookup(key), gw.cache_hits, log.stat().st_size
+                    got = gw._cached(key, ("response",), fetch)
+                    if want is None:
+                        assert got == {"response": f"answer {calls}"} and gw.cache_hits == hits
+                        oracle.appended(key, before, log.stat().st_size)
+                    else:
+                        assert got == want and gw.cache_hits == hits + 1
+                elif op in ("write", "torn"):
+                    calls += 1
+                    line = keys[args[0]] + b'\t{"response": "written %d"}\n' % calls
+                    with log.open("ab") as f:
+                        f.write(line if op == "write" else line[: min(args[1], len(line) - 1)])
+                elif op == "fold":
+                    with gw._index.lock:
+                        gw._index.fold(array("Q"), array("Q"))
+                else:
+                    torn = gw._index.torn
+                    gw.close()
+                    if op == "restart":  # a new process has no index
+                        mp.setattr(gateway, "_LOG_INDEXES", {})
+                    gw = Gateway(None, config)
+                    if op == "restart" or torn:
+                        oracle = _DictIndex(log)
+                    assert gw._index.indexed == oracle.indexed
+        finally:
+            gw.close()
