@@ -64,14 +64,7 @@ class Aspect(str, Enum):
 
 
 # Canonical aspect order used for prompt blocks and reports.
-ASPECT_ORDER: tuple[Aspect, ...] = (
-    Aspect.BACKGROUND,
-    Aspect.RESEARCH_OBJECTIVE,
-    Aspect.METHODS,
-    Aspect.CHALLENGES,
-    Aspect.DATASET,
-    Aspect.FINDINGS,
-)
+ASPECT_ORDER: tuple[Aspect, ...] = tuple(Aspect)
 
 _ASPECT_DISPLAY = {
     Aspect.BACKGROUND: "Background",
@@ -111,18 +104,9 @@ class QuestionType(str, Enum):
     REQUEST_DIRECTIVE = "Request/Directive"
 
 
-SHORT_TYPES: frozenset[QuestionType] = frozenset(
-    {
-        QuestionType.VERIFICATION,
-        QuestionType.DISJUNCTIVE,
-        QuestionType.CONCEPT_COMPLETION,
-        QuestionType.FEATURE_SPECIFICATION,
-        QuestionType.QUANTIFICATION,
-    }
-)
-
 # Canonical listing order: the five short types, then the thirteen long ones.
 QUESTION_TYPE_ORDER: tuple[QuestionType, ...] = tuple(QuestionType)
+SHORT_TYPES: frozenset[QuestionType] = frozenset(QUESTION_TYPE_ORDER[:5])
 
 
 def answer_form(qtype: QuestionType) -> AnswerForm:
@@ -299,9 +283,7 @@ def split_sizes(total: int, ratios: tuple[int, int, int]) -> tuple[int, int, int
 
 
 def split_corpus(
-    records: Iterable[DatasetRecord],
-    ratios: tuple[int, int, int] = (80, 15, 5),
-    seed: int = 0,
+    records: Iterable[DatasetRecord], ratios: tuple[int, int, int], seed: int
 ) -> tuple[set[str], set[str], set[str]]:
     """Partition dataset ids into three disjoint sets with ratio-proportional sizes.
 

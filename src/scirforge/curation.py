@@ -220,19 +220,16 @@ _BULLET_RE = re.compile(r"^\s*(?:[-*]|\d+\s*[.)])\s+(.*)$")
 
 
 def extract_aspects(
-    dataset: DatasetRecord,
-    section_text: str,
-    gateway: Gateway,
-    template_dir: Path | None = None,
+    section_text: str, gateway: Gateway, template_dir: Path | None = None
 ) -> AspectDraft:
-    """One extraction pass over a section; each aspect block becomes candidates."""
+    """One extraction pass over a section; each aspect block becomes
+    candidates.  The draft carries no ids: `merge_drafts` gives them."""
     if not section_text.strip():
         raise ValueError("section text must be nonempty")
-    response = ask(gateway, "extract", template_dir, section_text=section_text)
-    return parse_aspect_draft(response, dataset_id=dataset.id)
+    return parse_aspect_draft(ask(gateway, "extract", template_dir, section_text=section_text))
 
 
-def parse_aspect_draft(response: str, dataset_id: str = "", paper_id: str = "") -> AspectDraft:
+def parse_aspect_draft(response: str) -> AspectDraft:
     found: dict[Aspect, list[str]] = {}
     current: Aspect | None = None
     saw_header = False
@@ -264,7 +261,7 @@ def parse_aspect_draft(response: str, dataset_id: str = "", paper_id: str = "") 
             found[current].append(text)
     if not saw_header:
         raise ResponseParseError("response contains no aspect headers", raw=response)
-    return AspectDraft.from_mapping(dataset_id, paper_id, found)
+    return AspectDraft.from_mapping("", "", found)
 
 
 def merge_drafts(
@@ -301,13 +298,14 @@ def verify_aspects(
     dataset: DatasetRecord,
     gateway: Gateway,
     template_dir: Path | None = None,
-    warnings: list[str] | None = None,
+    *,
+    warnings: list[str],
 ) -> list[AspectUnit]:
     """Keep the verifier-approved candidates, turning them into AspectUnits.
 
     An aspect with candidates but an empty (or missing) keep list retains its
-    first candidate, recording a warning; the verifier must keep at least one
-    item per nonempty section.
+    first candidate, appending a warning to `warnings`; the verifier must
+    keep at least one item per nonempty section.
     """
     if not draft.has_candidates():
         raise ValueError("draft has no candidates to verify")
@@ -330,11 +328,10 @@ def verify_aspects(
                     raw=response,
                 )
         if not indices and texts:
-            if warnings is not None:
-                warnings.append(
-                    f"{draft.dataset_id}/{draft.paper_id}: verifier kept nothing "
-                    f"for {aspect.display}; retaining first candidate"
-                )
+            warnings.append(
+                f"{draft.dataset_id}/{draft.paper_id}: verifier kept nothing "
+                f"for {aspect.display}; retaining first candidate"
+            )
             indices = [1]
         for idx in sorted(set(indices)):
             units.append(

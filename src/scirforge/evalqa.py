@@ -81,13 +81,12 @@ class LevelDistribution:
     def __post_init__(self):
         if len(self.counts) != 6 or any(c < 0 for c in self.counts):
             raise ValueError("need six nonnegative counts")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     @classmethod
     def from_levels(cls, levels: Sequence[CognitiveLevel]) -> "LevelDistribution":
         counts = {lv: 0 for lv in COGNITIVE_LEVELS}
         for lv in levels:
-            counts[CognitiveLevel(lv)] += 1
+            counts[lv] += 1
         return cls(tuple(counts[lv] for lv in COGNITIVE_LEVELS))
 
     @property
@@ -162,7 +161,7 @@ def aggregate_stats(pairs: Sequence[QAPair]) -> list[StatsRow]:
 
 def rag_answer(
     question: str,
-    store: PassageStore | None,
+    store: PassageStore,
     gateway: Gateway,
     k: int,
     template_dir: Path | None = None,
@@ -173,8 +172,6 @@ def rag_answer(
         raise ValueError("k must be >= 0")
     passages = ""
     if k > 0:
-        if store is None:
-            raise ValueError("k > 0 requires a passage store")
         passages = "".join(
             f"Passage {i}: {t}\n\n" for i, t in enumerate(store.top_k(question, k), start=1)
         )
@@ -191,7 +188,6 @@ class QAEvalRecord:
     rouge_l: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qtype", QuestionType(self.qtype))
         is_long = answer_form(self.qtype) is AnswerForm.LONG
         if is_long and self.rouge_l is None:
             raise ValueError(f"{self.pair_id}: long-form record needs rouge_l")

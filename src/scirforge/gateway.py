@@ -459,8 +459,7 @@ def _column(n: int) -> memoryview:
 class _LogIndex:
     """The index of one cache log, shared by this process's gateways on it.
 
-    It covers every complete line before byte `indexed`; `torn` says the
-    line at `indexed` lacked its newline when last read. `keydir` is a pair
+    It covers every complete line before byte `indexed`. `keydir` is a pair
     of `_column`s of equal length: the prefix of each indexed line's key, in
     ascending order, and beside it the line's `_entry`; within a prefix,
     entries are in the order the index learnt of their lines. A log line
@@ -468,9 +467,9 @@ class _LogIndex:
     line, and its last is its latest. `recent` maps each key indexed since
     the last fold to its latest entry. A fold builds new columns, so a
     reader that takes no lock sees either pair whole. `stamp` is the log's
-    (size, mtime_ns) when the last gateway using the index closed, with no
-    torn tail, else None. `lock` guards the index and orders this process's
-    appends to the log.
+    (size, mtime_ns) when the last gateway using the index closed, else
+    None. `lock` guards the index and orders this process's appends to the
+    log.
     """
 
     def __init__(self):
@@ -478,7 +477,6 @@ class _LogIndex:
         self.recent: dict[bytes, int] = {}
         self.limit = _RECENT_MIN
         self.indexed = 0
-        self.torn = False
         self.stamp: tuple[int, int] | None = None
         self.lock = threading.Lock()
 
@@ -571,7 +569,7 @@ class Gateway:
         if index is not None:
             with index.lock:
                 st = os.fstat(self._reader.fileno())
-                index.stamp = None if index.torn else (st.st_size, st.st_mtime_ns)
+                index.stamp = (st.st_size, st.st_mtime_ns)
         for f in (self._log, self._reader):
             if f is not None:
                 f.close()
@@ -679,7 +677,6 @@ class Gateway:
         index = self._index
         offset = index.indexed
         self._reader.seek(offset)
-        index.torn = False
         longest = (1 << _LENGTH_BITS) - 1
         prefixes, entries = array("Q"), array("Q")
         # The tail's keys, while they fit in `recent`.
@@ -688,7 +685,6 @@ class Gateway:
         # `_prefix` and `_entry`, inlined: this loop reads every line of the log.
         for line in self._reader:
             if not line.endswith(b"\n"):
-                index.torn = True
                 break
             length = len(line)
             # Only a line with a 64-digit key before its tab can be a hit.
@@ -711,17 +707,22 @@ class Gateway:
             index.recent.update(zip(keys, entries))
 
     def _append(self, key: bytes, value: dict) -> None:
+        """Append `key`'s line and index it. A line that lands after another
+        writer's torn line joins it, so a line that did not start at
+        `indexed` is written again until the byte before a copy is a newline."""
         line = key + b"\t" + JSON_LINE.encode(value).encode("utf-8") + b"\n"
         index = self._index
         with index.lock:
-            # End a torn last line first, so that it does not swallow this one.
-            written = b"\n" + line if index.torn else line
-            index.torn = False
-            self._log.write(written)
-            end = self._log.tell()
-            index.add(key, _entry(end - len(line), len(line)))
-            if end - len(written) == index.indexed:
-                index.indexed = end
+            self._log.write(line)
+            start = self._log.tell() - len(line)
+            if start == index.indexed:
+                index.indexed += len(line)
+            else:
+                fd = self._reader.fileno()
+                while start and os.pread(fd, 1, start - 1) != b"\n":
+                    self._log.write(line)
+                    start = self._log.tell() - len(line)
+            index.add(key, _entry(start, len(line)))
 
     # -- public API ----------------------------------------------------
 
@@ -758,10 +759,6 @@ class Gateway:
 # ---------------------------------------------------------------------------
 # Embedding and entailment clients
 # ---------------------------------------------------------------------------
-
-
-class EmbeddingClient(Protocol):
-    def embed(self, texts: list[str]) -> np.ndarray: ...
 
 
 class MockEmbeddingClient:

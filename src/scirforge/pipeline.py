@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,7 +77,6 @@ from .retrieval import (
     IndexConfig,
     PassageStore,
     doc_units,
-    embed_corpus,
     embed_search,
     index_from_units,
     mrr_at,
@@ -325,7 +325,7 @@ def _stage_parse(ctx: StageContext) -> None:
             local.append(f"{ds_id}/{pid}: paper has no labeled sections")
             return [], local
         drafts = [
-            extract_aspects(dataset, text, ctx.gateway, ctx.config.template_dir)
+            extract_aspects(text, ctx.gateway, ctx.config.template_dir)
             for _, text in sections
         ]
         merged = merge_drafts(drafts, ds_id, pid)
@@ -443,19 +443,17 @@ def _stage_filter(ctx: StageContext) -> None:
             ["precision", "recall", "f1", "n"],
             [[_fmt(report.precision), _fmt(report.recall), _fmt(report.f1), len(labeled)]],
         )
-        deltas = [row.delta for row, _ in labeled]
         if any(labels) and not all(labels):
-            pr, roc = curve_points(deltas, labels)
-            thresholds = sorted(set(deltas), reverse=True)
+            pr, roc = curve_points([row.delta for row, _ in labeled], labels)
             write_csv_atomic(
                 ctx.output("reports/filter_pr_curve.csv"),
                 ["threshold", "recall", "precision"],
-                [[_fmt(t), _fmt(r), _fmt(p)] for t, (r, p) in zip(thresholds, pr)],
+                [list(map(_fmt, point)) for point in pr],
             )
             write_csv_atomic(
                 ctx.output("reports/filter_roc_curve.csv"),
                 ["threshold", "fpr", "tpr"],
-                [[_fmt(t), _fmt(f), _fmt(tp)] for t, (f, tp) in zip(thresholds, roc)],
+                [list(map(_fmt, point)) for point in roc],
             )
 
 
@@ -550,7 +548,7 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
     indexes = {}
     for cfg in _INDEX_FILES:
         doc = _index_doc(ctx, cfg)
-        indexes[cfg] = index_from_units(doc.units, doc.config, k1=doc.k1, b=doc.b)
+        indexes[cfg] = index_from_units(doc.units, doc.k1, doc.b)
     gold_positions = {}
     for cfg, index in indexes.items():
         position = {d: i for i, d in enumerate(index.dataset_ids)}
@@ -582,7 +580,7 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
         emb_row: list = [f"embedding-{ctx.config.embedding.kind}"]
         for cfg in configs:
             index = indexes[cfg]
-            unit_vectors = embed_corpus(index, client)
+            unit_vectors = client.embed([u.text for u in index.units])
             norms = np.linalg.norm(unit_vectors, axis=1)
             emb_row += cells(
                 [
@@ -652,11 +650,7 @@ def _stage_bench_qa(ctx: StageContext) -> None:
 
             def work(pair: QAPair) -> dict:
                 prediction = rag_answer(
-                    pair.question,
-                    store if k > 0 else None,
-                    ctx.gateway,
-                    k,
-                    ctx.config.template_dir,
+                    pair.question, store, ctx.gateway, k, ctx.config.template_dir
                 )
                 record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
                 row = record_to_dict(record)
@@ -729,21 +723,22 @@ def _stage_stats(ctx: StageContext) -> None:
     )
 
 
+@dataclass(frozen=True)
+class _Splits:
+    """splits.json: the split settings and each part's sorted dataset ids."""
+
+    ratios: tuple[int, int, int]
+    seed: int
+    train: tuple[str, ...]
+    dev: tuple[str, ...]
+    test: tuple[str, ...]
+
+
 def _stage_split(ctx: StageContext) -> None:
     datasets = ctx.records("datasets.jsonl", DatasetRecord)
-    train, dev, test = split_corpus(
-        datasets, ctx.config.split.ratios, ctx.config.split.seed
-    )
-    write_json_atomic(
-        ctx.output("splits.json"),
-        {
-            "ratios": list(ctx.config.split.ratios),
-            "seed": ctx.config.split.seed,
-            "train": sorted(train),
-            "dev": sorted(dev),
-            "test": sorted(test),
-        },
-    )
+    ratios, seed = ctx.config.split.ratios, ctx.config.split.seed
+    parts = (tuple(sorted(part)) for part in split_corpus(datasets, ratios, seed))
+    write_json_atomic(ctx.output("splits.json"), record_to_dict(_Splits(ratios, seed, *parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +803,7 @@ STAGES = (
            "reports/qa_by_level.csv": None}, _stage_bench_qa),
     Stage("stats", (*_PAIRS, "template:cognitive.txt"),
           {"reports/stats.csv": None, "reports/levels.csv": None}, _stage_stats),
-    Stage("split", ("datasets.jsonl",), {"splits.json": None}, _stage_split),
+    Stage("split", ("datasets.jsonl",), {"splits.json": _Splits}, _stage_split),
 )
 
 STAGE_ORDER = tuple(s.name for s in STAGES)
@@ -1107,4 +1102,68 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
             for field, what, known in checks:
                 if (value := getattr(r, field)) not in known:
                     out.append(Violation(name, lineno, f"unknown {what} {value}"))
+    if (run_dir / "splits.json").exists():
+        out += _split_violations(run_dir, [d for _, d in rows["datasets.jsonl"]])
+    if (run_dir / "reports/retrieval.csv").exists():
+        out += _retrieval_violations(run_dir)
+    return out
+
+
+def _split_violations(run_dir: Path, datasets: list[DatasetRecord]) -> list[Violation]:
+    """splits.json must be the split of the datasets under its own ratios
+    and seed, each part's ids sorted."""
+    try:
+        doc = json.loads((run_dir / "splits.json").read_text(encoding="utf-8"))
+        got = record_from_dict(_Splits, doc)
+        want = split_corpus(datasets, got.ratios, got.seed)
+    except (ValueError, RecordError) as exc:
+        return [Violation("splits.json", 0, f"malformed: {exc}")]
+    settings = f"under ratios {list(got.ratios)} and seed {got.seed}"
+    return [
+        Violation("splits.json", 0, f"{part} differs from the split of datasets.jsonl {settings}")
+        for part, ids in zip(("train", "dev", "test"), want)
+        if getattr(got, part) != tuple(sorted(ids))
+    ]
+
+
+# The `<index>_r_at_<k>` and `<index>_mrr_at_<cutoff>` columns of retrieval.csv.
+_METRIC_COLUMN = re.compile(r"(\w+)_(r|mrr)_at_(\d+)")
+
+
+def _retrieval_violations(run_dir: Path) -> list[Violation]:
+    """In each row of retrieval.csv, per index: every recall in [0, 1],
+    recall that does not drop as k grows, and MRR no lower than R@1."""
+    name = "reports/retrieval.csv"
+    try:
+        with (run_dir / name).open(encoding="utf-8", newline="") as f:
+            header, *rows = list(csv.reader(f)) or [[]]
+    except (ValueError, csv.Error) as exc:
+        return [Violation(name, 0, f"malformed: {exc}")]
+    # (index, whether MRR, k, position) of each metric column: per index,
+    # its recalls by ascending k, then its MRR.
+    columns = sorted((m[1], m[2] == "mrr", int(m[3]), i) for i, column in enumerate(header)
+                     if (m := _METRIC_COLUMN.fullmatch(column)))
+    out = []
+    for lineno, row in enumerate(rows, start=2):
+
+        def say(message: str) -> None:
+            out.append(Violation(name, lineno, f"{row[0] if row else ''}: {message}"))
+
+        try:
+            cells = [(index, is_mrr, k, float(row[i])) for index, is_mrr, k, i in columns]
+        except (ValueError, IndexError):
+            say("a metric is not a number")
+            continue
+        recalls: dict[str, list[tuple[int, float]]] = collections.defaultdict(list)
+        for index, is_mrr, k, value in cells:
+            at_k = recalls[index]
+            if is_mrr:
+                if at_k and at_k[0][0] == 1 and value < at_k[0][1]:
+                    say(f"{index} MRR {value} is below its recall at k 1, {at_k[0][1]}")
+                continue
+            if not 0.0 <= value <= 1.0:
+                say(f"{index} recall at k {k} is {value}, outside [0, 1]")
+            if at_k and value < at_k[-1][1]:
+                say(f"{index} recall drops from {at_k[-1][1]} at k {at_k[-1][0]} to {value} at k {k}")
+            at_k.append((k, value))
     return out

@@ -24,7 +24,7 @@ from .core import (
     match_question_type,
 )
 from .gateway import Gateway, PromptRequest
-from .prompts import TEMPLATE_DIR, ask, load_template, render_roles
+from .prompts import ask, load_template, render_roles
 
 WITH_PAPER_QUOTA = 3
 METADATA_ONLY_TYPES = 8
@@ -37,14 +37,12 @@ class TaxonomyEntry:
     example: str
 
     def __post_init__(self):
-        object.__setattr__(self, "qtype", QuestionType(self.qtype))
         if not self.definition.strip() or not self.example.strip():
             raise ValueError(f"{self.qtype.value}: definition and example required")
 
 
-def load_taxonomy(path: Path | None = None) -> dict[QuestionType, TaxonomyEntry]:
+def load_taxonomy(path: Path) -> dict[QuestionType, TaxonomyEntry]:
     """Load the 18-entry type registry; every type must appear exactly once."""
-    path = Path(path) if path else TEMPLATE_DIR / "taxonomy.json"
     raw = json.loads(path.read_text(encoding="utf-8"))
     registry: dict[QuestionType, TaxonomyEntry] = {}
     for item in raw:
@@ -75,7 +73,6 @@ class GenerationPlan:
     quotas: tuple[tuple[QuestionType, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", Provenance(self.mode))
         types = [q for q, _ in self.quotas]
         if len(set(types)) != len(types):
             raise ValueError("plan has duplicate question types")
@@ -95,8 +92,8 @@ class GenerationPlan:
 def plan_generation(
     dataset: DatasetRecord,
     has_aspects: bool,
-    gateway: Gateway | None = None,
-    taxonomy: dict[QuestionType, TaxonomyEntry] | None = None,
+    gateway: Gateway,
+    taxonomy: dict[QuestionType, TaxonomyEntry],
     template_dir: Path | None = None,
 ) -> GenerationPlan:
     """Full 54-pair plan with aspects, else an 8-pair metadata-only plan."""
@@ -108,8 +105,6 @@ def plan_generation(
         )
     if not dataset.title.strip() and not dataset.description.strip():
         raise ValueError(f"dataset {dataset.id}: no metadata to condition on")
-    if gateway is None:
-        raise ValueError("metadata-only planning requires a gateway")
     selected = select_question_types(dataset, gateway, taxonomy, template_dir)
     return GenerationPlan(
         dataset.id, Provenance.METADATA_ONLY, tuple((q, 1) for q in selected)
@@ -119,11 +114,10 @@ def plan_generation(
 def select_question_types(
     dataset: DatasetRecord,
     gateway: Gateway,
-    taxonomy: dict[QuestionType, TaxonomyEntry] | None = None,
+    taxonomy: dict[QuestionType, TaxonomyEntry],
     template_dir: Path | None = None,
 ) -> list[QuestionType]:
     """Ask which 8 types suit this dataset's metadata; parse and dedupe names."""
-    taxonomy = taxonomy or load_taxonomy()
     response = ask(
         gateway,
         "select_types",
@@ -208,12 +202,14 @@ def generate_qa(
     regen_attempts: int,
     provenance: Provenance = Provenance.WITH_PAPER,
     template_dir: Path | None = None,
-    warnings: list[str] | None = None,
+    *,
+    warnings: list[str],
 ) -> list[QAPair]:
     """Generate up to n pairs of one type; re-prompt on unusable responses.
 
     A response yielding some but fewer than n valid pairs is accepted with a
-    warning; only zero-valid responses consume regeneration attempts.
+    warning appended to `warnings`; only zero-valid responses consume
+    regeneration attempts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -257,7 +253,7 @@ def _parse_pairs(
     n: int,
     dataset_id: str,
     provenance: Provenance,
-    warnings: list[str] | None,
+    warnings: list[str],
 ) -> list[QAPair]:
     items = extract_json_array(response)
     slug = type_slug(entry.qtype)
@@ -291,7 +287,7 @@ def _parse_pairs(
             break
     if not pairs:
         raise ResponseParseError("no valid question/answer objects", raw=response)
-    if len(pairs) < n and warnings is not None:
+    if len(pairs) < n:
         warnings.append(
             f"{dataset_id}/{entry.qtype.value}: wanted {n} pairs, "
             f"kept {len(pairs)} ({dropped} invalid items)"

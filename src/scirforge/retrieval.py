@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import Aspect, AspectUnit, DatasetRecord, PipelineError
-from .gateway import EmbeddingClient
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -50,7 +49,6 @@ class DocUnit:
 
 @dataclass
 class Index:
-    config: IndexConfig
     units: tuple[DocUnit, ...]
     dataset_ids: tuple[str, ...]
     # The unit positions grouped by dataset in `dataset_ids` order, and where
@@ -60,8 +58,6 @@ class Index:
     dataset_starts: np.ndarray | None
     # term -> (ascending unit ids holding it, the term's BM25 weight in each)
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
-    k1: float
-    b: float
 
     @property
     def n_units(self) -> int:
@@ -93,9 +89,7 @@ def doc_units(
     return units
 
 
-def index_from_units(
-    units: Sequence[DocUnit], config: IndexConfig, k1: float, b: float
-) -> Index:
+def index_from_units(units: Sequence[DocUnit], k1: float, b: float) -> Index:
     """Weighted postings for a fixed unit list.
 
     Each posting stores its term's full BM25 contribution to that unit, so a
@@ -136,14 +130,11 @@ def index_from_units(
         idf = _okapi_idf(len(units), len(hits))
         postings[t] = (unit_ids, idf * (tfs * (k1 + 1.0)) / (tfs + norm[unit_ids]))
     return Index(
-        config=IndexConfig(config),
         units=tuple(units),
         dataset_ids=dataset_ids,
         unit_order=unit_order,
         dataset_starts=dataset_starts,
         postings=postings,
-        k1=k1,
-        b=b,
     )
 
 
@@ -213,29 +204,18 @@ def mrr_at(ranks: Sequence[int], cutoff: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def embed_corpus(index: Index, client: EmbeddingClient) -> np.ndarray:
-    """Embed every unit's text; rows L2-normalized by the client contract."""
-    return client.embed([u.text for u in index.units])
-
-
 def embed_search(
-    index: Index,
-    unit_vectors: np.ndarray,
-    query_vector: np.ndarray,
-    unit_norms: np.ndarray | None = None,
+    index: Index, unit_vectors: np.ndarray, query_vector: np.ndarray, unit_norms: np.ndarray
 ) -> np.ndarray:
     """Each dataset's max cosine similarity to an embedded query, in
-    `index.dataset_ids` order, as search aggregates BM25.  `unit_norms`, the
-    row norms of `unit_vectors`, is computed when not given; callers
-    scoring many queries pass it once."""
+    `index.dataset_ids` order, as search aggregates BM25.  `unit_norms` are
+    the row norms of `unit_vectors`, computed once for many queries."""
     if unit_vectors.ndim != 2 or unit_vectors.shape[0] != index.n_units:
         raise ValueError("unit_vectors shape does not match the index")
     if query_vector.shape[0] != unit_vectors.shape[1]:
         raise ValueError(
             f"query dim {query_vector.shape[0]} != corpus dim {unit_vectors.shape[1]}"
         )
-    if unit_norms is None:
-        unit_norms = np.linalg.norm(unit_vectors, axis=1)
     qnorm = float(np.linalg.norm(query_vector))
     denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
     if not denom.all():
@@ -274,14 +254,12 @@ class PassageStore:
     """
 
     def __init__(self, passages: Sequence[str], k1: float, b: float):
-        self._texts = tuple(p for p in passages if p.strip())
-        if not self._texts:
-            raise ValueError("no passages to index")
+        self._texts = tuple(passages)
         units = [
             DocUnit(pid, "Metadata", text)
             for pid, text in zip(passage_ids(len(self._texts)), self._texts)
         ]
-        self._index = index_from_units(units, IndexConfig.WITHOUT_PAPER, k1=k1, b=b)
+        self._index = index_from_units(units, k1, b)
 
     @classmethod
     def from_units(

@@ -25,26 +25,19 @@ def answer_confidence(scored: ScoredContinuation) -> float:
     return math.exp(math.fsum(scored.logprobs) / len(scored.logprobs))
 
 
-def delta_seper(
-    q: str,
-    d: str,
-    a: str,
-    gateway: Gateway,
-    without_template: str = WITHOUT_CONTEXT_TEMPLATE,
-    with_template: str = WITH_CONTEXT_TEMPLATE,
-) -> FilterVerdict:
+def delta_seper(q: str, d: str, a: str, gateway: Gateway) -> FilterVerdict:
     """Score the answer with and without context and apply the sign rule."""
     if not q.strip() or not a.strip():
         raise ValueError("question and answer must be nonempty")
     continuation = " " + a
     conf_without = answer_confidence(
         gateway.score_continuation(
-            without_template.format(q=q), continuation, stage="score_without"
+            WITHOUT_CONTEXT_TEMPLATE.format(q=q), continuation, stage="score_without"
         )
     )
     conf_with = answer_confidence(
         gateway.score_continuation(
-            with_template.format(d=d, q=q), continuation, stage="score_with"
+            WITH_CONTEXT_TEMPLATE.format(d=d, q=q), continuation, stage="score_with"
         )
     )
     delta = conf_with - conf_without
@@ -74,7 +67,7 @@ def evaluate_filter(
         raise ValueError("labels contain no positives; recall is undefined")
     tp = fp = 0
     for decision, label in zip(decisions, labels):
-        if Decision(decision) is Decision.ACCEPT:
+        if decision is Decision.ACCEPT:
             if label:
                 tp += 1
             else:
@@ -89,12 +82,13 @@ def evaluate_filter(
 
 def curve_points(
     deltas: Sequence[float], labels: Sequence[bool]
-) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
-    """PR and ROC points from sweeping the accept threshold over delta values.
+) -> tuple[tuple[tuple[float, float, float], ...], tuple[tuple[float, float, float], ...]]:
+    """PR points (threshold, recall, precision) and ROC points (threshold,
+    fpr, tpr) from sweeping the accept threshold over delta values.
 
-    Thresholds are the distinct deltas in descending order; at each, the
-    decision is delta > threshold.  Conventions: precision is 1.0 when
-    nothing is accepted (the zero-prediction limit of the PR curve).
+    Thresholds are the distinct deltas in descending order, the first given
+    of equal ones; at each, the decision is delta > threshold.  Precision is
+    1.0 when nothing is accepted (the zero-prediction limit of the PR curve).
     """
     if len(deltas) != len(labels):
         raise ValueError("deltas and labels must have equal length")
@@ -102,17 +96,17 @@ def curve_points(
     negatives = len(labels) - positives
     if positives == 0 or negatives == 0:
         raise ValueError("curves need at least one positive and one negative label")
-    pr: list[tuple[float, float]] = []
-    roc: list[tuple[float, float]] = []
+    pr: list[tuple[float, float, float]] = []
+    roc: list[tuple[float, float, float]] = []
     # Sweep the deltas in descending order.  At each distinct threshold the
     # counts so far are exactly the deltas above it; then its own group joins.
     tp = fp = 0
     ranked = sorted(zip(deltas, labels), key=itemgetter(0), reverse=True)
-    for _, group in groupby(ranked, key=itemgetter(0)):
+    for threshold, group in groupby(ranked, key=itemgetter(0)):
         recall = tp / positives
         precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-        pr.append((recall, precision))
-        roc.append((fp / negatives, tp / positives))
+        pr.append((threshold, recall, precision))
+        roc.append((threshold, fp / negatives, tp / positives))
         for _, label in group:
             if label:
                 tp += 1

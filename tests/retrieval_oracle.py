@@ -18,7 +18,9 @@ def idf(index: Index, term: str) -> float:
     return _okapi_idf(index.n_units, len(index.postings[term][0]))
 
 
-def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
+def bm25_score(
+    index: Index, terms: Sequence[str], unit_id: int, k1: float, b: float
+) -> float:
     """Score one unit against a term list; repeated terms accumulate.
 
     The per-unit reference for score_units: term frequencies and the length
@@ -35,8 +37,8 @@ def bm25_score(index: Index, terms: Sequence[str], unit_id: int) -> float:
         tf = float(unit_terms.count(term))
         if tf == 0.0:
             continue
-        norm = index.k1 * (1.0 - index.b + index.b * (lengths[unit_id] / avg))
-        score += idf(index, term) * (tf * (index.k1 + 1.0)) / (tf + norm)
+        norm = k1 * (1.0 - b + b * (lengths[unit_id] / avg))
+        score += idf(index, term) * (tf * (k1 + 1.0)) / (tf + norm)
     return score
 
 

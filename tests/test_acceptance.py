@@ -23,7 +23,8 @@ from scirforge.core import (
 from scirforge.evalqa import LevelDistribution, diversity_index, rouge_l
 from scirforge.gateway import BackendConfig, Gateway, ScoredContinuation
 from scirforge.pipeline import validate_corpus
-from scirforge.qagen import plan_generation
+from scirforge.prompts import TEMPLATE_DIR
+from scirforge.qagen import load_taxonomy, plan_generation
 from scirforge.retrieval import (
     IndexConfig,
     DocUnit,
@@ -140,8 +141,8 @@ def test_criterion_03_filter_evaluation():
         otp = sum(1 for d, lab in zip(deltas, labels) if d > t and lab)
         ofp = sum(1 for d, lab in zip(deltas, labels) if d > t and not lab)
         precision = 1.0 if otp + ofp == 0 else otp / (otp + ofp)
-        assert pr_point == (otp / pos, precision)  # exact
-        assert roc_point == (ofp / neg, otp / pos)
+        assert pr_point == (t, otp / pos, precision)  # exact
+        assert roc_point == (t, ofp / neg, otp / pos)
     print(f"criterion 3 PASS: P/R/F1 and {len(thresholds)} curve points match "
           f"the confusion-matrix oracle exactly on the 100-triplet fixture")
 
@@ -153,6 +154,7 @@ def test_criterion_04_generation_plans(tmp_path):
         tmp_path,
         [{"kind": "chat", "stage": "select_types", "match": "", "response": eight}],
     )
+    taxonomy = load_taxonomy(TEMPLATE_DIR / "taxonomy.json")
     rng = random.Random(41)
     words = ["ice", "flux", "river", "soil", "snow", "survey", "archive"]
     full = meta = 0
@@ -163,12 +165,12 @@ def test_criterion_04_generation_plans(tmp_path):
             description=" ".join(rng.choices(words, k=rng.randrange(0, 9))),
         )
         if rng.random() < 0.5:
-            plan = plan_generation(ds, has_aspects=True)
+            plan = plan_generation(ds, True, gw, taxonomy)
             assert plan.mode is Provenance.WITH_PAPER and plan.total() == 54
             assert len(plan.quotas) == 18
             full += 1
         else:
-            plan = plan_generation(ds, has_aspects=False, gateway=gw)
+            plan = plan_generation(ds, False, gw, taxonomy)
             assert plan.mode is Provenance.METADATA_ONLY and plan.total() == 8
             assert len(plan.quotas) == 8
             meta += 1
@@ -230,7 +232,7 @@ def test_criterion_05_bm25_against_bruteforce():
                     )
                 )
         without, with_p = (
-            index_from_units(doc_units(datasets, aspects, cfg), cfg, K1, B)
+            index_from_units(doc_units(datasets, aspects, cfg), K1, B)
             for cfg in (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
         )
         assert with_p.n_units <= 50

@@ -112,8 +112,7 @@ def test_parse_aspect_draft_headers_and_bullets():
         "- step one.\n"
         "* step two.\n"
         "Dataset: None\n"
-        "Findings: [we saw things.]\n",
-        dataset_id="d1",
+        "Findings: [we saw things.]\n"
     )
     got = dict(draft.candidates)
     assert got[Aspect.BACKGROUND] == ("first sentence.",)
@@ -123,9 +122,7 @@ def test_parse_aspect_draft_headers_and_bullets():
 
 
 def test_parse_aspect_draft_continuation_lines():
-    draft = parse_aspect_draft(
-        "Challenges: the probe\nbroke twice.\n\nFindings: fine.", dataset_id="d1"
-    )
+    draft = parse_aspect_draft("Challenges: the probe\nbroke twice.\n\nFindings: fine.")
     got = dict(draft.candidates)
     assert got[Aspect.CHALLENGES] == ("the probe broke twice.",)
     assert got[Aspect.FINDINGS] == ("fine.",)
@@ -133,7 +130,7 @@ def test_parse_aspect_draft_continuation_lines():
 
 def test_parse_aspect_draft_requires_headers():
     with pytest.raises(ResponseParseError) as err:
-        parse_aspect_draft("just prose with no structure", dataset_id="d1")
+        parse_aspect_draft("just prose with no structure")
     assert err.value.raw == "just prose with no structure"
 
 
@@ -167,10 +164,10 @@ def test_extract_aspects_round_trip(tmp_path):
             }
         ],
     )
-    draft = extract_aspects(DS, "We used quartz sensors in the field.", gw)
+    draft = extract_aspects("We used quartz sensors in the field.", gw)
     assert dict(draft.candidates)[Aspect.METHODS] == ("We used quartz sensors.",)
     with pytest.raises(ValueError):
-        extract_aspects(DS, "   ", gw)
+        extract_aspects("   ", gw)
 
 
 def test_parse_keep_indices():
@@ -208,7 +205,9 @@ def test_verify_aspects_keeps_and_orders(tmp_path):
     gw = _verify_gateway(
         tmp_path, "KEEP-INDICES:\nMethods: [3, 1, 3]\nFindings: [1]\nREASON: [ok]"
     )
-    units = verify_aspects(draft, DS, gw)
+    warnings = []
+    units = verify_aspects(draft, DS, gw, warnings=warnings)
+    assert warnings == []
     assert [(u.aspect, u.text) for u in units] == [
         (Aspect.METHODS, "m1"),
         (Aspect.METHODS, "m3"),
@@ -230,11 +229,11 @@ def test_verify_aspects_out_of_range_index(tmp_path):
     draft = AspectDraft.from_mapping("d1", "p1", {Aspect.METHODS: ["m1"]})
     gw = _verify_gateway(tmp_path, "KEEP-INDICES:\nMethods: [2]\nREASON: [x]")
     with pytest.raises(ResponseParseError):
-        verify_aspects(draft, DS, gw)
+        verify_aspects(draft, DS, gw, warnings=[])
 
 
 def test_verify_aspects_needs_candidates(tmp_path):
     empty = AspectDraft.from_mapping("d1", "p1", {})
     gw = _verify_gateway(tmp_path, "KEEP-INDICES:\nREASON: [x]")
     with pytest.raises(ValueError):
-        verify_aspects(empty, DS, gw)
+        verify_aspects(empty, DS, gw, warnings=[])

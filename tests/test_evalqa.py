@@ -166,8 +166,10 @@ RAG_ENTRIES = [
 
 
 def test_rag_answer_closed_book(tmp_path):
+    # At k = 0 the store is not searched: the prompt holds no passage.
     gw = make_gateway(tmp_path, RAG_ENTRIES)
-    out = rag_answer("what is thaw depth?", None, gw, k=0)
+    store = PassageStore(["thaw depth readings"], k1=1.2, b=0.75)
+    out = rag_answer("what is thaw depth?", store, gw, k=0)
     assert out == "closed book: what is thaw depth?"
 
 
@@ -191,10 +193,9 @@ def test_rag_answer_short_store_gives_the_passages_it_has(tmp_path):
 
 def test_rag_answer_argument_errors(tmp_path):
     gw = make_gateway(tmp_path, RAG_ENTRIES)
+    store = PassageStore(["thaw depth readings"], k1=1.2, b=0.75)
     with pytest.raises(ValueError):
-        rag_answer("q", None, gw, k=-1)
-    with pytest.raises(ValueError):
-        rag_answer("q", None, gw, k=2)
+        rag_answer("q", store, gw, k=-1)
 
 
 def test_qa_eval_record_rouge_presence():

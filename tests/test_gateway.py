@@ -300,13 +300,73 @@ def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, log_gateway, call, 
     gw = log_gateway()
     assert run(gw) == first
     assert gw.backend_calls == 1 and gw.cache_hits == 0
-    # the torn line is ended first, so it cannot swallow the appended one
-    ending = b"\n" if damage == "truncate" else b""
-    assert log.read_bytes() == damaged + ending + good
+    # A line appended after a torn one joins it, so it is written again.
+    again = good if damage == "truncate" else b""
+    assert log.read_bytes() == damaged + good + again
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [CACHE_LOG]
     # the appended line serves the next gateway
     again = log_gateway()
     assert run(again) == first and again.cache_hits == 1
+
+
+class _WritingBackend(_CountingBackend):
+    """Appends `written` to the cache log while each call is in flight, as
+    another writer would."""
+
+    def __init__(self, log, written):
+        super().__init__()
+        self.log, self.written = log, written
+
+    def complete(self, request, stage):
+        with self.log.open("ab") as f:
+            f.write(self.written)
+        return super().complete(request, stage)
+
+
+def test_a_fragment_written_during_a_call_does_not_swallow_its_line(
+    tmp_path, log_gateway, closing, monkeypatch
+):
+    """Another writer leaves a torn line while this gateway's backend call is
+    in flight: the appended line joins it, so it is written again after its
+    own newline, and a gateway that indexes the log afresh finds it."""
+    log = tmp_path / "cache" / CACHE_LOG
+    fragment = b"f" * 64 + b'\t{"resp'  # a writer died mid-line
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
+    gw = closing(Gateway(_WritingBackend(log, fragment), config))
+    assert gw.complete(req("a")) == "out" and gw.backend_calls == 1
+    assert gw.complete(req("a")) == "out" and gw.cache_hits == 1
+    monkeypatch.setattr(gateway, "_LOG_INDEXES", {})  # a new process
+    fresh = log_gateway()
+    assert fresh.complete(req("a")) == "out"
+    assert fresh.backend_calls == 0 and fresh.cache_hits == 1
+    data = log.read_bytes()
+    line = data[len(fragment) :][: (len(data) - len(fragment)) // 2]
+    assert data == fragment + line + line and line.count(b"\n") == 1
+
+
+def test_an_append_where_the_index_ends_reads_nothing_back(
+    tmp_path, log_gateway, closing, monkeypatch
+):
+    """An append that starts where this index read the log up to follows a
+    complete line, so it makes no pread to check the byte before it."""
+    gw = log_gateway()
+    gw.complete(req("a"))
+    calls = []
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda *args: calls.append(args) or pread(*args))
+    gw.complete(req("b"))
+    assert gw.backend_calls == 2 and calls == []
+    # After a complete line another writer appends during the call, one
+    # pread finds its newline, and the line is written once.
+    log = tmp_path / "cache" / CACHE_LOG
+    other_line = b"e" * 64 + b'\t{"response": "elsewhere"}\n'
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(tmp_path / "cache"))
+    writing = closing(Gateway(_WritingBackend(log, other_line), config))
+    before = log.read_bytes()
+    assert writing.complete(req("c")) == "out" and writing.backend_calls == 1
+    assert len(calls) == 1
+    assert log.read_bytes()[: len(before) + len(other_line)] == before + other_line
+    assert log.read_bytes().count(b"\n") == 4
 
 
 def test_offset_at_another_keys_line_is_a_miss(tmp_path, log_gateway):

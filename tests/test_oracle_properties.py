@@ -23,7 +23,6 @@ from scirforge import kernels, prompts, retrieval  # noqa: E402
 from scirforge.config import load_config  # noqa: E402
 from scirforge.retrieval import (  # noqa: E402
     DocUnit,
-    IndexConfig,
     embed_search,
     index_from_units,
     rank_of,
@@ -100,7 +99,7 @@ def _dataset_scores(index, unit_scores):
 
 def _index(owners):
     units = [DocUnit(f"d{o:02d}", "Metadata", f"unit {u}") for u, o in enumerate(owners)]
-    return index_from_units(units, IndexConfig.WITHOUT_PAPER, k1=1.2, b=0.75)
+    return index_from_units(units, k1=1.2, b=0.75)
 
 
 def _assert_scores(index, scores, unit_scores):
@@ -163,8 +162,9 @@ def test_embed_search_matches_sort_oracle(data):
     vec = st.lists(st.integers(-1, 2), min_size=3, max_size=3)
     rows = data.draw(st.lists(vec, min_size=len(owners), max_size=len(owners)))
     query = data.draw(vec)
+    vectors = np.array(rows, dtype=np.float64)
     scores = embed_search(
-        index, np.array(rows, dtype=np.float64), np.array(query, dtype=np.float64)
+        index, vectors, np.array(query, dtype=np.float64), np.linalg.norm(vectors, axis=1)
     )
     _assert_scores(index, scores, [_cosine(row, query) for row in rows])
 
@@ -211,12 +211,13 @@ _WORDS = ["ice", "core", "river", "gauge", "a", "b", "x1"]
 def test_score_units_matches_bm25_score_bitwise(units, query_terms, k1, b):
     index = index_from_units(
         [DocUnit(f"d{o}", "Metadata", " ".join(words)) for o, words in units],
-        IndexConfig.WITHOUT_PAPER,
         k1=k1,
         b=b,
     )
     query = " ".join(query_terms)
-    want = np.array([bm25_score(index, tokenize(query), u) for u in range(index.n_units)])
+    want = np.array(
+        [bm25_score(index, tokenize(query), u, k1, b) for u in range(index.n_units)]
+    )
     assert score_units(index, query).tobytes() == want.tobytes()
 
 
@@ -241,7 +242,6 @@ def _score_units_by_term(index, query):
 def test_score_units_matches_per_term_loop_bitwise(units, query_terms, k1, b):
     index = index_from_units(
         [DocUnit(f"d{i:02d}", "Metadata", " ".join(words)) for i, words in enumerate(units)],
-        IndexConfig.WITHOUT_PAPER,
         k1=k1,
         b=b,
     )
@@ -280,8 +280,8 @@ def curve_points_oracle(deltas, labels):
                     fp += 1
         recall = tp / positives
         precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-        pr.append((recall, precision))
-        roc.append((fp / negatives, tp / positives))
+        pr.append((threshold, recall, precision))
+        roc.append((threshold, fp / negatives, tp / positives))
     return tuple(pr), tuple(roc)
 
 
@@ -295,7 +295,10 @@ def test_curve_points_matches_threshold_loop(data):
     if all(labels) or not any(labels):
         labels[0] = not labels[0]
     deltas = [d for d, _ in pairs]
-    assert curve_points(deltas, labels) == curve_points_oracle(deltas, labels)
+    got, want = curve_points(deltas, labels), curve_points_oracle(deltas, labels)
+    assert got == want
+    # 0.0 == -0.0, so compare the thresholds' signs too: the CSVs print them.
+    assert [repr(t) for t, *_ in got[0]] == [repr(t) for t, *_ in want[0]]
 
 
 _NAME = st.text("abz./_-é", max_size=6)

@@ -31,7 +31,7 @@ def _apply_relevance(text):
 
 
 def _apply_draft(text):
-    draft = parse_aspect_draft(text, dataset_id="d", paper_id="p")
+    draft = parse_aspect_draft(text)
     return {a: texts for a, texts in draft.candidates if texts}
 
 

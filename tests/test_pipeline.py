@@ -283,16 +283,15 @@ def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
         templates[current[0]].add(f"template:{name}")
         return real_template(name, template_dir)
 
-    def load_taxonomy(path=None):
-        templates[current[0]].add("template:taxonomy.json" if path else "bundled taxonomy")
+    def load_taxonomy(path):
+        templates[current[0]].add("template:taxonomy.json")
         return real_taxonomy(path)
 
     monkeypatch.setattr(pipeline, "STAGES", tuple(traced(s) for s in STAGES))
     monkeypatch.setattr(pipeline.StageContext, "input", input_)
     for module in (prompts, qagen):
         monkeypatch.setattr(module, "load_template", load_template)
-    for module in (pipeline, qagen):
-        monkeypatch.setattr(module, "load_taxonomy", load_taxonomy)
+    monkeypatch.setattr(pipeline, "load_taxonomy", load_taxonomy)
 
     run_dir = tmp_path / "run"
     assert set(run_all(load_config(FIXTURE_CONFIG), run_dir, FIXTURE_DIR).values()) == {"done"}
@@ -1167,6 +1166,109 @@ def test_validator_checks_each_qaeval_row_against_the_accepted_pairs(fixture_run
         ("reports/qaeval.jsonl", n + 5, "missing field k"),
     ]
     assert validate_corpus(run_dir) == []
+
+
+_SPLIT_DAMAGE = {
+    "a dropped id": (lambda doc: doc["train"].pop(), ["train"]),
+    "an id moved": (lambda doc: doc["dev"].append(doc["train"].pop()), ["train", "dev"]),
+    "another seed": (lambda doc: doc.update(seed=doc["seed"] + 1), None),
+}
+
+
+@pytest.mark.parametrize("damage", _SPLIT_DAMAGE)
+def test_validator_checks_splits_are_the_split_of_the_datasets(fixture_run, tmp_path, damage):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    path = copy / "splits.json"
+    text = path.read_text(encoding="utf-8")
+    # The split stage writes the declared type's document.
+    doc = json.loads(text)
+    splits = core.record_from_dict(pipeline._Splits, doc)
+    assert json.dumps(core.record_to_dict(splits), sort_keys=True, indent=2) + "\n" == text
+    change, parts = _SPLIT_DAMAGE[damage]
+    change(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    violations = validate_corpus(copy)
+    assert violations and all(v.file == "splits.json" and v.line == 0 for v in violations)
+    if parts is not None:
+        assert [v.message.split()[0] for v in violations] == parts
+    settings = f"under ratios {doc['ratios']} and seed {doc['seed']}"
+    assert all(v.message.endswith(settings) for v in violations)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1", "malformed: Expecting ',' delimiter"),
+        ("[]", "malformed: value must be an object"),
+        ('{"ratios": [80, 20], "seed": 13}', "malformed: ratios must be a list of 3 items"),
+        ('{"ratios": [80, 15, 5], "seed": "13", "train": [], "dev": [], "test": []}',
+         "malformed: seed must be an integer"),
+        ('{"ratios": [50, 50, 5], "seed": 13, "train": [], "dev": [], "test": []}',
+         "malformed: split ratios must be nonnegative and sum to 100"),
+    ],
+    ids=["not-json", "not-an-object", "two-ratios", "string-seed", "ratios-over-100"],
+)
+def test_validator_reports_a_malformed_splits_file(fixture_run, tmp_path, text, message):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "splits.json").write_text(text, encoding="utf-8")
+    (violation,) = validate_corpus(copy)
+    assert (violation.file, violation.line) == ("splits.json", 0)
+    assert violation.message.startswith(message), violation.message
+
+
+def _edit_retrieval(run_dir: Path, edit) -> None:
+    """Rewrite reports/retrieval.csv after `edit(header, rows)` changes its cells."""
+    path = run_dir / "reports/retrieval.csv"
+    header, *rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    edit(header, rows)
+    pipeline.write_csv_atomic(path, header, rows)
+
+
+def _set_cell(column, value):
+    def edit(header, rows):
+        rows[0][header.index(column)] = value
+
+    return edit
+
+
+def _reverse_metric_columns(header, rows):
+    """The columns in another order, as a config whose `retrieval.ks` is not
+    sorted writes them: each k is read from its column's name."""
+    for row in [header, *rows]:
+        row[1:] = row[:0:-1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_cell("with_paper_r_at_100", "1.500000"),
+         "bm25: with_paper recall at k 100 is 1.5, outside [0, 1]"),
+        (_set_cell("without_paper_r_at_1", "-0.100000"),
+         "bm25: without_paper recall at k 1 is -0.1, outside [0, 1]"),
+        (_set_cell("without_paper_r_at_20", "0.500000"),
+         "bm25: without_paper recall drops from 1.0 at k 5 to 0.5 at k 20"),
+        (_set_cell("with_paper_mrr_at_100", "0.900000"),
+         "bm25: with_paper MRR 0.9 is below its recall at k 1, 1.0"),
+        (_set_cell("with_paper_r_at_5", "n/a"), "bm25: a metric is not a number"),
+        (lambda header, rows: (_reverse_metric_columns(header, rows),
+                               _set_cell("with_paper_r_at_100", "0.000000")(header, rows)),
+         "bm25: with_paper recall drops from 1.0 at k 20 to 0.0 at k 100"),
+        (_reverse_metric_columns, None),
+    ],
+    ids=["above-1", "below-0", "drops-with-k", "mrr-below-r1", "not-a-number",
+         "drops-with-k-columns-reversed", "columns-reversed"],
+)
+def test_validator_checks_retrieval_metrics(fixture_run, tmp_path, edit, message):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    _edit_retrieval(copy, edit)
+    got = [(v.file, v.line, v.message) for v in validate_corpus(copy)]
+    assert got == ([("reports/retrieval.csv", 2, message)] if message else [])
 
 
 @pytest.mark.parametrize(

@@ -213,25 +213,23 @@ class _DictIndex:
     """The oracle for the keydir: the cache log indexed by one dict from
     each key to the offset and length of its latest line. It reads the log
     the gateway writes and follows the gateway's rules: a miss indexes the
-    unread tail, an append ends a torn last line first, and a new gateway
-    keeps the index only when the last one closed with no torn tail."""
+    unread tail, up to its last complete line, and a new gateway in the same
+    process keeps the index."""
 
     def __init__(self, log):
         self.log = log
         self.offsets = {}
         self.indexed = 0
-        self.torn = False
 
     def lookup(self, key):
         """The value a lookup of `key` serves, or None for a miss."""
         if key not in self.offsets and self.log.stat().st_size > self.indexed:
-            *lines, rest = self.log.read_bytes()[self.indexed :].split(b"\n")
+            *lines, _ = self.log.read_bytes()[self.indexed :].split(b"\n")
             for line in lines:
                 cut = line.find(b"\t")
                 if cut > 0:
                     self.offsets[line[:cut]] = (self.indexed, len(line) + 1)
                 self.indexed += len(line) + 1
-            self.torn = rest != b""
         if key not in self.offsets:
             return None
         offset, length = self.offsets[key]
@@ -243,14 +241,15 @@ class _DictIndex:
             return None
         return value if isinstance(value, dict) and "response" in value else None
 
-    def appended(self, key, before, after):
-        """Index the line the gateway appended for `key`, which took the
-        log from `before` to `after` bytes."""
-        length = after - before - self.torn
-        self.offsets[key] = (after - length, length)
-        if before == self.indexed:
+    def appended(self, key, start, after):
+        """Index the line the gateway appended for `key`: it first wrote the
+        line at byte `start`, and the log ended at byte `after` when the
+        append was done. The line it indexes is the log's last, which starts
+        a line (a copy, if the first one joined a torn line)."""
+        line_start = self.log.read_bytes()[:after].rfind(b"\n", 0, after - 1) + 1
+        self.offsets[key] = (line_start, after - line_start)
+        if start == self.indexed:
             self.indexed = after
-        self.torn = False
 
 
 _N_TEXTS = 8
@@ -259,6 +258,8 @@ _KEYDIR_OPS = st.lists(
         st.tuples(st.just("call"), st.integers(0, _N_TEXTS - 1)),
         st.tuples(st.just("write"), st.integers(0, _N_TEXTS - 1)),
         st.tuples(st.just("torn"), st.integers(0, _N_TEXTS - 1), st.integers(1, 120)),
+        # A call during which another writer leaves a torn line.
+        st.tuples(st.just("call"), st.integers(0, _N_TEXTS - 1), st.integers(1, 120)),
         st.tuples(st.just("reopen")),
         st.tuples(st.just("restart")),
         st.tuples(st.just("fold")),
@@ -276,16 +277,27 @@ _KEYDIR_OPS = st.lists(
 )
 def test_keydir_matches_a_dict_index(tmp_path_factory, ops, digits, length_bits, recent_min):
     """Appends, re-appended keys, lines another process appends, torn
-    tails a crashed writer leaves, gateways that take over the index or
-    index afresh, and folds: every lookup serves what a dict index of the
-    same log would."""
+    tails a crashed writer leaves (also while a call is in flight), gateways
+    that take over the index or index afresh, and folds: every lookup serves
+    what a dict index of the same log would."""
     log = tmp_path_factory.mktemp("keydir") / CACHE_LOG
     config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(log.parent))
     keys = [_key("keydir", str(i)) for i in range(_N_TEXTS)]
     calls = 0
+    # The torn line the next fetch leaves, and the log's size after it.
+    in_flight, start = b"", 0
+
+    def torn_line(i, n):
+        nonlocal calls
+        calls += 1
+        line = keys[i] + b'\t{"response": "written %d"}\n' % calls
+        return line[: min(n, len(line) - 1)]
 
     def fetch():
-        nonlocal calls
+        nonlocal calls, start
+        with log.open("ab") as f:
+            f.write(in_flight)
+        start = log.stat().st_size
         calls += 1
         return {"response": f"answer {calls}"}
 
@@ -299,29 +311,30 @@ def test_keydir_matches_a_dict_index(tmp_path_factory, ops, digits, length_bits,
             for op, *args in ops + [("call", i) for i in range(_N_TEXTS)]:
                 if op == "call":
                     key = keys[args[0]]
-                    want, hits, before = oracle.lookup(key), gw.cache_hits, log.stat().st_size
+                    want, hits = oracle.lookup(key), gw.cache_hits
+                    in_flight = torn_line((args[0] + 1) % _N_TEXTS, args[1]) if args[1:] else b""
                     got = gw._cached(key, ("response",), fetch)
                     if want is None:
                         assert got == {"response": f"answer {calls}"} and gw.cache_hits == hits
-                        oracle.appended(key, before, log.stat().st_size)
+                        oracle.appended(key, start, log.stat().st_size)
                     else:
                         assert got == want and gw.cache_hits == hits + 1
-                elif op in ("write", "torn"):
+                elif op == "write":
                     calls += 1
-                    line = keys[args[0]] + b'\t{"response": "written %d"}\n' % calls
                     with log.open("ab") as f:
-                        f.write(line if op == "write" else line[: min(args[1], len(line) - 1)])
+                        f.write(keys[args[0]] + b'\t{"response": "written %d"}\n' % calls)
+                elif op == "torn":
+                    with log.open("ab") as f:
+                        f.write(torn_line(*args))
                 elif op == "fold":
                     with gw._index.lock:
                         gw._index.fold(array("Q"), array("Q"))
                 else:
-                    torn = gw._index.torn
                     gw.close()
                     if op == "restart":  # a new process has no index
                         mp.setattr(gateway, "_LOG_INDEXES", {})
-                    gw = Gateway(None, config)
-                    if op == "restart" or torn:
                         oracle = _DictIndex(log)
+                    gw = Gateway(None, config)
                     assert gw._index.indexed == oracle.indexed
         finally:
             gw.close()

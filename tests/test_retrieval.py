@@ -14,7 +14,6 @@ from scirforge.retrieval import (
     PassageStore,
     chunk_passages,
     doc_units,
-    embed_corpus,
     embed_search,
     index_from_units,
     mrr_at,
@@ -31,7 +30,7 @@ K1, B = 1.2, 0.75
 
 
 def build_index(datasets, aspects, config, k1, b):
-    return index_from_units(doc_units(datasets, aspects, config), config, k1, b)
+    return index_from_units(doc_units(datasets, aspects, config), k1, b)
 
 
 def test_tokenize():
@@ -97,9 +96,9 @@ def test_bm25_hand_computed():
     idf = math.log(1.0 / 3.0 + 1.0)
     tf = 2.0
     expected = idf * tf * (K1 + 1) / (tf + K1)
-    assert bm25_score(index, ["a"], 0) == pytest.approx(expected, abs=1e-12)
+    assert bm25_score(index, ["a"], 0, K1, B) == pytest.approx(expected, abs=1e-12)
     # a duplicated query term accumulates once per occurrence
-    assert bm25_score(index, ["a", "a"], 0) == pytest.approx(2 * expected, abs=1e-12)
+    assert bm25_score(index, ["a", "a"], 0, K1, B) == pytest.approx(2 * expected, abs=1e-12)
 
 
 def test_search_ranks_and_breaks_ties_ascending():
@@ -119,7 +118,7 @@ def test_search_dataset_score_is_max_over_units():
     scores = search(index, "gauging stations discharge")
     assert ranking(index, scores)[0][0] == "d2"
     unit_best = max(
-        bm25_score(index, tokenize("gauging stations discharge"), u)
+        bm25_score(index, tokenize("gauging stations discharge"), u, K1, B)
         for u in range(index.n_units)
         if index.units[u].dataset_id == "d2"
     )
@@ -128,7 +127,7 @@ def test_search_dataset_score_is_max_over_units():
 
 def test_index_round_trip_through_units():
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
-    clone = index_from_units(list(index.units), IndexConfig.WITH_PAPER, K1, B)
+    clone = index_from_units(list(index.units), K1, B)
     assert clone.postings.keys() == index.postings.keys()
     for term, (ids, weights) in index.postings.items():
         assert clone.postings[term][0].tobytes() == ids.tobytes()
@@ -206,11 +205,11 @@ def test_passage_store_from_index_chunks_units():
 def test_embed_search_matches_cosine_oracle():
     client = MockEmbeddingClient(dim=12)
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
-    vectors = embed_corpus(index, client)
+    vectors = client.embed([u.text for u in index.units])
     assert vectors.shape == (index.n_units, 12)
     query = "ice drilling"
     qv = client.embed([query])[0]
-    scores = embed_search(index, vectors, qv)
+    scores = embed_search(index, vectors, qv, np.linalg.norm(vectors, axis=1))
     sims = vectors @ qv
     best = {}
     for u, sim in enumerate(sims):
@@ -238,7 +237,7 @@ def test_random_corpora_against_bruteforce():
         terms = tokenize(query)
         want = {
             d.id: max(
-                bm25_score(index, terms, u)
+                bm25_score(index, terms, u, K1, B)
                 for u in range(index.n_units)
                 if index.units[u].dataset_id == d.id
             )

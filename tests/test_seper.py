@@ -94,8 +94,8 @@ def test_curve_points_worked_example():
     deltas = [0.9, 0.8, 0.1]
     labels = [True, False, True]
     pr, roc = curve_points(deltas, labels)
-    assert pr == ((0.0, 1.0), (0.5, 1.0), (0.5, 0.5))
-    assert roc == ((0.0, 0.0), (0.0, 0.5), (1.0, 0.5))
+    assert pr == ((0.9, 0.0, 1.0), (0.8, 0.5, 1.0), (0.1, 0.5, 0.5))
+    assert roc == ((0.9, 0.0, 0.0), (0.8, 0.0, 0.5), (0.1, 1.0, 0.5))
 
 
 def test_curve_points_threshold_semantics():
@@ -104,10 +104,10 @@ def test_curve_points_threshold_semantics():
     deltas = [0.5, 0.5, -0.2]
     labels = [True, True, False]
     pr, roc = curve_points(deltas, labels)
-    assert pr[0] == (0.0, 1.0)
-    assert roc[0] == (0.0, 0.0)
-    assert pr[-1] == (1.0, 1.0)
-    assert roc[-1] == (0.0, 1.0)
+    assert pr[0] == (0.5, 0.0, 1.0)
+    assert roc[0] == (0.5, 0.0, 0.0)
+    assert pr[-1] == (-0.2, 1.0, 1.0)
+    assert roc[-1] == (-0.2, 0.0, 1.0)
 
 
 def test_curve_points_requires_both_classes():
