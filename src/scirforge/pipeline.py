@@ -22,7 +22,6 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
@@ -96,12 +95,19 @@ class StageError(PipelineError):
 # ---------------------------------------------------------------------------
 
 
+# Below glibc's default 128 KiB mmap threshold, so the buffer comes from the
+# heap; freeing an mmapped block raises that threshold and lets later large
+# allocations grow the heap instead.
+_DIGEST_BUFFER = 1 << 16
+
+
 def file_digest(path: Path) -> str:
-    """sha256 of a file's bytes, read 1 MiB at a time."""
+    """sha256 of a file's bytes, read into one reused 64 KiB buffer."""
     digest = hashlib.sha256()
-    with Path(path).open("rb") as f:
-        while chunk := f.read(1 << 20):
-            digest.update(chunk)
+    buf = bytearray(_DIGEST_BUFFER)
+    with open(path, "rb", buffering=0) as f, memoryview(buf) as view:
+        while n := f.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -221,6 +227,10 @@ class StageContext:
         if workers <= 1:
             yield from map(fn, items)
             return
+        # Imported only here, where a thread starts: the module also loads
+        # `logging`, which a run under the mock would carry for nothing.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as ex:
             yield from ex.map(fn, items)
 
@@ -624,12 +634,9 @@ def _share(tally: list[int]) -> str:
 
 def _stage_bench_qa(ctx: StageContext) -> None:
     accepted = _bench_pairs(ctx)
-    store = PassageStore.from_units(
-        _index_doc(ctx, IndexConfig.WITH_PAPER).units,
-        ctx.config.rag.chunk_size,
-        ctx.config.bm25.k1,
-        ctx.config.bm25.b,
-    )
+    # BM25's settings come from the index file, as bench-retrieval takes them.
+    doc = _index_doc(ctx, IndexConfig.WITH_PAPER)
+    store = PassageStore.from_units(doc.units, ctx.config.rag.chunk_size, doc.k1, doc.b)
     scorer = _entailment_scorer(ctx)
     levels = ctx.pmap(
         lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.config.template_dir),
@@ -1019,18 +1026,25 @@ def validate_outputs(run_dir: Path) -> list[Violation]:
     ]
 
 
+def _accepted_positions(rows: dict[str, list[tuple[int, Any]]]) -> dict[str, int]:
+    """Each accepted pair's id and its position among the pairs read."""
+    decisions = {v.pair_id: v.decision for _, v in rows.get("verdicts.jsonl", ())}
+    return {
+        p.id: i
+        for i, (_, p) in enumerate(rows.get("qapairs.jsonl", ()))
+        if decisions.get(p.id) is Decision.ACCEPT
+    }
+
+
 def _eval_row_check(
     rows: dict[str, list[tuple[int, Any]]], name: str, out: list[Violation]
 ) -> Callable[[int, _QAEvalRow], None]:
     """A check of each `qaeval.jsonl` row, given the pairs and verdicts
     read: the row's pair must be accepted, and have one row per k."""
-    pairs = rows.get("qapairs.jsonl", [])
-    decisions = {v.pair_id: v.decision for _, v in rows.get("verdicts.jsonl", ())}
-    accepted = {
-        p.id: i for i, (_, p) in enumerate(pairs) if decisions.get(p.id) is Decision.ACCEPT
-    }
+    accepted = _accepted_positions(rows)
+    n_pairs = len(rows.get("qapairs.jsonl", ()))
     # Per k, a mark for each pair that has its row.
-    seen: dict[int, bytearray] = collections.defaultdict(lambda: bytearray(len(pairs)))
+    seen: dict[int, bytearray] = collections.defaultdict(lambda: bytearray(n_pairs))
 
     def check(lineno: int, row: _QAEvalRow) -> None:
         i = accepted.get(row.pair_id)
@@ -1102,10 +1116,70 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
             for field, what, known in checks:
                 if (value := getattr(r, field)) not in known:
                     out.append(Violation(name, lineno, f"unknown {what} {value}"))
+    datasets = [d for _, d in rows["datasets.jsonl"]]
+    aspects = [a for _, a in rows.get("aspects.jsonl", ())]
+    for cfg, name in _INDEX_FILES.items():
+        if (run_dir / name).exists():
+            out += _index_violations(run_dir, cfg, datasets, aspects)
+    if "qapairs.jsonl" in rows and "verdicts.jsonl" in rows:
+        out += _total_violations(run_dir, len(_accepted_positions(rows)))
     if (run_dir / "splits.json").exists():
-        out += _split_violations(run_dir, [d for _, d in rows["datasets.jsonl"]])
+        out += _split_violations(run_dir, datasets)
     if (run_dir / "reports/retrieval.csv").exists():
         out += _retrieval_violations(run_dir)
+    return out
+
+
+def _index_violations(
+    run_dir: Path, cfg: IndexConfig, datasets: list[DatasetRecord], aspects: list[AspectUnit]
+) -> list[Violation]:
+    """An index file must hold the units that `doc_units` makes of the
+    datasets and aspects for its configuration."""
+    name = _INDEX_FILES[cfg]
+    try:
+        doc = record_from_dict(_IndexDoc, json.loads((run_dir / name).read_text(encoding="utf-8")))
+    except (ValueError, RecordError) as exc:
+        return [Violation(name, 0, f"malformed: {exc}")]
+    try:
+        want = doc_units(datasets, aspects, cfg)
+    except (ValueError, PipelineError) as exc:
+        return [Violation(name, 0, f"its units cannot be derived: {exc}")]
+    got = doc.units
+    if got == tuple(want):
+        return []
+    first = next(
+        (i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want))
+    )
+    message = (f"units differ from those datasets.jsonl and aspects.jsonl make from unit"
+               f" {first} on ({len(got)} units, {len(want)} made)")
+    return [Violation(name, 0, message)]
+
+
+def _total_violations(run_dir: Path, accepted: int) -> list[Violation]:
+    """The Total row's count in stats.csv and the total in levels.csv must
+    each be the number of accepted pairs."""
+    out = []
+    for name, label, column in (
+        ("reports/stats.csv", "Total", "count"), ("reports/levels.csv", None, "total")
+    ):
+        if not (run_dir / name).exists():
+            continue
+        what = f"{label} {column}" if label else column
+        try:
+            with (run_dir / name).open(encoding="utf-8", newline="") as f:
+                found = [(lineno, row.get(column))
+                         for lineno, row in enumerate(csv.DictReader(f), start=2)
+                         if label is None or row.get("label") == label]
+        except (ValueError, csv.Error) as exc:
+            out.append(Violation(name, 0, f"malformed: {exc}"))
+            continue
+        if not found:
+            out.append(Violation(name, 0, f"has no {what}"))
+        out += [
+            Violation(name, lineno, f"{what} {value} is not the {accepted} accepted pairs")
+            for lineno, value in found
+            if value != str(accepted)
+        ]
     return out
 
 

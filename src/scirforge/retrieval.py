@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -109,7 +110,9 @@ def index_from_units(units: Sequence[DocUnit], k1: float, b: float) -> Index:
         dataset_starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
 
     lengths = np.empty(len(units), dtype=np.float64)
-    term_hits: dict[str, list[tuple[int, float]]] = {}
+    # term -> (the units holding it, its count in each), in typed arrays: one
+    # machine word per hit and field rather than a tuple of two objects.
+    term_hits: dict[str, tuple[array, array]] = {}
     for uid, unit in enumerate(units):
         terms = tokenize(unit.text)
         lengths[uid] = float(len(terms))
@@ -117,17 +120,21 @@ def index_from_units(units: Sequence[DocUnit], k1: float, b: float) -> Index:
         for t in terms:
             counts[t] = counts.get(t, 0) + 1
         for t, c in counts.items():
-            term_hits.setdefault(t, []).append((uid, float(c)))
+            hits = term_hits.get(t)
+            if hits is None:
+                hits = term_hits[t] = (array("q"), array("d"))
+            hits[0].append(uid)
+            hits[1].append(c)
 
     avg_len = float(lengths.mean())
     rel = lengths / avg_len if avg_len > 0 else np.zeros_like(lengths)
     norm = k1 * (1.0 - b + b * rel)
 
     postings = {}
-    for t, hits in term_hits.items():
-        unit_ids = np.array([uid for uid, _ in hits], dtype=np.int64)
-        tfs = np.array([tf for _, tf in hits], dtype=np.float64)
-        idf = _okapi_idf(len(units), len(hits))
+    for t, (hit_units, hit_counts) in term_hits.items():
+        unit_ids = np.array(hit_units, dtype=np.int64)
+        tfs = np.array(hit_counts, dtype=np.float64)
+        idf = _okapi_idf(len(units), len(hit_units))
         postings[t] = (unit_ids, idf * (tfs * (k1 + 1.0)) / (tfs + norm[unit_ids]))
     return Index(
         units=tuple(units),

@@ -64,9 +64,15 @@ def test_file_helpers(tmp_path):
     assert c.read_text(encoding="utf-8") == "x,y\n1,a\n2,b\n"
 
 
-@pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+_B = pipeline._DIGEST_BUFFER
+
+
+@pytest.mark.parametrize(
+    "size", [0, _B - 1, _B, _B + 1, 3 * _B + 7, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7]
+)
 def test_file_digest_reads_in_chunks(tmp_path, size):
-    """Sizes on each side of the 1 MiB read hash as the whole file does."""
+    """Sizes on each side of the digest buffer's length, and of 1 MiB, hash
+    as the whole file does."""
     p = tmp_path / "blob"
     p.write_bytes(random.Random(size).randbytes(size))
     assert file_digest(p) == hashlib.sha256(p.read_bytes()).hexdigest()
@@ -529,6 +535,45 @@ def test_mock_backend_maps_on_the_calling_thread(tmp_path, monkeypatch):
     }
 
 
+# A mock `all` on the demo, then a pmap under an HTTP backend; prints the
+# thread pool's import state after each and the threads the map ran on.
+_POOL_IMPORT_COMMAND = """
+import json, sys, threading, time
+from pathlib import Path
+from scirforge import pipeline
+from scirforge.cli import FIXTURE_DIR, main
+from scirforge.config import load_config
+run_dir, http_config = sys.argv[1:]
+args = ["all", "--config", str(FIXTURE_DIR / "config.json"), "--output", run_dir,
+        "--input", str(FIXTURE_DIR)]
+assert main(args) == 0
+after_mock = "concurrent.futures" in sys.modules
+ctx = pipeline.StageContext(config=load_config(http_config), run_dir=Path(run_dir))
+def where(i):
+    time.sleep(0.01)
+    return threading.get_ident()
+idents = set(ctx.pmap(where, range(8)))
+print(json.dumps({"after_mock": after_mock, "after_http": "concurrent.futures" in sys.modules,
+                  "main_thread_used": threading.get_ident() in idents, "threads": len(idents)}))
+"""
+
+
+def test_thread_pool_is_imported_only_under_http(tmp_path):
+    """A mock run never imports the thread pool's module; a map that can
+    wait on HTTP imports it and runs on worker threads."""
+    config_path = _fixture_config(tmp_path / "inputs", backend=_HTTP_BACKEND)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_IMPORT_COMMAND, str(tmp_path / "run"), str(config_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert (got["after_mock"], got["after_http"], got["main_thread_used"]) == (False, True, False)
+    assert 1 < got["threads"] <= 4
+
+
 # Each bundled template's first line names the stage that renders it.
 _STAGE_OF_FIRST_LINE = {
     split_roles(path.read_text(encoding="utf-8"))[0][1].split("\n")[0]: path.stem
@@ -815,6 +860,29 @@ def test_manifest_records_outputs(fixture_run):
     split_entry = manifest["stages"]["split"]
     assert split_entry["status"] == "done"
     assert split_entry["outputs"]["splits.json"] == file_digest(run_dir / "splits.json")
+
+
+def test_bench_qa_takes_bm25_settings_from_the_index_file(fixture_run, tmp_path, monkeypatch):
+    """bench-qa's passage store scores with the index file's k1 and b, as
+    bench-retrieval does, not with the config's."""
+    config, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    path = copy / "index/with_paper.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(k1=0.5, b=0.25)
+    write_json_atomic(path, doc)
+    assert (config.bm25.k1, config.bm25.b) != (0.5, 0.25)
+    built = []
+    real = pipeline.PassageStore.from_units
+
+    def from_units(units, chunk_size, k1, b):
+        built.append((k1, b))
+        return real(units, chunk_size, k1, b)
+
+    monkeypatch.setattr(pipeline.PassageStore, "from_units", from_units)
+    assert run_stage("bench-qa", config, copy) == "done"
+    assert built == [(0.5, 0.25)]
 
 
 def test_bench_qa_records_passage_shortfalls_in_the_manifest(fixture_run, tmp_path):
@@ -1218,6 +1286,72 @@ def test_validator_reports_a_malformed_splits_file(fixture_run, tmp_path, text, 
     (violation,) = validate_corpus(copy)
     assert (violation.file, violation.line) == ("splits.json", 0)
     assert violation.message.startswith(message), violation.message
+
+
+def _edit_json(name: str, edit):
+    def damage(run_dir: Path) -> None:
+        path = run_dir / name
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    return damage
+
+
+def _edit_csv_cell(name: str, line: int, column: str, value: str):
+    def damage(run_dir: Path) -> None:
+        path = run_dir / name
+        header, *rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        rows[line - 2][header.index(column)] = value
+        pipeline.write_csv_atomic(path, header, rows)
+
+    return damage
+
+
+def _drop_last_line(name: str):
+    def damage(run_dir: Path) -> None:
+        path = run_dir / name
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(True)[:-1]),
+                        encoding="utf-8")
+
+    return damage
+
+
+# The fixture run: 5 datasets, 23 WithPaper units, 172 accepted pairs, and
+# the Total row on line 22 of stats.csv.
+@pytest.mark.parametrize(
+    "damage, want",
+    [
+        (_edit_json("index/with_paper.json", lambda doc: doc["units"].pop()),
+         [("index/with_paper.json", 0, "units differ from those datasets.jsonl and"
+           " aspects.jsonl make from unit 22 on (22 units, 23 made)")]),
+        (_edit_json("index/without_paper.json",
+                    lambda doc: doc["units"][3].update(text=doc["units"][3]["text"] + " x")),
+         [("index/without_paper.json", 0, "units differ from those datasets.jsonl and"
+           " aspects.jsonl make from unit 3 on (5 units, 5 made)")]),
+        (_drop_last_line("aspects.jsonl"),
+         [("index/with_paper.json", 0, "units differ from those datasets.jsonl and"
+           " aspects.jsonl make from unit 22 on (23 units, 22 made)")]),
+        (_edit_json("index/with_paper.json", lambda doc: doc["units"][0].pop("text")),
+         [("index/with_paper.json", 0, "malformed: missing field units[0].text")]),
+        (_edit_csv_cell("reports/stats.csv", 22, "count", "173"),
+         [("reports/stats.csv", 22, "Total count 173 is not the 172 accepted pairs")]),
+        (_edit_csv_cell("reports/levels.csv", 2, "total", "x"),
+         [("reports/levels.csv", 2, "total x is not the 172 accepted pairs")]),
+        (_drop_last_line("reports/stats.csv"),
+         [("reports/stats.csv", 0, "has no Total count")]),
+    ],
+    ids=["unit-dropped", "unit-edited", "aspect-dropped", "index-malformed", "stats-total",
+         "levels-total", "no-total-row"],
+)
+def test_validator_checks_indexes_and_totals_against_the_corpus(
+    fixture_run, tmp_path, damage, want
+):
+    _, run_dir, _ = fixture_run
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    damage(copy)
+    assert [(v.file, v.line, v.message) for v in validate_corpus(copy)] == want
 
 
 def _edit_retrieval(run_dir: Path, edit) -> None:
