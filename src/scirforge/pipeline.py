@@ -167,10 +167,12 @@ class StageContext:
 
     @property
     def gateway(self) -> Gateway:
-        with self._gateway_lock:
-            if self._gateway is None:
-                self._gateway = Gateway.from_config(self.config.backend)
-            return self._gateway
+        # Set once and never cleared, so only its creation takes the lock.
+        if self._gateway is None:
+            with self._gateway_lock:
+                if self._gateway is None:
+                    self._gateway = Gateway.from_config(self.config.backend)
+        return self._gateway
 
     def close(self) -> None:
         if self._gateway is not None:
@@ -580,21 +582,30 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
     configs = (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
     bm25_row: list = ["bm25"]
     for cfg in configs:
+        index = indexes[cfg]
         bm25_row += cells(
-            [rank_of(search(indexes[cfg], q), g) for q, g in zip(questions, gold_positions[cfg])]
+            [
+                rank_of(search(index, q), index.unit_datasets, g)
+                for q, g in zip(questions, gold_positions[cfg])
+            ]
         )
     rows = [bm25_row]
 
     if client is not None:
         query_vectors = client.embed(questions)
+        # WithoutPaper's units are WithPaper's metadata units: embed each
+        # distinct text once and give every index its rows of the result.
+        texts = list(dict.fromkeys(u.text for cfg in configs for u in indexes[cfg].units))
+        text_vectors = client.embed(texts)
+        row_of = {text: i for i, text in enumerate(texts)}
         emb_row: list = [f"embedding-{ctx.config.embedding.kind}"]
         for cfg in configs:
             index = indexes[cfg]
-            unit_vectors = client.embed([u.text for u in index.units])
+            unit_vectors = text_vectors[[row_of[u.text] for u in index.units]]
             norms = np.linalg.norm(unit_vectors, axis=1)
             emb_row += cells(
                 [
-                    rank_of(embed_search(index, unit_vectors, v, norms), g)
+                    rank_of(embed_search(index, unit_vectors, v, norms), index.unit_datasets, g)
                     for v, g in zip(query_vectors, gold_positions[cfg])
                 ]
             )

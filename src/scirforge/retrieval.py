@@ -2,9 +2,10 @@
 embedding-based search path, passage chunking for RAG, and rank metrics.
 
 Document units are one metadata unit per dataset plus, in the WithPaper
-configuration, one unit per verified aspect passage.  A dataset's score is
-the maximum over its units; ties break by ascending dataset id so rankings
-are reproducible.
+configuration, one unit per verified aspect passage.  Search scores units;
+a dataset's score is the maximum over its units, and a gold dataset's rank
+is counted from the unit scores, with ties broken by ascending dataset id so
+rankings are reproducible.
 """
 from __future__ import annotations
 
@@ -52,11 +53,8 @@ class DocUnit:
 class Index:
     units: tuple[DocUnit, ...]
     dataset_ids: tuple[str, ...]
-    # The unit positions grouped by dataset in `dataset_ids` order, and where
-    # each dataset's group starts; None when the units already are one per
-    # dataset in that order.
-    unit_order: np.ndarray | None
-    dataset_starts: np.ndarray | None
+    # Each unit's dataset, as a position in `dataset_ids`.
+    unit_datasets: np.ndarray
     # term -> (ascending unit ids holding it, the term's BM25 weight in each)
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -100,14 +98,6 @@ def index_from_units(units: Sequence[DocUnit], k1: float, b: float) -> Index:
         raise ValueError("cannot index an empty unit list")
     dataset_ids = tuple(sorted({u.dataset_id for u in units}))
     ds_index = {d: i for i, d in enumerate(dataset_ids)}
-    unit_dataset_idx = np.array([ds_index[u.dataset_id] for u in units], dtype=np.int64)
-    unit_order = dataset_starts = None
-    if not np.array_equal(unit_dataset_idx, np.arange(len(units))):
-        # Stable, so each dataset's units keep their order and the max
-        # compares them in the sequence a per-unit scatter-max would.
-        unit_order = np.argsort(unit_dataset_idx, kind="stable")
-        grouped = unit_dataset_idx[unit_order]
-        dataset_starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
 
     lengths = np.empty(len(units), dtype=np.float64)
     # term -> (the units holding it, its count in each), in typed arrays: one
@@ -139,8 +129,7 @@ def index_from_units(units: Sequence[DocUnit], k1: float, b: float) -> Index:
     return Index(
         units=tuple(units),
         dataset_ids=dataset_ids,
-        unit_order=unit_order,
-        dataset_starts=dataset_starts,
+        unit_datasets=np.array([ds_index[u.dataset_id] for u in units], dtype=np.int64),
         postings=postings,
     )
 
@@ -159,16 +148,10 @@ def score_units(index: Index, query: str) -> np.ndarray:
     )
 
 
-def _dataset_scores(index: Index, unit_scores: np.ndarray) -> np.ndarray:
-    if index.unit_order is None:
-        return unit_scores
-    # Every dataset owns at least its metadata unit, so no group is empty.
-    return np.maximum.reduceat(unit_scores[index.unit_order], index.dataset_starts)
-
-
 def search(index: Index, query: str) -> np.ndarray:
-    """Each dataset's max unit score, in `index.dataset_ids` order."""
-    return _dataset_scores(index, score_units(index, query))
+    """Every unit's BM25 score for the query; `rank_of` ranks datasets by
+    them."""
+    return score_units(index, query)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +159,23 @@ def search(index: Index, query: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rank_of(scores: np.ndarray, i: int) -> int:
-    """1-based rank of entry i by score descending, ties by ascending
-    position: i's place in a stable argsort of -scores, for any scores but
-    NaN.  dataset_ids is sorted, so over dataset scores ties break by
-    ascending id."""
-    s = scores[i]
-    return 1 + int(np.count_nonzero(scores > s)) + int(np.count_nonzero(scores[:i] == s))
+def rank_of(unit_scores: np.ndarray, unit_datasets: np.ndarray, gold: int) -> int:
+    """1-based rank of dataset `gold` when datasets rank by their best unit
+    score descending, ties by ascending dataset position (over an index,
+    ascending id): gold's place in a stable argsort of the negated dataset
+    maxima, for any scores but NaN.  `unit_datasets` is each unit's dataset.
+
+    With s gold's best unit score, the datasets ahead of gold are those with
+    a unit above s and those before gold with a unit equal to s; one flag per
+    dataset counts each of them once, so no dataset maximum is built."""
+    # Gold has a few units; Python's max over them costs less than numpy's.
+    s = max(unit_scores[unit_datasets == gold].tolist())
+    contenders = (unit_scores >= s).nonzero()[0]
+    owners = unit_datasets[contenders]
+    # Positions run below the unit count, so that many flags cover them all.
+    ahead = np.zeros(len(unit_scores), dtype=bool)
+    ahead[owners[(unit_scores[contenders] > s) | (owners < gold)]] = True
+    return 1 + int(np.count_nonzero(ahead))
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -214,9 +207,9 @@ def mrr_at(ranks: Sequence[int], cutoff: int) -> float:
 def embed_search(
     index: Index, unit_vectors: np.ndarray, query_vector: np.ndarray, unit_norms: np.ndarray
 ) -> np.ndarray:
-    """Each dataset's max cosine similarity to an embedded query, in
-    `index.dataset_ids` order, as search aggregates BM25.  `unit_norms` are
-    the row norms of `unit_vectors`, computed once for many queries."""
+    """Every unit's cosine similarity to an embedded query, ranked by
+    `rank_of` as search's BM25 scores are.  `unit_norms` are the row norms of
+    `unit_vectors`, computed once for many queries."""
     if unit_vectors.ndim != 2 or unit_vectors.shape[0] != index.n_units:
         raise ValueError("unit_vectors shape does not match the index")
     if query_vector.shape[0] != unit_vectors.shape[1]:
@@ -227,8 +220,7 @@ def embed_search(
     denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
     if not denom.all():
         denom[denom == 0.0] = 1.0
-    sims = (unit_vectors @ query_vector) / denom
-    return _dataset_scores(index, sims)
+    return (unit_vectors @ query_vector) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +238,16 @@ def chunk_passages(text: str, chunk_size: int) -> list[str]:
     ]
 
 
-def passage_ids(n: int) -> list[str]:
-    """Ids for n passages that sort in passage order: `p` and the position,
-    zero-padded to at least six digits."""
-    width = max(6, len(str(n - 1)))
-    return [f"p{i:0{width}d}" for i in range(n)]
-
-
 class PassageStore:
     """BM25-searchable store of fixed-size passages for RAG prompting.
 
-    Each chunk is indexed as its own pseudo-dataset, so unit-level ranking
-    falls out of the dataset machinery unchanged.
+    Each chunk is indexed as a unit, and passages rank by their unit scores;
+    none belongs to a dataset, so all share the empty dataset id.
     """
 
     def __init__(self, passages: Sequence[str], k1: float, b: float):
         self._texts = tuple(passages)
-        units = [
-            DocUnit(pid, "Metadata", text)
-            for pid, text in zip(passage_ids(len(self._texts)), self._texts)
-        ]
-        self._index = index_from_units(units, k1, b)
+        self._index = index_from_units([DocUnit("", "Metadata", t) for t in self._texts], k1, b)
 
     @classmethod
     def from_units(
@@ -286,7 +267,6 @@ class PassageStore:
         descending score, so equal scores keep passage order."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        # The ids sort in passage order, so a score's position is its passage's.
         scores = search(self._index, query)
         if k == 1:
             # argmax takes the first of equal maxima, as the stable sort does.

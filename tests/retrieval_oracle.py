@@ -1,11 +1,13 @@
 """Per-unit BM25 reference that the weighted postings of
-`scirforge.retrieval` are checked against, and the ranking that `rank_of`
-gives a score vector.
+`scirforge.retrieval` are checked against, a brute-force gold rank over
+per-dataset maxima that `rank_of`'s count is checked against, and the
+ranking that `rank_of` gives a vector of unit scores.
 
 A plain module, not hypothesis-gated, so that both `test_retrieval.py` and
 `test_oracle_properties.py` can import it."""
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from scirforge.retrieval import Index, _okapi_idf, rank_of, tokenize
@@ -42,10 +44,27 @@ def bm25_score(
     return score
 
 
-def ranking(index: Index, scores) -> list[tuple[str, float]]:
-    """(dataset id, score) for every dataset, in the order of their
+def dataset_maxima(unit_scores, owners) -> dict:
+    """Each owner's best unit score, by a plain loop over the units."""
+    best = {}
+    for score, d in zip(list(unit_scores), list(owners)):
+        best[d] = max(best.get(d, -math.inf), float(score))
+    return best
+
+
+def brute_rank(unit_scores, unit_datasets, gold: int) -> int:
+    """Gold's 1-based place when datasets sort by (-best unit score,
+    position)."""
+    best = dataset_maxima(unit_scores, unit_datasets)
+    return sorted(best, key=lambda d: (-best[d], d)).index(gold) + 1
+
+
+def ranking(index: Index, unit_scores) -> list[tuple[str, float]]:
+    """(dataset id, best unit score) for every dataset, in the order of their
     `rank_of` ranks, which are 1..n for finite scores."""
-    ranks = [rank_of(scores, i) for i in range(len(scores))]
-    assert sorted(ranks) == list(range(1, len(scores) + 1)), ranks
-    order = sorted(range(len(scores)), key=ranks.__getitem__)
-    return [(index.dataset_ids[i], float(scores[i])) for i in order]
+    n = len(index.dataset_ids)
+    ranks = [rank_of(unit_scores, index.unit_datasets, d) for d in range(n)]
+    assert sorted(ranks) == list(range(1, n + 1)), ranks
+    best = dataset_maxima(unit_scores, [u.dataset_id for u in index.units])
+    order = sorted(range(n), key=ranks.__getitem__)
+    return [(index.dataset_ids[d], best[index.dataset_ids[d]]) for d in order]

@@ -262,7 +262,7 @@ def _random_run(rng):
     scores = [rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(n)]
     gold = rng.randrange(n)
     order = sorted(range(n), key=lambda i: (-scores[i], i))
-    return rank_of(np.array(scores), gold), order.index(gold) + 1
+    return rank_of(np.array(scores), np.arange(n), gold), order.index(gold) + 1
 
 
 def test_criterion_06_rank_metrics():

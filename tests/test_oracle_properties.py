@@ -2,11 +2,11 @@
 
 The bit-parallel LCS against the DP, pre-split template rendering against
 regex substitution, rank counting and the passage store's top-k against a
-stable argsort and the (-score, id) sort, eager BM25 weights against
+stable argsort and the (-score, id) sort, the gold rank counted from unit
+scores against a sort of per-dataset maxima, eager BM25 weights against
 per-unit scoring, one-pass BM25 scoring against the per-term loop, the
-grouped dataset max against `np.maximum.at`, the sorted sweep behind the
-filter curves against the per-threshold loop, and the config sections
-against the defaults table and merge they replaced."""
+sorted sweep behind the filter curves against the per-threshold loop, and
+the config sections against the defaults table and merge they replaced."""
 import json
 import math
 import random
@@ -31,7 +31,7 @@ from scirforge.retrieval import (  # noqa: E402
     tokenize,
 )
 from scirforge.seper import curve_points  # noqa: E402
-from retrieval_oracle import bm25_score, ranking  # noqa: E402
+from retrieval_oracle import bm25_score, brute_rank, dataset_maxima, ranking  # noqa: E402
 from test_kernels import lcs_oracle  # noqa: E402
 
 
@@ -83,18 +83,35 @@ _SCORE_VECTORS = (
 @given(_SCORE_VECTORS)
 def test_rank_of_matches_stable_argsort(scores):
     # Every position is checked, so gold first and gold last are among them.
+    # With one unit per dataset, a dataset's best score is its unit's.
     scores = np.array(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable").tolist()
-    assert [rank_of(scores, i) for i in range(len(scores))] == [
+    owners = np.arange(len(scores))
+    assert [rank_of(scores, owners, i) for i in range(len(scores))] == [
         order.index(i) + 1 for i in range(len(scores))
     ]
 
 
-def _dataset_scores(index, unit_scores):
-    best = {}
-    for unit, score in zip(index.units, unit_scores):
-        best[unit.dataset_id] = max(best.get(unit.dataset_id, -math.inf), score)
-    return [best[d] for d in index.dataset_ids]
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_counted_rank_matches_bruteforce(data):
+    # 1 to 4 units per dataset, listed in shuffled dataset order.
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    owners = data.draw(st.permutations([d for d, c in enumerate(counts) for _ in range(c)]))
+    # Mostly few distinct values, so ties are common, and both infinities.
+    values = _SCORES | st.sampled_from([-math.inf, math.inf]) | st.floats(allow_nan=False)
+    unit_scores = np.array(
+        data.draw(st.lists(values, min_size=len(owners), max_size=len(owners))), dtype=np.float64
+    )
+    if data.draw(st.booleans()):
+        # Force a tie for the best score between the first and last datasets.
+        first = owners.index(0)
+        last = owners.index(len(counts) - 1)
+        unit_scores[first] = unit_scores[last] = unit_scores.max()
+    owners = np.array(owners, dtype=np.int64)
+    # Every dataset as the gold, so gold first and gold last are among them.
+    for gold in range(len(counts)):
+        assert rank_of(unit_scores, owners, gold) == brute_rank(unit_scores, owners, gold)
 
 
 def _index(owners):
@@ -102,18 +119,20 @@ def _index(owners):
     return index_from_units(units, k1=1.2, b=0.75)
 
 
-def _assert_scores(index, scores, unit_scores):
-    """Per-dataset max, and the ranking rank_of gives it is the sort's."""
-    want = _dataset_scores(index, unit_scores)
-    assert scores.tolist() == want
+def _assert_ranking(index, scores, unit_scores):
+    """One score per unit, and the ranking the counted ranks give is the
+    (-dataset max, id) sort's."""
+    assert scores.tolist() == list(unit_scores)
+    best = dataset_maxima(unit_scores, [u.dataset_id for u in index.units])
+    want = [best[d] for d in index.dataset_ids]
     assert ranking(index, scores) == rank_oracle(want, index.dataset_ids)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_search_matches_sort_oracle(data):
-    # A permutation gives each dataset one unit, so search takes its
-    # scatter path; other lists give some datasets several units.
+    # A permutation gives each dataset one unit; other lists give some
+    # datasets several units.
     owners = data.draw(
         st.lists(st.integers(0, 11), min_size=1, max_size=30)
         | st.integers(1, 12).flatmap(lambda n: st.permutations(range(n)))
@@ -124,7 +143,7 @@ def test_search_matches_sort_oracle(data):
     )
     with mock.patch.object(retrieval, "score_units", return_value=unit_scores):
         scores = search(index, "query")
-    _assert_scores(index, scores, unit_scores)
+    _assert_ranking(index, scores, unit_scores)
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,7 +185,7 @@ def test_embed_search_matches_sort_oracle(data):
     scores = embed_search(
         index, vectors, np.array(query, dtype=np.float64), np.linalg.norm(vectors, axis=1)
     )
-    _assert_scores(index, scores, [_cosine(row, query) for row in rows])
+    _assert_ranking(index, scores, [_cosine(row, query) for row in rows])
 
 
 def _render_by_regex(template, **values):
@@ -247,22 +266,6 @@ def test_score_units_matches_per_term_loop_bitwise(units, query_terms, k1, b):
     )
     query = " ".join(query_terms)
     assert score_units(index, query).tobytes() == _score_units_by_term(index, query).tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_dataset_max_matches_maximum_at(data):
-    # 1 to 4 units per dataset, listed in shuffled dataset order.
-    counts = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
-    owners = data.draw(st.permutations([d for d, c in enumerate(counts) for _ in range(c)]))
-    index = _index(owners)
-    unit_scores = np.array(data.draw(
-        st.lists(_SCORES | st.floats(allow_nan=False), min_size=len(owners), max_size=len(owners))
-    ))
-    position = {d: i for i, d in enumerate(index.dataset_ids)}
-    want = np.full(len(index.dataset_ids), -np.inf)
-    np.maximum.at(want, [position[u.dataset_id] for u in index.units], unit_scores)
-    assert retrieval._dataset_scores(index, unit_scores).tobytes() == want.tobytes()
 
 
 def curve_points_oracle(deltas, labels):

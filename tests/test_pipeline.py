@@ -496,6 +496,41 @@ def test_stage_workers_share_one_gateway(tmp_path):
     assert len({id(gw) for gw in gateways}) == 1
 
 
+def test_racing_first_accesses_build_one_gateway(tmp_path, monkeypatch):
+    """Threads racing on the first access all get one gateway from one
+    `Gateway.from_config` call, and once it exists no access takes the lock."""
+    config = load_config(_fixture_config(tmp_path / "inputs"))
+    ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
+    built = []
+    real = pipeline.Gateway.from_config.__func__
+
+    def slow(cls, backend):
+        built.append(backend)
+        time.sleep(0.05)  # the other threads reach the check meanwhile
+        return real(cls, backend)
+
+    monkeypatch.setattr(pipeline.Gateway, "from_config", classmethod(slow))
+    start = threading.Barrier(8)
+    got = []
+
+    def first_access():
+        start.wait()
+        got.append(ctx.gateway)
+
+    threads = [threading.Thread(target=first_access) for _ in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(built) == 1
+        assert len(got) == 8 and len({id(gw) for gw in got}) == 1
+        ctx._gateway_lock = None  # a later access that took the lock would fail
+        assert ctx.gateway is got[0]
+    finally:
+        ctx.close()
+
+
 def test_threaded_pmap_yields_in_input_order(tmp_path):
     """Items finish in reverse order on four workers; pmap yields them in
     input order."""
@@ -703,6 +738,9 @@ def test_manifest_counts_each_stages_calls_and_hits(tmp_path):
 
 
 def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkeypatch):
+    """One batch of the questions, then one batch holding each distinct unit
+    text of both indexes once, though WithoutPaper's units repeat
+    WithPaper's metadata units."""
     config, run_dir, _ = fixture_run
     copy = tmp_path / "copy"
     shutil.copytree(run_dir, copy)
@@ -710,7 +748,7 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
 
     class CountingClient(MockEmbeddingClient):
         def embed(self, texts):
-            batches.append(len(texts))
+            batches.append(list(texts))
             return super().embed(texts)
 
     monkeypatch.setattr(pipeline, "_embedding_client", lambda ctx: CountingClient(dim=16))
@@ -720,12 +758,14 @@ def test_bench_retrieval_embeds_each_question_once(fixture_run, tmp_path, monkey
         pipeline.StageContext(config=config, run_dir=copy, inputs=inputs, writes=stage.writes)
     )
     meta = json.loads((copy / "reports/retrieval_meta.json").read_text(encoding="utf-8"))
-    units = [
-        len(json.loads((copy / f"index/{side}.json").read_text(encoding="utf-8"))["units"])
+    texts = [
+        u["text"]
         for side in ("without_paper", "with_paper")
+        for u in json.loads((copy / f"index/{side}.json").read_text(encoding="utf-8"))["units"]
     ]
-    # One batch of all questions, then one batch per index's units.
-    assert batches == [meta["n_queries"], *units]
+    assert len(set(texts)) < len(texts)
+    assert [len(b) for b in batches] == [meta["n_queries"], len(set(texts))]
+    assert sorted(batches[1]) == sorted(set(texts))
     name = "reports/retrieval.csv"
     assert (copy / name).read_bytes() == (run_dir / name).read_bytes()
 

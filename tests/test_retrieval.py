@@ -1,5 +1,4 @@
 """BM25 index, dual configurations, ranking metrics, passage store."""
-import itertools
 import math
 import random
 
@@ -17,7 +16,6 @@ from scirforge.retrieval import (
     embed_search,
     index_from_units,
     mrr_at,
-    passage_ids,
     rank_of,
     recall_at_k,
     search,
@@ -109,20 +107,28 @@ def test_search_ranks_and_breaks_ties_ascending():
     index = build_index(twins, [], IndexConfig.WITHOUT_PAPER, K1, B)
     scores = search(index, "same words")
     assert index.dataset_ids == ("d1", "d2")
+    assert index.unit_datasets.tolist() == [1, 0]
     assert scores[0] == scores[1] > 0
-    assert [rank_of(scores, i) for i in range(2)] == [1, 2]
+    assert [rank_of(scores, index.unit_datasets, i) for i in range(2)] == [1, 2]
 
 
 def test_search_dataset_score_is_max_over_units():
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
+    terms = tokenize("gauging stations discharge")
     scores = search(index, "gauging stations discharge")
-    assert ranking(index, scores)[0][0] == "d2"
+    # One score per unit, each the unit's own BM25 score.
+    assert scores.tolist() == pytest.approx(
+        [bm25_score(index, terms, u, K1, B) for u in range(index.n_units)], abs=1e-12
+    )
     unit_best = max(
-        bm25_score(index, tokenize("gauging stations discharge"), u, K1, B)
+        bm25_score(index, terms, u, K1, B)
         for u in range(index.n_units)
         if index.units[u].dataset_id == "d2"
     )
-    assert scores[index.dataset_ids.index("d2")] == pytest.approx(unit_best, abs=1e-12)
+    # The counted rank puts d2 first, at its best unit's score.
+    assert rank_of(scores, index.unit_datasets, index.dataset_ids.index("d2")) == 1
+    top_id, top_score = ranking(index, scores)[0]
+    assert top_id == "d2" and top_score == pytest.approx(unit_best, abs=1e-12)
 
 
 def test_index_round_trip_through_units():
@@ -138,7 +144,7 @@ def test_index_round_trip_through_units():
 def _gold_ranks(ranks):
     """Gold's rank among 100 descending scores where it sits at each given rank."""
     scores = np.arange(100, 0, -1, dtype=np.float64)
-    return [rank_of(scores, r - 1) for r in ranks]
+    return [rank_of(scores, np.arange(100), r - 1) for r in ranks]
 
 
 def test_recall_at_k_oracle():
@@ -158,7 +164,12 @@ def test_mrr_oracle_and_cutoff():
 
 def test_rank_of_counts_ties_before_gold():
     scores = np.array([2.0, 3.0, 2.0, -0.0, 0.0, 2.0])
-    assert [rank_of(scores, i) for i in range(6)] == [2, 1, 3, 5, 6, 4]
+    assert [rank_of(scores, np.arange(6), i) for i in range(6)] == [2, 1, 3, 5, 6, 4]
+    # Several units per dataset: each dataset counts once, at its best unit.
+    # Maxima are 0: 2.0, 1: 3.0, 2: 2.0, 3: 0.0, so ties at 2.0 break by position.
+    owners = np.array([2, 1, 0, 3, 0, 1, 2, 0])
+    scores = np.array([2.0, 3.0, 2.0, 0.0, 1.0, 3.0, -1.0, 2.0])
+    assert [rank_of(scores, owners, d) for d in range(4)] == [2, 1, 3, 4]
 
 
 def test_chunk_passages():
@@ -181,16 +192,6 @@ def test_passage_store_top_k():
         store.top_k("ice", 0)
 
 
-def test_passage_ids_sort_in_passage_order_past_a_million():
-    assert passage_ids(3) == ["p000000", "p000001", "p000002"]
-    assert passage_ids(10**6)[-1] == "p999999"
-    # Seven digits from a millionth passage on, where six would sort
-    # "p1000000" before "p100001".
-    ids = passage_ids(10**6 + 1)
-    assert ids[-1] == "p1000000"
-    assert all(a < b for a, b in itertools.pairwise(ids))
-
-
 def test_passage_store_from_index_chunks_units():
     index = build_index(DS, ASPECTS, IndexConfig.WITH_PAPER, K1, B)
     store = PassageStore.from_units(index.units, chunk_size=3, k1=K1, b=B)
@@ -210,12 +211,17 @@ def test_embed_search_matches_cosine_oracle():
     query = "ice drilling"
     qv = client.embed([query])[0]
     scores = embed_search(index, vectors, qv, np.linalg.norm(vectors, axis=1))
+    # The mock's vectors have unit norm, so each unit's cosine is its dot product.
     sims = vectors @ qv
+    assert scores.tolist() == pytest.approx(sims.tolist(), abs=1e-12)
     best = {}
     for u, sim in enumerate(sims):
         d = index.units[u].dataset_id
-        best[d] = max(best.get(d, -np.inf), sim)
-    assert scores.tolist() == pytest.approx([best[d] for d in index.dataset_ids], abs=1e-12)
+        best[d] = max(best.get(d, -np.inf), float(sim))
+    expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = ranking(index, scores)
+    assert [d for d, _ in ranked] == [d for d, _ in expected]
+    assert [s for _, s in ranked] == pytest.approx([s for _, s in expected], abs=1e-12)
 
 
 def test_random_corpora_against_bruteforce():
@@ -245,3 +251,6 @@ def test_random_corpora_against_bruteforce():
         }
         expected = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [d for d, _ in ranking(index, scores)] == [d for d, _ in expected]
+        # Each dataset's counted rank, as a gold, is its place in that sort.
+        for place, (d, _) in enumerate(expected, start=1):
+            assert rank_of(scores, index.unit_datasets, index.dataset_ids.index(d)) == place
