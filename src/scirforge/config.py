@@ -3,7 +3,7 @@
 The frozen dataclasses below are the config schema: each key is declared
 once, as a field whose default applies when the file leaves the key out
 and whose annotation gives its JSON type (`core.json_value`, the rule
-record rows are read by).  `BackendConfig` is the `backend` section.
+record rows are read and written by).  `BackendConfig` is the `backend` section.
 Relative paths inside the file resolve against the file's own directory,
 so a config can travel with its fixture data.  The config digest is
 computed over the merged (defaults-applied) document with the file's raw

@@ -307,28 +307,6 @@ def split_corpus(
 # ---------------------------------------------------------------------------
 
 
-def _plain(value: Any) -> Any:
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, list):
-        return [_plain(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return record_to_dict(value)
-    return value
-
-
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def record_to_dict(record: Any) -> dict[str, Any]:
-    """Dataclass -> JSON-ready dict, preserving field order."""
-    return {name: _plain(getattr(record, name)) for name in _field_names(type(record))}
-
-
 # `json.dumps` with a non-default argument builds a new encoder per call;
 # this one is shared (encoding keeps no state between calls).
 JSON_LINE = json.JSONEncoder(ensure_ascii=False)
@@ -374,11 +352,6 @@ class CountedRows:
             raise PipelineError(f"made {made} rows, not the {self.count} declared")
 
 
-def write_jsonl(path: Path, records: Iterable[Any]) -> None:
-    plain = (record_to_dict(r) if hasattr(r, "__dataclass_fields__") else r for r in records)
-    write_atomic(path, (JSON_LINE.encode(d) + "\n" for d in plain))
-
-
 def read_jsonl(path: Path) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, parsed value) for every nonblank line; a
     line that is not JSON yields a RecordError that says why in its place."""
@@ -408,13 +381,20 @@ _SCALARS = {str: (str, "a string"), bool: (bool, "true or false"),
             int: (int, "an integer"), float: ((int, float), "a number")}
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
 @functools.cache
-def _reader(tp: Any) -> Callable[[Any], Any]:
-    """The one JSON type rule, compiled once per annotation into a function
-    that returns a JSON value as `tp` or raises _Mismatch. An int may stand
-    for a float (and becomes one) but a bool never for a number; a list
-    stands for a tuple, item by item; a string for an enum, an object for a
-    dataclass and null for ``X | None``."""
+def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """The one JSON type rule, compiled once per annotation into a reader
+    and a writer. The reader returns a JSON value as `tp` or raises
+    _Mismatch: an int may stand for a float (and becomes one) but a bool
+    never for a number; a list stands for a tuple, item by item; a string
+    for an enum, an object for a dataclass and null for ``X | None``. The
+    writer makes the JSON value that reads back as that `tp` value: a list
+    for a tuple, and so on; a record not of exactly the dataclass `tp`
+    raises a RecordError."""
     origin, args = get_origin(tp), get_args(tp)
     if tp in _SCALARS:
         types, expected = _SCALARS[tp]
@@ -424,13 +404,14 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
                 return float(value) if tp is float else value
             raise _Mismatch("{} must be " + expected)
 
-        return read_scalar
+        return read_scalar, _same
     if origin is UnionType:  # X | None
-        read = _reader(next(a for a in args if a is not type(None)))
-        return lambda value: None if value is None else read(value)
+        read, write = _codec(next(a for a in args if a is not type(None)))
+        return (lambda value: None if value is None else read(value),
+                write if write is _same else lambda value: None if value is None else write(value))
     if origin is tuple:
         fixed = args[-1] is not Ellipsis
-        readers = [_reader(a) for a in args[: len(args) if fixed else 1]]
+        readers, writers = zip(*(_codec(a) for a in args[: len(args) if fixed else 1]))
         expected = f"a list of {len(args)} items" if fixed else "a list"
 
         def read_items(value):
@@ -443,7 +424,11 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
                     exc.path.append(f"[{i}]")
                     raise
 
-        return lambda value: tuple(read_items(value))
+        def write_items(value):
+            return [writers[i if fixed else 0](item) for i, item in enumerate(value)]
+
+        return (lambda value: tuple(read_items(value)),
+                list if all(w is _same for w in writers) else write_items)
     if isinstance(tp, type) and issubclass(tp, Enum):
         members = {m.value: m for m in tp}
 
@@ -453,10 +438,10 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
             except (KeyError, TypeError):  # not a member's value, or unhashable
                 raise _Mismatch("{} must be one of " + ", ".join(members)) from None
 
-        return read_enum
-    hints = get_type_hints(tp)  # a dataclass: per field, its reader and whether it has a default
+        return read_enum, lambda member: member.value
+    hints = get_type_hints(tp)  # a dataclass: per field, its codec and whether it has a default
     plan = [
-        (f.name, _reader(hints[f.name]),
+        (f.name, *_codec(hints[f.name]),
          f.default is not MISSING or f.default_factory is not MISSING)
         for f in fields(tp)
     ]
@@ -465,7 +450,7 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
         if not isinstance(row, dict):
             raise _Mismatch("{} must be an object")
         values = {}
-        for name, read, optional in plan:
+        for name, read, _, optional in plan:
             value = row.get(name, MISSING)
             if value is MISSING:
                 if optional:
@@ -478,15 +463,20 @@ def _reader(tp: Any) -> Callable[[Any], Any]:
                 raise
         return tp(**values)
 
-    return read_record
+    def write_record(record):
+        if type(record) is not tp:
+            raise RecordError(f"expected a {tp.__name__} record, got {type(record).__name__}")
+        return {name: write(getattr(record, name)) for name, _, write, _ in plan}
+
+    return read_record, write_record
 
 
 def json_value(tp: Any, value: Any) -> Any:
     """`value` read as the annotation `tp` by the one JSON type rule, which
-    reads the config and every record row; a value that does not fit raises
-    a RecordError saying where it is (`verdict.delta must be a number`)."""
+    reads the config and reads and writes every record row; a value that
+    does not fit raises a RecordError saying where (`verdict.delta must be a number`)."""
     try:
-        return _reader(tp)(value)
+        return _codec(tp)[0](value)
     except _Mismatch as exc:
         where = "".join(reversed(exc.path)).lstrip(".")
         raise RecordError(exc.args[0].format(where or "value")) from None
@@ -496,6 +486,18 @@ def record_from_dict(cls: type[R], row: dict[str, Any]) -> R:
     """JSON row -> `cls` record: the dataclass is the row schema. Keys `cls`
     does not declare are ignored."""
     return json_value(cls, row)
+
+
+def record_to_dict(record: Any) -> dict[str, Any]:
+    """Record -> its JSON row, fields in declaration order: its type's writer."""
+    return _codec(type(record))[1](record)
+
+
+def write_jsonl(path: Path, records: Iterable[Any], cls: type) -> None:
+    """Write each record as one JSON line, the row of the record type `cls`.
+    A record of another type raises a RecordError and leaves the old file."""
+    _, write = _codec(cls)
+    write_atomic(path, (JSON_LINE.encode(write(r)) + "\n" for r in records))
 
 
 def read_records(path: Path, cls: type[R]) -> Iterator[tuple[int, R | RecordError]]:

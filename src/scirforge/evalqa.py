@@ -5,7 +5,7 @@ per-type statistics table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -180,12 +180,17 @@ def rag_answer(
 
 @dataclass(frozen=True)
 class QAEvalRecord:
+    """A `qaeval.jsonl` row: one pair answered with k passages."""
+
     pair_id: str
     model: str
     prediction: str
     correct: bool
     qtype: QuestionType
     rouge_l: float | None = None
+    _: KW_ONLY
+    k: int
+    level: CognitiveLevel
 
     def __post_init__(self):
         is_long = answer_form(self.qtype) is AnswerForm.LONG
@@ -196,18 +201,14 @@ class QAEvalRecord:
 
 
 def evaluate_pair(
-    pair: QAPair, prediction: str, model: str, scorer: EntailmentScorer
+    pair: QAPair, prediction: str, model: str, scorer: EntailmentScorer,
+    k: int, level: CognitiveLevel,
 ) -> QAEvalRecord:
-    """Entailment-gated correctness, plus ROUGE-L F for long-form types."""
+    """Entailment-gated correctness, plus ROUGE-L F for long-form types, of
+    a prediction made from k passages for a question of `level`."""
     correct = entailment_correct(prediction, pair.answer, scorer)
     rouge = None
     if answer_form(pair.qtype) is AnswerForm.LONG:
         rouge = rouge_l(prediction, pair.answer)[2]
-    return QAEvalRecord(
-        pair_id=pair.id,
-        model=model,
-        prediction=prediction,
-        correct=correct,
-        qtype=pair.qtype,
-        rouge_l=rouge,
-    )
+    return QAEvalRecord(pair_id=pair.id, model=model, prediction=prediction, correct=correct,
+                        qtype=pair.qtype, rouge_l=rouge, k=k, level=level)

@@ -35,7 +35,7 @@ from typing import Callable, Protocol, TypeVar
 
 import numpy as np
 
-from .core import JSON_LINE, PipelineError
+from .core import JSON_LINE, PipelineError, RecordError, json_value
 
 
 class GatewayError(PipelineError):
@@ -142,18 +142,38 @@ class Backend(Protocol):
 # ---------------------------------------------------------------------------
 
 
+_SCRIPT_KINDS = ("chat", "score", "entail")
+
+
 @dataclass(frozen=True)
 class _ScriptEntry:
+    """One entry of a mock script, read from its JSON object by the one JSON
+    type rule (`core.json_value`)."""
+
     kind: str
-    stage: str
-    pattern: re.Pattern
-    response: str = ""
-    confidence: float = 0.0
+    match: str = ""
+    stage: str = ""
+    response: str | None = None  # a chat entry's
+    confidence: float | None = None  # a score entry's, or else its logprobs
     logprobs: tuple[float, ...] | None = None
-    score_value: float = 0.0
+    score: float | None = None  # an entail entry's
 
-
-_SCRIPT_KINDS = ("chat", "score", "entail")
+    def __post_init__(self):
+        for broken, message in (
+            (self.kind not in _SCRIPT_KINDS, f"unknown kind {self.kind!r}"),
+            (self.kind == "chat" and self.response is None, "chat entry needs a response"),
+            (self.kind == "score" and (self.logprobs is None) == (self.confidence is None),
+             "score entry needs confidence or logprobs, not both"),
+            (self.confidence is not None and not 0.0 < self.confidence <= 1.0,
+             "confidence must be in (0, 1]"),
+            (self.kind == "entail" and self.score is None, "entail entry needs a score"),
+            (self.score is not None and not 0.0 <= self.score <= 1.0,
+             "entail score must be in [0, 1]"),
+        ):
+            if broken:
+                raise ValueError(message)
+        # Not a field, so not a JSON key: the `match` regex, compiled once.
+        object.__setattr__(self, "pattern", re.compile(self.match, re.DOTALL))
 
 
 def _load_script(data: bytes, path: Path) -> list[_ScriptEntry]:
@@ -162,42 +182,10 @@ def _load_script(data: bytes, path: Path) -> list[_ScriptEntry]:
         raise GatewayError(f"{path}: script must be a JSON list")
     entries = []
     for i, e in enumerate(raw):
-        kind = e.get("kind", "")
-        if kind not in _SCRIPT_KINDS:
-            raise GatewayError(f"{path}[{i}]: unknown kind {kind!r}")
-        pattern = re.compile(e.get("match", ""), re.DOTALL)
-        if kind == "chat":
-            if "response" not in e:
-                raise GatewayError(f"{path}[{i}]: chat entry needs a response")
-            entries.append(
-                _ScriptEntry(kind, e.get("stage", ""), pattern, response=e["response"])
-            )
-        elif kind == "score":
-            lps = e.get("logprobs")
-            conf = e.get("confidence")
-            if (lps is None) == (conf is None):
-                raise GatewayError(
-                    f"{path}[{i}]: score entry needs confidence or logprobs, not both"
-                )
-            if conf is not None and not 0.0 < conf <= 1.0:
-                raise GatewayError(f"{path}[{i}]: confidence must be in (0, 1]")
-            entries.append(
-                _ScriptEntry(
-                    kind,
-                    e.get("stage", ""),
-                    pattern,
-                    confidence=conf if conf is not None else 0.0,
-                    logprobs=tuple(lps) if lps is not None else None,
-                )
-            )
-        else:
-            if "score" not in e:
-                raise GatewayError(f"{path}[{i}]: entail entry needs a score")
-            if not 0.0 <= e["score"] <= 1.0:
-                raise GatewayError(f"{path}[{i}]: entail score must be in [0, 1]")
-            entries.append(
-                _ScriptEntry(kind, e.get("stage", ""), pattern, score_value=e["score"])
-            )
+        try:
+            entries.append(json_value(_ScriptEntry, e))
+        except (RecordError, ValueError) as exc:
+            raise GatewayError(f"{path}[{i}]: {exc}") from None
     return entries
 
 
@@ -273,7 +261,7 @@ class MockBackend:
     def entail(self, premise: str, hypothesis: str) -> float:
         text = premise + "|||" + hypothesis
         entry, _ = self._find("entail", "", text)
-        return float(entry.score_value)
+        return entry.score
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +411,26 @@ CACHE_LOG = "cache.log"
 T = TypeVar("T")
 
 _decode = json.JSONDecoder().decode
+
+
+def _response(value: dict) -> str:
+    """A cached chat answer: its `response`, which must be a string."""
+    if type(response := value["response"]) is not str:
+        raise TypeError("response must be a string")
+    return response
+
+
+def _scored(value: dict) -> ScoredContinuation:
+    """A cached scoring answer: a list of string tokens and one of numeric
+    logprobs (a bool is no number), which ScoredContinuation checks further.
+    Each list is checked whole in C, not item by item, so a hit stays cheap."""
+    tokens, logprobs = value["tokens"], value["logprobs"]
+    if type(tokens) is not list or type(logprobs) is not list:
+        raise TypeError("tokens and logprobs must be lists")
+    "".join(tokens)  # raises TypeError at a token that is not a string
+    if not set(map(type, logprobs)) <= {int, float}:
+        raise TypeError("logprobs must be numbers")
+    return ScoredContinuation(tuple(tokens), tuple(logprobs))
 
 
 # The keydir keeps the integer of each key's first _PREFIX_DIGITS hex digits,
@@ -583,28 +591,29 @@ class Gateway:
             self.backend_calls += 1
         return fetch()
 
-    def _cached(self, key: bytes, fields: tuple[str, ...], fetch: Callable[[], dict]) -> dict:
-        """The value cached under `key`, else `fetch()`'s value, appended to
-        the cache log.
+    def _cached(self, key: bytes, read: Callable[[dict], T], fetch: Callable[[], dict]) -> T:
+        """`read` of the value cached under `key`, else of `fetch()`'s value,
+        which is appended to the cache log.
 
         Callers with one key take turns, so identical concurrent requests
-        reach the backend once. A line that is torn, does not decode, lacks
-        one of `fields` or turns out to hold another key is a miss; the fresh
-        value is appended and becomes the key's latest line.
-        """
+        reach the backend once. A line that is torn, does not decode, holds
+        another key or a value `read` refuses (a field missing or of the
+        wrong JSON type) is a miss; the fresh value is appended and becomes
+        the key's latest line."""
         with self._locks[int(key[:2], 16)]:
-            value = self._lookup(key, fields)
-            if value is not None:
+            got = self._lookup(key, read)
+            if got is not None:
                 with self._guard:
                     self.cache_hits += 1
-                return value
+                return got
             with self._guard:
                 self.backend_calls += 1
             value = fetch()
+            got = read(value)
             self._append(key, value)
-            return value
+            return got
 
-    def _lookup(self, key: bytes, fields: tuple[str, ...]) -> dict | None:
+    def _lookup(self, key: bytes, read: Callable[[dict], T]) -> T | None:
         index = self._index
         line = self._latest(index, key)
         if line is None:
@@ -622,12 +631,9 @@ class Gateway:
                     del _LOG_INDEXES[self._log_id]
             return None
         try:
-            value = _decode(line[len(key) + 1 :].decode("utf-8"))
-        except ValueError:
+            return read(_decode(line[len(key) + 1 :].decode("utf-8")))
+        except (ValueError, TypeError, KeyError):  # not JSON, not an object, or refused
             return None
-        if isinstance(value, dict) and all(f in value for f in fields):
-            return value
-        return None
 
     def _latest(self, index: _LogIndex, key: bytes) -> bytes | None:
         """The latest indexed line of `key`; None when no indexed line has
@@ -736,7 +742,7 @@ class Gateway:
         knobs = (request.model_name, float(request.temperature).hex(), str(request.max_tokens))
         messages = (field for message in request.messages for field in message)
         key = _key(self._backend.identity, "chat", *knobs, *messages)
-        return self._cached(key, ("response",), fetch)["response"]
+        return self._cached(key, _response, fetch)
 
     def score_continuation(
         self, context: str, continuation: str, stage: str = ""
@@ -752,8 +758,7 @@ class Gateway:
             return {"tokens": list(scored.tokens), "logprobs": list(scored.logprobs)}
 
         key = _key(self._backend.identity, "score", model, context, continuation)
-        value = self._cached(key, ("tokens", "logprobs"), fetch)
-        return ScoredContinuation(tuple(value["tokens"]), tuple(value["logprobs"]))
+        return self._cached(key, _scored, fetch)
 
 
 # ---------------------------------------------------------------------------

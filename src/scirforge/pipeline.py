@@ -32,7 +32,6 @@ from .config import Embedding, Entailment, RunConfig
 from .core import (
     COGNITIVE_LEVELS,
     AspectUnit,
-    CognitiveLevel,
     CountedRows,
     Decision,
     DatasetRecord,
@@ -142,13 +141,13 @@ _PARSED: dict[tuple[tuple[str, ...], Any], tuple[tuple[str, ...], Any]] = {}
 @dataclass
 class StageContext:
     """What one stage run may touch: its declared inputs (manifest label ->
-    path), the outputs it may write (`writes`, relative to `run_dir`) and
-    those it records, as it writes them."""
+    path), the outputs it may write (`writes`, relative to `run_dir`, with
+    each one's record type) and those it records, as it writes them."""
 
     config: RunConfig
     run_dir: Path
     inputs: dict[str, Path] = dataclasses.field(default_factory=dict)
-    writes: Collection[str] = ()
+    writes: Mapping[str, type | None] = dataclasses.field(default_factory=dict)
     # sha256 by input label, as run_stage recorded it for the manifest; an
     # input missing here is hashed when first read.
     digests: dict[str, str] = dataclasses.field(default_factory=dict)
@@ -221,6 +220,10 @@ class StageContext:
         self.outputs.append(path)
         return path
 
+    def write_rows(self, name: str, rows: Collection) -> None:
+        """Write JSONL output `name` as rows of the record type its stage declares."""
+        write_jsonl(self.output(name), rows, self.writes[name])
+
     def pmap(self, fn: Callable, items: Sequence) -> Iterator:
         """Yield `fn(item)` for each item, in input order: computed on up to
         `concurrency` worker threads when the work can wait on an HTTP
@@ -258,16 +261,6 @@ class _VerdictRow(FilterVerdict):
     model: str
 
 
-@dataclass(frozen=True, kw_only=True)
-class _QAEvalRow(QAEvalRecord):
-    """A `qaeval.jsonl` row: one pair answered with k passages. bench-qa
-    writes each as its record's dict plus these two keys, which is this
-    type's row, and saves building a record per row."""
-
-    k: int
-    level: CognitiveLevel
-
-
 def _stage_ingest(ctx: StageContext) -> None:
     datasets = ctx.records("input:datasets.jsonl", DatasetRecord)
     papers = ctx.records("input:papers.jsonl", PaperRecord)
@@ -275,8 +268,8 @@ def _stage_ingest(ctx: StageContext) -> None:
         ids = [r.id for r in records]
         if len(set(ids)) != len(ids):
             raise StageError(f"duplicate {kind} ids in input")
-    write_jsonl(ctx.output("datasets.jsonl"), datasets)
-    write_jsonl(ctx.output("papers.jsonl"), papers)
+    ctx.write_rows("datasets.jsonl", datasets)
+    ctx.write_rows("papers.jsonl", papers)
 
 
 def _stage_match(ctx: StageContext) -> None:
@@ -303,7 +296,7 @@ def _stage_match(ctx: StageContext) -> None:
         return _MatchRow(d.id, pid, verdict.used, verdict.explanation, truncated)
 
     rows = list(ctx.pmap(work, tasks))
-    write_jsonl(ctx.output("matches.jsonl"), rows)
+    ctx.write_rows("matches.jsonl", rows)
 
 
 def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
@@ -355,7 +348,7 @@ def _stage_parse(ctx: StageContext) -> None:
     for got, local in results:
         units.extend(got)
         warnings.extend(local)
-    write_jsonl(ctx.output("aspects.jsonl"), units)
+    ctx.write_rows("aspects.jsonl", units)
     write_json_atomic(ctx.output("parse_meta.json"), {"warnings": warnings})
 
 
@@ -406,7 +399,7 @@ def _stage_generate(ctx: StageContext) -> None:
     for got, local in results:
         pairs.extend(got)
         warnings.extend(local)
-    write_jsonl(ctx.output("qapairs.jsonl"), pairs)
+    ctx.write_rows("qapairs.jsonl", pairs)
     write_json_atomic(
         ctx.output("generation_meta.json"),
         {
@@ -431,7 +424,7 @@ def _stage_filter(ctx: StageContext) -> None:
         return _VerdictRow(**vars(verdict), pair_id=pair.id, model=ctx.gateway.model)
 
     rows = list(ctx.pmap(work, pairs))
-    write_jsonl(ctx.output("verdicts.jsonl"), rows)
+    ctx.write_rows("verdicts.jsonl", rows)
 
     if "filter_labels" in ctx.inputs:
         labels_doc = json.loads(ctx.input("filter_labels").read_text(encoding="utf-8"))
@@ -660,31 +653,25 @@ def _stage_bench_qa(ctx: StageContext) -> None:
     # long-form rows and each level, and the long-form rows' ROUGE-L.
     tallies: list[tuple[int, dict[str, list[int]], list[float]]] = []
 
-    def eval_rows() -> Iterator[dict]:
+    def eval_rows() -> Iterator[QAEvalRecord]:
         for k in ks:
             counts = {group: [0, 0] for group in ("all", "short", "long", *_LEVEL_CODES)}
             rouge: list[float] = []
             tallies.append((k, counts, rouge))
 
-            def work(pair: QAPair) -> dict:
-                prediction = rag_answer(
-                    pair.question, store, ctx.gateway, k, ctx.config.template_dir
-                )
-                record = evaluate_pair(pair, prediction, ctx.gateway.model, scorer)
-                row = record_to_dict(record)
-                row["k"] = k
-                row["level"] = level_of[pair.id].value
-                return row
+            def work(pair: QAPair) -> QAEvalRecord:
+                reply = rag_answer(pair.question, store, ctx.gateway, k, ctx.config.template_dir)
+                return evaluate_pair(pair, reply, ctx.gateway.model, scorer, k, level_of[pair.id])
 
             for row in ctx.pmap(work, accepted):
-                if row["rouge_l"] is None:
+                if row.rouge_l is None:
                     form = "short"
                 else:
                     form = "long"
-                    rouge.append(row["rouge_l"])
-                for group in ("all", form, row["level"]):
+                    rouge.append(row.rouge_l)
+                for group in ("all", form, row.level.value):
                     counts[group][0] += 1
-                    counts[group][1] += row["correct"]
+                    counts[group][1] += row.correct
                 yield row
             # The shortfall depends only on k and the store's size.
             if k > len(store):
@@ -694,7 +681,7 @@ def _stage_bench_qa(ctx: StageContext) -> None:
                 )
 
     rows = CountedRows(len(ks) * len(accepted), eval_rows)
-    write_jsonl(ctx.output("reports/qaeval.jsonl"), rows)
+    ctx.write_rows("reports/qaeval.jsonl", rows)
     write_csv_atomic(
         ctx.output("reports/qa_summary.csv"),
         ["k", "n", "accuracy", "short_accuracy", "long_accuracy", "long_rouge_l"],
@@ -817,7 +804,7 @@ STAGES = (
           _stage_bench_retrieval),
     Stage("bench-qa", (*_PAIRS, _INDEX_FILES[IndexConfig.WITH_PAPER],
                        "template:cognitive.txt", "template:rag.txt"),
-          {"reports/qaeval.jsonl": _QAEvalRow, "reports/qa_summary.csv": None,
+          {"reports/qaeval.jsonl": QAEvalRecord, "reports/qa_summary.csv": None,
            "reports/qa_by_level.csv": None}, _stage_bench_qa),
     Stage("stats", (*_PAIRS, "template:cognitive.txt"),
           {"reports/stats.csv": None, "reports/levels.csv": None}, _stage_stats),
@@ -1049,7 +1036,7 @@ def _accepted_positions(rows: dict[str, list[tuple[int, Any]]]) -> dict[str, int
 
 def _eval_row_check(
     rows: dict[str, list[tuple[int, Any]]], name: str, out: list[Violation]
-) -> Callable[[int, _QAEvalRow], None]:
+) -> Callable[[int, QAEvalRecord], None]:
     """A check of each `qaeval.jsonl` row, given the pairs and verdicts
     read: the row's pair must be accepted, and have one row per k."""
     accepted = _accepted_positions(rows)
@@ -1057,7 +1044,7 @@ def _eval_row_check(
     # Per k, a mark for each pair that has its row.
     seen: dict[int, bytearray] = collections.defaultdict(lambda: bytearray(n_pairs))
 
-    def check(lineno: int, row: _QAEvalRow) -> None:
+    def check(lineno: int, row: QAEvalRecord) -> None:
         i = accepted.get(row.pair_id)
         if i is None:
             out.append(Violation(name, lineno, f"unknown accepted pair {row.pair_id}"))
@@ -1086,7 +1073,7 @@ def validate_corpus(run_dir: Path) -> list[Violation]:
             if cls is None or not name.endswith(".jsonl") or not (run_dir / name).exists():
                 continue
             kept = rows[name] = []
-            check = _eval_row_check(rows, name, out) if cls is _QAEvalRow else None
+            check = _eval_row_check(rows, name, out) if cls is QAEvalRecord else None
             for lineno, got in read_records(run_dir / name, cls):
                 if isinstance(got, RecordError):
                     out.append(Violation(name, lineno, str(got)))

@@ -1,6 +1,7 @@
 """Core record types, question taxonomy plumbing, splits, and persistence."""
 import random
 import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -169,28 +170,58 @@ def test_jsonl_round_trip(tmp_path):
         DatasetRecord(id="d2", title="t2", topics=("a", "b")),
     ]
     path = tmp_path / "d.jsonl"
-    write_jsonl(path, records)
+    write_jsonl(path, records, DatasetRecord)
     assert load_records(path, DatasetRecord) == records
     rows = list(read_jsonl(path))
     assert rows[0][0] == 1 and rows[1][0] == 2
 
 
+def _dataset(n: int) -> DatasetRecord:
+    return DatasetRecord(id=f"d{n}", title="t")
+
+
 def test_a_failed_write_keeps_the_old_file_and_leaves_no_tmp(tmp_path):
     path = tmp_path / "x.jsonl"
-    write_jsonl(path, [{"n": 0}])
+    write_jsonl(path, [_dataset(0)], DatasetRecord)
     old = path.read_bytes()
 
     def rows():
-        yield {"n": 1}
+        yield _dataset(1)
         raise RuntimeError("backend down")
 
     with pytest.raises(RuntimeError, match="backend down"):
-        write_jsonl(path, rows())
+        write_jsonl(path, rows(), DatasetRecord)
     for count in (1, 3):  # declares one row fewer, then one more, than it makes
         with pytest.raises(PipelineError, match=f"the {count} declared"):
-            write_jsonl(path, CountedRows(count, lambda: ({"n": i} for i in range(2))))
+            rows = CountedRows(count, lambda: (_dataset(i) for i in range(2)))
+            write_jsonl(path, rows, DatasetRecord)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+
+
+@dataclass(frozen=True)
+class _NamedDataset(DatasetRecord):
+    name: str = ""
+
+
+@pytest.mark.parametrize("row, kind", [
+    ({"id": "d1", "title": "t"}, "dict"),  # the row's own dict
+    (PaperRecord("p1"), "PaperRecord"),
+    (_NamedDataset("d1", "t"), "_NamedDataset"),  # a subclass writes other keys
+])
+def test_write_jsonl_refuses_a_row_not_of_the_declared_type(tmp_path, row, kind):
+    path = tmp_path / "x.jsonl"
+    write_jsonl(path, [_dataset(0)], DatasetRecord)
+    old = path.read_bytes()
+    with pytest.raises(RecordError, match=f"^expected a DatasetRecord record, got {kind}$"):
+        write_jsonl(path, [_dataset(1), row], DatasetRecord)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+    # A record nested in a row is refused the same way.
+    pair = QAPair("q1", "d1", QuestionType.DEFINITION, "q", "a", verdict=row)
+    with pytest.raises(RecordError, match=f"^expected a FilterVerdict record, got {kind}$"):
+        write_jsonl(path, [pair], QAPair)
+    assert path.read_bytes() == old
 
 
 def test_counted_rows_has_its_length_before_any_row_is_made():

@@ -199,19 +199,21 @@ def test_rag_answer_argument_errors(tmp_path):
 
 
 def test_qa_eval_record_rouge_presence():
-    QAEvalRecord("p1", "m", "text", True, QuestionType.VERIFICATION)
-    QAEvalRecord("p2", "m", "text", False, QuestionType.DEFINITION, rouge_l=0.5)
+    at = {"k": 1, "level": CognitiveLevel.C1}
+    QAEvalRecord("p1", "m", "text", True, QuestionType.VERIFICATION, **at)
+    QAEvalRecord("p2", "m", "text", False, QuestionType.DEFINITION, rouge_l=0.5, **at)
     with pytest.raises(ValueError):
-        QAEvalRecord("p3", "m", "text", True, QuestionType.DEFINITION)
+        QAEvalRecord("p3", "m", "text", True, QuestionType.DEFINITION, **at)
     with pytest.raises(ValueError):
-        QAEvalRecord("p4", "m", "text", True, QuestionType.VERIFICATION, rouge_l=0.5)
+        QAEvalRecord("p4", "m", "text", True, QuestionType.VERIFICATION, rouge_l=0.5, **at)
 
 
 def test_evaluate_pair_short_and_long():
     short = _pair(1, QuestionType.QUANTIFICATION, a="twelve")
-    rec = evaluate_pair(short, "twelve", "m", _FixedScorer(0.9))
+    rec = evaluate_pair(short, "twelve", "m", _FixedScorer(0.9), 5, CognitiveLevel.C2)
     assert rec.correct and rec.rouge_l is None and rec.pair_id == short.id
+    assert rec.k == 5 and rec.level is CognitiveLevel.C2
     long = _pair(2, QuestionType.COMPARISON, a="site a is colder than site b")
-    rec = evaluate_pair(long, "site a is colder", "m", _FixedScorer(0.2))
+    rec = evaluate_pair(long, "site a is colder", "m", _FixedScorer(0.2), 0, CognitiveLevel.C4)
     assert not rec.correct
     assert rec.rouge_l == pytest.approx(rouge_l("site a is colder", long.answer)[2])

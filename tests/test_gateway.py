@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -149,6 +150,21 @@ def test_mock_score_entry_needs_exactly_one_source(tmp_path):
         MockBackend(script)
     script.write_text('[{"kind": "score", "match": "", "confidence": 0.0}]')
     with pytest.raises(GatewayError):
+        MockBackend(script)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "chat", "match": "", "response": 5}, "response must be a string"),
+    ({"kind": "chat", "match": ["x"], "response": "r"}, "match must be a string"),
+    ({"kind": "score", "match": "", "logprobs": "-1"}, "logprobs must be a list"),
+    ({"kind": "entail", "match": "", "score": True}, "score must be a number"),
+    ({"match": "", "response": "r"}, "missing field kind"),
+    ("chat", "value must be an object"),
+])
+def test_mock_script_entries_are_read_by_the_json_type_rule(tmp_path, entry, message):
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps([entry]))
+    with pytest.raises(GatewayError, match=re.escape(f"s.json[0]: {message}")):
         MockBackend(script)
 
 
@@ -305,6 +321,39 @@ def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, log_gateway, call, 
     assert log.read_bytes() == damaged + good + again
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [CACHE_LOG]
     # the appended line serves the next gateway
+    again = log_gateway()
+    assert run(again) == first and again.cache_hits == 1
+
+
+@pytest.mark.parametrize("call, field, bad", [
+    ("complete", "response", 5),
+    ("complete", "response", None),
+    ("score_continuation", "logprobs", [0.5]),  # out of range
+    ("score_continuation", "logprobs", ["x"]),
+    ("score_continuation", "logprobs", [True]),  # a bool is no number
+    ("score_continuation", "logprobs", -1.0),
+    ("score_continuation", "tokens", [5]),
+    ("score_continuation", "tokens", []),
+])
+def test_cached_value_of_the_wrong_json_type_is_a_miss(tmp_path, log_gateway, call, field, bad):
+    """A line whose value has a field of the wrong JSON type is a miss, as a
+    line lacking the field is: the answer is fetched again and appended."""
+    def run(gw):
+        if call == "complete":
+            return gw.complete(req("same"))
+        return gw.score_continuation("c", " t")
+
+    first = run(log_gateway())
+    log = tmp_path / "cache" / CACHE_LOG
+    good = log.read_bytes()
+    key, value = good.split(b"\t")
+    damaged = key + b"\t" + json.dumps({**json.loads(value), field: bad}).encode() + b"\n"
+    log.write_bytes(damaged)
+
+    gw = log_gateway()
+    assert run(gw) == first
+    assert gw.backend_calls == 1 and gw.cache_hits == 0
+    assert log.read_bytes() == damaged + good
     again = log_gateway()
     assert run(again) == first and again.cache_hits == 1
 

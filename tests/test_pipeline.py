@@ -25,6 +25,7 @@ from scirforge import core, pipeline, prompts, qagen
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
+from scirforge.evalqa import QAEvalRecord
 from scirforge.gateway import CACHE_LOG, MockBackend, MockEmbeddingClient, PromptRequest
 from scirforge.prompts import TEMPLATE_DIR, split_roles
 from scirforge.pipeline import (
@@ -1248,7 +1249,7 @@ def test_validator_checks_each_qaeval_row_against_the_accepted_pairs(fixture_run
     text = path.read_text(encoding="utf-8")
     # bench-qa writes each row as its declared type's row, bytes and key order.
     for line in text.splitlines():
-        row = core.record_from_dict(pipeline._QAEvalRow, json.loads(line))
+        row = core.record_from_dict(QAEvalRecord, json.loads(line))
         assert core.JSON_LINE.encode(core.record_to_dict(row)) == line
     first = json.loads(text.splitlines()[0])
     verdicts = (copy / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
