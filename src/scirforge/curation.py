@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import (
     ASPECT_ORDER,
@@ -90,14 +89,14 @@ def assess_relevance(
     paper: PaperRecord,
     gateway: Gateway,
     max_paper_chars: int,
-    template_dir: Path | None = None,
+    template: str,
 ) -> RelevanceVerdict:
     """Ask whether the paper plausibly used this dataset; parse USED/EXPLANATION."""
     text, _ = truncate_text(paper.full_text(), max_paper_chars)
     response = ask(
         gateway,
         "relevance",
-        template_dir,
+        template,
         dataset_title=dataset.title,
         dataset_description=dataset.description,
         section_text=text,
@@ -160,13 +159,11 @@ _SEGMENT_LABELS = {
 }
 
 
-def classify_segment(
-    text: str, gateway: Gateway, template_dir: Path | None = None
-) -> SectionLabel:
+def classify_segment(text: str, gateway: Gateway, template: str) -> SectionLabel:
     """Classify one text chunk into a section label; unknowns map to None."""
     if not text.strip():
         raise ValueError("segment text must be nonempty")
-    return parse_segment_label(ask(gateway, "segment", template_dir, section_text=text))
+    return parse_segment_label(ask(gateway, "segment", template, section_text=text))
 
 
 def parse_segment_label(response: str) -> SectionLabel:
@@ -177,7 +174,7 @@ def parse_segment_label(response: str) -> SectionLabel:
 
 
 def label_segments(
-    paper_text: str, gateway: Gateway, template_dir: Path | None = None
+    paper_text: str, gateway: Gateway, template: str
 ) -> tuple[tuple[SectionLabel, str], ...]:
     """Split on blank lines, classify each chunk, merge same-label neighbors."""
     chunks = [c.strip() for c in re.split(r"\n\s*\n", paper_text) if c.strip()]
@@ -185,7 +182,7 @@ def label_segments(
         raise ValueError("paper text has no nonblank content")
     merged: list[tuple[SectionLabel, str]] = []
     for chunk in chunks:
-        label = classify_segment(chunk, gateway, template_dir)
+        label = classify_segment(chunk, gateway, template)
         if merged and merged[-1][0] is label:
             merged[-1] = (label, merged[-1][1] + "\n\n" + chunk)
         else:
@@ -219,14 +216,12 @@ _HEADER_RE = re.compile(
 _BULLET_RE = re.compile(r"^\s*(?:[-*]|\d+\s*[.)])\s+(.*)$")
 
 
-def extract_aspects(
-    section_text: str, gateway: Gateway, template_dir: Path | None = None
-) -> AspectDraft:
+def extract_aspects(section_text: str, gateway: Gateway, template: str) -> AspectDraft:
     """One extraction pass over a section; each aspect block becomes
     candidates.  The draft carries no ids: `merge_drafts` gives them."""
     if not section_text.strip():
         raise ValueError("section text must be nonempty")
-    return parse_aspect_draft(ask(gateway, "extract", template_dir, section_text=section_text))
+    return parse_aspect_draft(ask(gateway, "extract", template, section_text=section_text))
 
 
 def parse_aspect_draft(response: str) -> AspectDraft:
@@ -297,7 +292,7 @@ def verify_aspects(
     draft: AspectDraft,
     dataset: DatasetRecord,
     gateway: Gateway,
-    template_dir: Path | None = None,
+    template: str,
     *,
     warnings: list[str],
 ) -> list[AspectUnit]:
@@ -312,7 +307,7 @@ def verify_aspects(
     response = ask(
         gateway,
         "verify",
-        template_dir,
+        template,
         dataset_title=dataset.title,
         dataset_description=dataset.description,
         section_text=format_draft(draft),

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import KW_ONLY, dataclass
-from pathlib import Path
 from typing import Sequence
 
 from . import kernels
@@ -66,12 +65,10 @@ def parse_cognitive_level(response: str) -> CognitiveLevel:
     return CognitiveLevel(f"C{codes.pop()}")
 
 
-def classify_cognitive_level(
-    question: str, gateway: Gateway, template_dir: Path | None = None
-) -> CognitiveLevel:
+def classify_cognitive_level(question: str, gateway: Gateway, template: str) -> CognitiveLevel:
     if not question.strip():
         raise ValueError("question must be nonempty")
-    return parse_cognitive_level(ask(gateway, "cognitive", template_dir, question=question))
+    return parse_cognitive_level(ask(gateway, "cognitive", template, question=question))
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def rag_answer(
     store: PassageStore,
     gateway: Gateway,
     k: int,
-    template_dir: Path | None = None,
+    template: str,
 ) -> str:
     """Answer with the top-k retrieved passages prepended (k=0: no retrieval);
     a store with fewer than k passages gives all it has."""
@@ -175,7 +172,7 @@ def rag_answer(
         passages = "".join(
             f"Passage {i}: {t}\n\n" for i, t in enumerate(store.top_k(question, k), start=1)
         )
-    return ask(gateway, "rag", template_dir, passages=passages, question=question).strip()
+    return ask(gateway, "rag", template, passages=passages, question=question).strip()
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,13 @@ class StageContext:
 
         return self.derived((label,), cls, parse)
 
+    def template(self, name: str) -> str:
+        """The text of declared input ``template:<name>``, read once per
+        process for each content of the file."""
+        label = _TEMPLATE + name
+        path = self.input(label)
+        return self.derived((label,), str, lambda: path.read_text(encoding="utf-8"))
+
     def derived(self, labels: tuple[str, ...], what: Any, compute: Callable[[], Any]) -> Any:
         """`compute()`, made once per process for each content of the
         inputs `labels`; `what` tells apart results made from the same
@@ -281,6 +288,7 @@ def _stage_match(ctx: StageContext) -> None:
             if pid not in papers:
                 raise StageError(f"dataset {d.id} links unknown paper {pid}")
             tasks.append((d, pid))
+    template = ctx.template("relevance.txt")
 
     def work(task: tuple[DatasetRecord, str]) -> _MatchRow:
         d, pid = task
@@ -290,7 +298,7 @@ def _stage_match(ctx: StageContext) -> None:
             paper,
             ctx.gateway,
             max_paper_chars=ctx.config.curation.max_paper_chars,
-            template_dir=ctx.config.template_dir,
+            template=template,
         )
         _, truncated = truncate_text(paper.full_text(), ctx.config.curation.max_paper_chars)
         return _MatchRow(d.id, pid, verdict.used, verdict.explanation, truncated)
@@ -299,13 +307,13 @@ def _stage_match(ctx: StageContext) -> None:
     ctx.write_rows("matches.jsonl", rows)
 
 
-def _paper_sections(paper, ctx: StageContext) -> list[tuple[SectionLabel, str]]:
+def _paper_sections(paper, ctx: StageContext, template: str) -> list[tuple[SectionLabel, str]]:
     """Use provided section labels when any exist; otherwise classify."""
     if paper.segments and any(lab is not SectionLabel.NONE for lab, _ in paper.segments):
         sections = list(paper.segments)
     else:
         text = paper.full_text()
-        sections = list(label_segments(text, ctx.gateway, ctx.config.template_dir))
+        sections = list(label_segments(text, ctx.gateway, template))
     return [(lab, text) for lab, text in sections if lab is not SectionLabel.NONE]
 
 
@@ -315,11 +323,11 @@ def _stage_parse(ctx: StageContext) -> None:
     matches = ctx.records("matches.jsonl", _MatchRow)
     positive = [(m.dataset_id, m.paper_id) for m in matches if m.used]
 
+    segment, extract, verify = map(ctx.template, ("segment.txt", "extract.txt", "verify.txt"))
+
     needed = sorted({pid for _, pid in positive})
-    sections_by_paper = {
-        pid: secs
-        for pid, secs in zip(needed, ctx.pmap(lambda pid: _paper_sections(papers[pid], ctx), needed))
-    }
+    labelled = ctx.pmap(lambda pid: _paper_sections(papers[pid], ctx, segment), needed)
+    sections_by_paper = dict(zip(needed, labelled))
 
     def work(pair: tuple[str, str]) -> tuple[list[AspectUnit], list[str]]:
         ds_id, pid = pair
@@ -329,17 +337,12 @@ def _stage_parse(ctx: StageContext) -> None:
         if not sections:
             local.append(f"{ds_id}/{pid}: paper has no labeled sections")
             return [], local
-        drafts = [
-            extract_aspects(text, ctx.gateway, ctx.config.template_dir)
-            for _, text in sections
-        ]
+        drafts = [extract_aspects(text, ctx.gateway, extract) for _, text in sections]
         merged = merge_drafts(drafts, ds_id, pid)
         if not merged.has_candidates():
             local.append(f"{ds_id}/{pid}: extraction produced no candidates")
             return [], local
-        units = verify_aspects(
-            merged, dataset, ctx.gateway, ctx.config.template_dir, warnings=local
-        )
+        units = verify_aspects(merged, dataset, ctx.gateway, verify, warnings=local)
         return units, local
 
     results = ctx.pmap(work, positive)
@@ -364,13 +367,12 @@ def _datasets_with_aspects(ctx: StageContext) -> list[tuple[DatasetRecord, list[
 def _stage_generate(ctx: StageContext) -> None:
     grouped = _datasets_with_aspects(ctx)
     taxonomy = load_taxonomy(ctx.input("template:taxonomy.json"))
+    select_types, generate = ctx.template("select_types.txt"), ctx.template("generate.txt")
 
     tasks = []
     plans_meta = {}
     for d, ds_aspects in grouped:
-        plan = plan_generation(
-            d, bool(ds_aspects), ctx.gateway, taxonomy, ctx.config.template_dir
-        )
+        plan = plan_generation(d, bool(ds_aspects), ctx.gateway, taxonomy, select_types)
         context = build_context(d, ds_aspects)
         plans_meta[d.id] = {"mode": plan.mode.value, "total": plan.total()}
         for qtype, quota in plan.quotas:
@@ -388,7 +390,7 @@ def _stage_generate(ctx: StageContext) -> None:
             provenance=mode,
             temperature=ctx.config.generation.temperature,
             regen_attempts=ctx.config.generation.regen_attempts,
-            template_dir=ctx.config.template_dir,
+            template=generate,
             warnings=local,
         )
         return pairs, local
@@ -586,6 +588,7 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
 
     if client is not None:
         query_vectors = client.embed(questions)
+        query_norms = [float(np.linalg.norm(v)) for v in query_vectors]
         # WithoutPaper's units are WithPaper's metadata units: embed each
         # distinct text once and give every index its rows of the result.
         texts = list(dict.fromkeys(u.text for cfg in configs for u in indexes[cfg].units))
@@ -598,8 +601,8 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
             norms = np.linalg.norm(unit_vectors, axis=1)
             emb_row += cells(
                 [
-                    rank_of(embed_search(index, unit_vectors, v, norms), index.unit_datasets, g)
-                    for v, g in zip(query_vectors, gold_positions[cfg])
+                    rank_of(embed_search(index, unit_vectors, v, norms, qn), index.unit_datasets, g)
+                    for v, qn, g in zip(query_vectors, query_norms, gold_positions[cfg])
                 ]
             )
         rows.append(emb_row)
@@ -642,9 +645,9 @@ def _stage_bench_qa(ctx: StageContext) -> None:
     doc = _index_doc(ctx, IndexConfig.WITH_PAPER)
     store = PassageStore.from_units(doc.units, ctx.config.rag.chunk_size, doc.k1, doc.b)
     scorer = _entailment_scorer(ctx)
+    cognitive, rag = ctx.template("cognitive.txt"), ctx.template("rag.txt")
     levels = ctx.pmap(
-        lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.config.template_dir),
-        accepted,
+        lambda p: classify_cognitive_level(p.question, ctx.gateway, cognitive), accepted
     )
     level_of = {p.id: lv for p, lv in zip(accepted, levels)}
     ks = ctx.config.rag.ks
@@ -660,7 +663,7 @@ def _stage_bench_qa(ctx: StageContext) -> None:
             tallies.append((k, counts, rouge))
 
             def work(pair: QAPair) -> QAEvalRecord:
-                reply = rag_answer(pair.question, store, ctx.gateway, k, ctx.config.template_dir)
+                reply = rag_answer(pair.question, store, ctx.gateway, k, rag)
                 return evaluate_pair(pair, reply, ctx.gateway.model, scorer, k, level_of[pair.id])
 
             for row in ctx.pmap(work, accepted):
@@ -716,9 +719,9 @@ def _stage_stats(ctx: StageContext) -> None:
             for r in rows
         ],
     )
+    cognitive = ctx.template("cognitive.txt")
     levels = ctx.pmap(
-        lambda p: classify_cognitive_level(p.question, ctx.gateway, ctx.config.template_dir),
-        accepted,
+        lambda p: classify_cognitive_level(p.question, ctx.gateway, cognitive), accepted
     )
     dist = LevelDistribution.from_levels(levels)
     write_csv_atomic(

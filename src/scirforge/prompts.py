@@ -17,11 +17,6 @@ TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 _PLACEHOLDER = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
-# Template text by (template_dir, name) as passed: templates are read once
-# per process, and a hit resolves no path (so a relative template_dir stays
-# bound to the working directory of its first read).
-_TEXTS: dict[tuple, str] = {}
-
 
 def template_path(name: str, template_dir: Path | None = None) -> Path:
     """`template_dir/name` when that file exists, else the bundled template:
@@ -34,13 +29,12 @@ def template_path(name: str, template_dir: Path | None = None) -> Path:
 
 
 def load_template(name: str, template_dir: Path | None = None) -> str:
-    text = _TEXTS.get((template_dir, name))
-    if text is None:
-        path = template_path(name, template_dir)
-        if not path.exists():
-            raise FileNotFoundError(f"template not found: {path}")
-        text = _TEXTS[template_dir, name] = path.read_text(encoding="utf-8")
-    return text
+    """The text of `template_path(name, template_dir)`.  Stages do not call
+    this: they read each template as a declared input."""
+    path = template_path(name, template_dir)
+    if not path.exists():
+        raise FileNotFoundError(f"template not found: {path}")
+    return path.read_text(encoding="utf-8")
 
 
 @functools.lru_cache(maxsize=256)
@@ -63,10 +57,10 @@ def render(template: str, **values: str) -> str:
     return "".join(out)
 
 
-def ask(gateway: Gateway, stage: str, template_dir: Path | None = None, **values: str) -> str:
-    """Render `<stage>.txt` with `values` and send it as one user message at
+def ask(gateway: Gateway, stage: str, template: str, **values: str) -> str:
+    """Render `template` with `values` and send it as one user message at
     temperature 0; the stage labels the call."""
-    prompt = render(load_template(f"{stage}.txt", template_dir), **values)
+    prompt = render(template, **values)
     request = PromptRequest((("user", prompt),), gateway.model, temperature=0.0)
     return gateway.complete(request, stage=stage)
 

@@ -24,7 +24,7 @@ from .core import (
     match_question_type,
 )
 from .gateway import Gateway, PromptRequest
-from .prompts import ask, load_template, render_roles
+from .prompts import ask, render_roles
 
 WITH_PAPER_QUOTA = 3
 METADATA_ONLY_TYPES = 8
@@ -94,7 +94,7 @@ def plan_generation(
     has_aspects: bool,
     gateway: Gateway,
     taxonomy: dict[QuestionType, TaxonomyEntry],
-    template_dir: Path | None = None,
+    template: str,
 ) -> GenerationPlan:
     """Full 54-pair plan with aspects, else an 8-pair metadata-only plan."""
     if has_aspects:
@@ -105,7 +105,7 @@ def plan_generation(
         )
     if not dataset.title.strip() and not dataset.description.strip():
         raise ValueError(f"dataset {dataset.id}: no metadata to condition on")
-    selected = select_question_types(dataset, gateway, taxonomy, template_dir)
+    selected = select_question_types(dataset, gateway, taxonomy, template)
     return GenerationPlan(
         dataset.id, Provenance.METADATA_ONLY, tuple((q, 1) for q in selected)
     )
@@ -115,13 +115,13 @@ def select_question_types(
     dataset: DatasetRecord,
     gateway: Gateway,
     taxonomy: dict[QuestionType, TaxonomyEntry],
-    template_dir: Path | None = None,
+    template: str,
 ) -> list[QuestionType]:
     """Ask which 8 types suit this dataset's metadata; parse and dedupe names."""
     response = ask(
         gateway,
         "select_types",
-        template_dir,
+        template,
         type_catalog=type_catalog(taxonomy),
         dataset_title=dataset.title,
         dataset_description=dataset.description,
@@ -201,8 +201,8 @@ def generate_qa(
     temperature: float,
     regen_attempts: int,
     provenance: Provenance = Provenance.WITH_PAPER,
-    template_dir: Path | None = None,
     *,
+    template: str,
     warnings: list[str],
 ) -> list[QAPair]:
     """Generate up to n pairs of one type; re-prompt on unusable responses.
@@ -214,7 +214,7 @@ def generate_qa(
     if n < 1:
         raise ValueError("n must be >= 1")
     messages = render_roles(
-        load_template("generate.txt", template_dir),
+        template,
         context=context,
         type_name=entry.qtype.value,
         type_definition=entry.definition,

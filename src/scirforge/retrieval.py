@@ -205,19 +205,20 @@ def mrr_at(ranks: Sequence[int], cutoff: int) -> float:
 
 
 def embed_search(
-    index: Index, unit_vectors: np.ndarray, query_vector: np.ndarray, unit_norms: np.ndarray
+    index: Index, unit_vectors: np.ndarray, query_vector: np.ndarray,
+    unit_norms: np.ndarray, query_norm: float,
 ) -> np.ndarray:
     """Every unit's cosine similarity to an embedded query, ranked by
     `rank_of` as search's BM25 scores are.  `unit_norms` are the row norms of
-    `unit_vectors`, computed once for many queries."""
+    `unit_vectors` and `query_norm` the norm of `query_vector`, each computed
+    once however many searches use it."""
     if unit_vectors.ndim != 2 or unit_vectors.shape[0] != index.n_units:
         raise ValueError("unit_vectors shape does not match the index")
     if query_vector.shape[0] != unit_vectors.shape[1]:
         raise ValueError(
             f"query dim {query_vector.shape[0]} != corpus dim {unit_vectors.shape[1]}"
         )
-    qnorm = float(np.linalg.norm(query_vector))
-    denom = unit_norms * (qnorm if qnorm > 0 else 1.0)
+    denom = unit_norms * (query_norm if query_norm > 0 else 1.0)
     if not denom.all():
         denom[denom == 0.0] = 1.0
     return (unit_vectors @ query_vector) / denom

@@ -23,7 +23,7 @@ from scirforge.core import (
 from scirforge.evalqa import LevelDistribution, diversity_index, rouge_l
 from scirforge.gateway import BackendConfig, Gateway, ScoredContinuation
 from scirforge.pipeline import validate_corpus
-from scirforge.prompts import TEMPLATE_DIR
+from scirforge.prompts import TEMPLATE_DIR, load_template
 from scirforge.qagen import load_taxonomy, plan_generation
 from scirforge.retrieval import (
     IndexConfig,
@@ -155,6 +155,7 @@ def test_criterion_04_generation_plans(tmp_path):
         [{"kind": "chat", "stage": "select_types", "match": "", "response": eight}],
     )
     taxonomy = load_taxonomy(TEMPLATE_DIR / "taxonomy.json")
+    select_types = load_template("select_types.txt")
     rng = random.Random(41)
     words = ["ice", "flux", "river", "soil", "snow", "survey", "archive"]
     full = meta = 0
@@ -165,12 +166,12 @@ def test_criterion_04_generation_plans(tmp_path):
             description=" ".join(rng.choices(words, k=rng.randrange(0, 9))),
         )
         if rng.random() < 0.5:
-            plan = plan_generation(ds, True, gw, taxonomy)
+            plan = plan_generation(ds, True, gw, taxonomy, select_types)
             assert plan.mode is Provenance.WITH_PAPER and plan.total() == 54
             assert len(plan.quotas) == 18
             full += 1
         else:
-            plan = plan_generation(ds, False, gw, taxonomy)
+            plan = plan_generation(ds, False, gw, taxonomy, select_types)
             assert plan.mode is Provenance.METADATA_ONLY and plan.total() == 8
             assert len(plan.quotas) == 8
             meta += 1

@@ -23,8 +23,10 @@ from scirforge.curation import (
     truncate_text,
     verify_aspects,
 )
+from scirforge.prompts import load_template
 
 DS = DatasetRecord(id="d1", title="Toy Survey", description="A toy record.")
+EXTRACT, VERIFY = load_template("extract.txt"), load_template("verify.txt")
 
 
 def test_truncate_text():
@@ -68,7 +70,7 @@ def test_assess_relevance_truncates(tmp_path):
             }
         ],
     )
-    v = assess_relevance(DS, paper, gw, max_paper_chars=40)
+    v = assess_relevance(DS, paper, gw, 40, load_template("relevance.txt"))
     assert v.used  # the prompt still contains the first 40 chars
 
 
@@ -98,7 +100,7 @@ def test_label_segments_merges_neighbors(tmp_path):
             {"kind": "chat", "stage": "segment", "match": "gamma", "response": "conclusion"},
         ],
     )
-    out = label_segments("alpha text\n\nbeta text\n\ngamma text", gw)
+    out = label_segments("alpha text\n\nbeta text\n\ngamma text", gw, load_template("segment.txt"))
     assert out == (
         (SectionLabel.METHOD, "alpha text\n\nbeta text"),
         (SectionLabel.CONCLUSION, "gamma text"),
@@ -164,10 +166,10 @@ def test_extract_aspects_round_trip(tmp_path):
             }
         ],
     )
-    draft = extract_aspects("We used quartz sensors in the field.", gw)
+    draft = extract_aspects("We used quartz sensors in the field.", gw, EXTRACT)
     assert dict(draft.candidates)[Aspect.METHODS] == ("We used quartz sensors.",)
     with pytest.raises(ValueError):
-        extract_aspects("   ", gw)
+        extract_aspects("   ", gw, EXTRACT)
 
 
 def test_parse_keep_indices():
@@ -206,7 +208,7 @@ def test_verify_aspects_keeps_and_orders(tmp_path):
         tmp_path, "KEEP-INDICES:\nMethods: [3, 1, 3]\nFindings: [1]\nREASON: [ok]"
     )
     warnings = []
-    units = verify_aspects(draft, DS, gw, warnings=warnings)
+    units = verify_aspects(draft, DS, gw, VERIFY, warnings=warnings)
     assert warnings == []
     assert [(u.aspect, u.text) for u in units] == [
         (Aspect.METHODS, "m1"),
@@ -220,7 +222,7 @@ def test_verify_aspects_keep_zero_falls_back_with_warning(tmp_path):
     draft = AspectDraft.from_mapping("d1", "p1", {Aspect.METHODS: ["m1", "m2"]})
     gw = _verify_gateway(tmp_path, "KEEP-INDICES:\nMethods: []\nREASON: [n/a]")
     warnings = []
-    units = verify_aspects(draft, DS, gw, warnings=warnings)
+    units = verify_aspects(draft, DS, gw, VERIFY, warnings=warnings)
     assert [u.text for u in units] == ["m1"]
     assert len(warnings) == 1 and "Methods" in warnings[0]
 
@@ -229,11 +231,11 @@ def test_verify_aspects_out_of_range_index(tmp_path):
     draft = AspectDraft.from_mapping("d1", "p1", {Aspect.METHODS: ["m1"]})
     gw = _verify_gateway(tmp_path, "KEEP-INDICES:\nMethods: [2]\nREASON: [x]")
     with pytest.raises(ResponseParseError):
-        verify_aspects(draft, DS, gw, warnings=[])
+        verify_aspects(draft, DS, gw, VERIFY, warnings=[])
 
 
 def test_verify_aspects_needs_candidates(tmp_path):
     empty = AspectDraft.from_mapping("d1", "p1", {})
     gw = _verify_gateway(tmp_path, "KEEP-INDICES:\nREASON: [x]")
     with pytest.raises(ValueError):
-        verify_aspects(empty, DS, gw, warnings=[])
+        verify_aspects(empty, DS, gw, VERIFY, warnings=[])

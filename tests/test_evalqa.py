@@ -15,9 +15,12 @@ from scirforge.evalqa import (
     rag_answer,
     rouge_l,
 )
+from scirforge.prompts import load_template
 from scirforge.retrieval import PassageStore, tokenize
 
 from conftest import make_gateway
+
+RAG = load_template("rag.txt")
 
 
 class _FixedScorer:
@@ -169,14 +172,14 @@ def test_rag_answer_closed_book(tmp_path):
     # At k = 0 the store is not searched: the prompt holds no passage.
     gw = make_gateway(tmp_path, RAG_ENTRIES)
     store = PassageStore(["thaw depth readings"], k1=1.2, b=0.75)
-    out = rag_answer("what is thaw depth?", store, gw, k=0)
+    out = rag_answer("what is thaw depth?", store, gw, 0, RAG)
     assert out == "closed book: what is thaw depth?"
 
 
 def test_rag_answer_with_retrieval(tmp_path):
     gw = make_gateway(tmp_path, RAG_ENTRIES)
     store = PassageStore(["thaw depth readings", "unrelated text"], k1=1.2, b=0.75)
-    out = rag_answer("what is thaw depth?", store, gw, k=1)
+    out = rag_answer("what is thaw depth?", store, gw, 1, RAG)
     assert out == "with passages: what is thaw depth?"
 
 
@@ -188,14 +191,14 @@ def test_rag_answer_short_store_gives_the_passages_it_has(tmp_path):
         {"kind": "chat", "stage": "rag", "match": "Passage 1: thaw", "response": "one"},
     ])
     store = PassageStore(["thaw depth readings"], k1=1.2, b=0.75)
-    assert rag_answer("thaw depth", store, gw, k=5) == "one"
+    assert rag_answer("thaw depth", store, gw, 5, RAG) == "one"
 
 
 def test_rag_answer_argument_errors(tmp_path):
     gw = make_gateway(tmp_path, RAG_ENTRIES)
     store = PassageStore(["thaw depth readings"], k1=1.2, b=0.75)
     with pytest.raises(ValueError):
-        rag_answer("q", store, gw, k=-1)
+        rag_answer("q", store, gw, -1, RAG)
 
 
 def test_qa_eval_record_rouge_presence():

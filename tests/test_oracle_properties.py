@@ -182,8 +182,9 @@ def test_embed_search_matches_sort_oracle(data):
     rows = data.draw(st.lists(vec, min_size=len(owners), max_size=len(owners)))
     query = data.draw(vec)
     vectors = np.array(rows, dtype=np.float64)
+    qv = np.array(query, dtype=np.float64)
     scores = embed_search(
-        index, vectors, np.array(query, dtype=np.float64), np.linalg.norm(vectors, axis=1)
+        index, vectors, qv, np.linalg.norm(vectors, axis=1), float(np.linalg.norm(qv))
     )
     _assert_ranking(index, scores, [_cosine(row, query) for row in rows])
 

@@ -21,7 +21,7 @@ import requests
 
 from conftest import FakeResponse
 
-from scirforge import core, pipeline, prompts, qagen
+from scirforge import core, pipeline
 from scirforge.cli import FIXTURE_DIR, main
 from scirforge.config import load_config
 from scirforge.core import PipelineError
@@ -136,6 +136,8 @@ def test_stage_context_opens_only_declared_inputs(tmp_path):
     assert ctx.input("datasets.jsonl") == tmp_path / "datasets.jsonl"
     with pytest.raises(StageError, match="'papers.jsonl' is not a declared input"):
         ctx.input("papers.jsonl")
+    with pytest.raises(StageError, match="'template:rag.txt' is not a declared input"):
+        ctx.template("rag.txt")
     assert ctx.output("reports/x.csv") == tmp_path / "reports/x.csv"
     assert ctx.outputs == [tmp_path / "reports/x.csv"]
     with pytest.raises(StageError, match="'reports/y.csv' is not a declared output"):
@@ -264,50 +266,33 @@ def test_concurrent_stage_commands_keep_every_manifest_entry(fixture_run, tmp_pa
 
 
 def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
-    """Each stage opens every run-directory input it declares through
-    ctx.input, and every template or taxonomy it reads is declared."""
+    """Each stage opens every input it declares through ctx.input, templates
+    and taxonomy.json included, and no other."""
     opened: dict[str, set[str]] = {}
-    templates: dict[str, set[str]] = {}
     current = []  # the mock backend runs every stage on this thread
 
     def traced(stage):
         def run(ctx):
             current[:] = [stage.name]
-            opened[stage.name], templates[stage.name] = set(), set()
+            opened[stage.name] = set()
             stage.run(ctx)
 
         return dataclasses.replace(stage, run=run)
 
-    real_input, real_template, real_taxonomy = (
-        pipeline.StageContext.input, prompts.load_template, qagen.load_taxonomy
-    )
+    real_input = pipeline.StageContext.input
 
     def input_(ctx, label):
         opened[current[0]].add(label)
         return real_input(ctx, label)
 
-    def load_template(name, template_dir=None):
-        templates[current[0]].add(f"template:{name}")
-        return real_template(name, template_dir)
-
-    def load_taxonomy(path):
-        templates[current[0]].add("template:taxonomy.json")
-        return real_taxonomy(path)
-
     monkeypatch.setattr(pipeline, "STAGES", tuple(traced(s) for s in STAGES))
     monkeypatch.setattr(pipeline.StageContext, "input", input_)
-    for module in (prompts, qagen):
-        monkeypatch.setattr(module, "load_template", load_template)
-    monkeypatch.setattr(pipeline, "load_taxonomy", load_taxonomy)
 
     run_dir = tmp_path / "run"
     assert set(run_all(load_config(FIXTURE_CONFIG), run_dir, FIXTURE_DIR).values()) == {"done"}
     entries = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
     for name in STAGE_ORDER:
-        declared = set(entries[name]["inputs"])
-        files = {x for x in declared if not x.startswith("template:")}
-        assert files <= opened[name] <= declared, name
-        assert templates[name] <= declared, name
+        assert opened[name] == set(entries[name]["inputs"]), name
 
 
 def _fixture_copy(tmp_path: Path, **changes) -> tuple[Path, pipeline.RunConfig]:
@@ -338,16 +323,34 @@ def test_template_dir_overrides_file_by_file(fixture_run, tmp_path):
 
 
 def test_editing_a_template_reruns_the_stages_that_read_it(tmp_path):
+    """A template edited between two runs in one process reaches the model:
+    the stages that declare it rerun and send its new text."""
     custom = tmp_path / "tpl"
     shutil.copytree(TEMPLATE_DIR, custom)
-    inputs, config = _fixture_copy(tmp_path, template_dir=str(custom))
+    backend = json.loads(FIXTURE_CONFIG.read_text(encoding="utf-8"))["backend"]
+    backend["cache_dir"] = str(tmp_path / "cache")
+    inputs, config = _fixture_copy(tmp_path, template_dir=str(custom), backend=backend)
     run_dir = tmp_path / "run"
     run_all(config, run_dir, inputs)
-    rag = custom / "rag.txt"
-    rag.write_text(rag.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+
+    def edit(name):
+        path = custom / name
+        path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+
+    def calls(stage):
+        entry = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"][stage]
+        return entry["backend_calls"], entry["cache_hits"]
+
+    edit("rag.txt")
     assert run_all(config, run_dir, inputs) == {
         name: "done" if name == "bench-qa" else "noop" for name in STAGE_ORDER
     }
+    # Each of the 172 accepted questions asks the new RAG prompt at each of
+    # the three ks; its cognitive level comes from the cache.
+    assert calls("bench-qa") == (3 * 172, 172)
+    edit("cognitive.txt")
+    assert run_stage("stats", config, run_dir) == "done"
+    assert calls("stats") == (172, 0)
 
 
 def test_artifacts_do_not_depend_on_concurrency(tmp_path):
@@ -1667,11 +1670,15 @@ def test_parsed_inputs_equal_a_fresh_parse(tmp_path):
         for (digests, what), (labels, value) in pipeline._PARSED.items():
             paths = [
                 FIXTURE_DIR / label.removeprefix("input:") if label.startswith("input:")
+                else TEMPLATE_DIR / label.removeprefix("template:")
+                if label.startswith("template:")
                 else run_dir / label
                 for label in labels
             ]
             assert [file_digest(p) for p in paths] == list(digests)
-            if what == "accepted pairs":
+            if what is str:
+                fresh = paths[0].read_text(encoding="utf-8")
+            elif what == "accepted pairs":
                 qapairs, verdicts = paths
                 accepted = {
                     row["pair_id"]
@@ -1691,6 +1698,10 @@ def test_parsed_inputs_equal_a_fresh_parse(tmp_path):
         "input:datasets.jsonl", "input:papers.jsonl", "datasets.jsonl", "papers.jsonl",
         "matches.jsonl", "aspects.jsonl", "qapairs.jsonl", "verdicts.jsonl",
         "index/without_paper.json", "index/with_paper.json",
+        *(f"template:{name}.txt" for name in (
+            "relevance", "segment", "extract", "verify", "select_types", "generate",
+            "cognitive", "rag",
+        )),
     }
 
 

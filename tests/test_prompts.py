@@ -1,5 +1,5 @@
-"""Prompt templates: bundled defaults, template_dir overrides, memoized reads,
-and single-turn prompts through `ask`."""
+"""Prompt templates: bundled defaults, template_dir overrides, and
+single-turn prompts through `ask`."""
 import pytest
 
 from conftest import make_gateway
@@ -23,7 +23,8 @@ def test_custom_template_dir_wins_over_bundled(tmp_path):
         tmp_path,
         [{"kind": "chat", "stage": "cognitive", "match": "^user: CUSTOM LEVEL PROMPT", "response": "C4"}],
     )
-    assert classify_cognitive_level("why?", gw, custom) is CognitiveLevel.C4
+    custom_text = load_template("cognitive.txt", custom)
+    assert classify_cognitive_level("why?", gw, custom_text) is CognitiveLevel.C4
 
 
 def test_missing_template_raises_every_time(tmp_path):
@@ -56,11 +57,11 @@ class _RecordingBackend:
         return "answer"
 
 
-def test_ask_sends_stage_template_as_one_user_message(tmp_path):
-    (tmp_path / "rag.txt").write_text("Q: {question} P: {passages}", encoding="utf-8")
+def test_ask_sends_stage_template_as_one_user_message():
     backend = _RecordingBackend()
     gw = Gateway(backend, BackendConfig(kind="mock", script_path="unused", model="m1"))
-    assert ask(gw, "rag", tmp_path, question="why?", passages="none") == "answer"
+    template = "Q: {question} P: {passages}"
+    assert ask(gw, "rag", template, question="why?", passages="none") == "answer"
     ((request, stage),) = backend.seen
     assert stage == "rag"
     assert request.messages == (("user", "Q: why? P: none"),)

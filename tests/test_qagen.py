@@ -13,7 +13,7 @@ from scirforge.core import (
     QuestionType,
     ResponseParseError,
 )
-from scirforge.prompts import TEMPLATE_DIR
+from scirforge.prompts import TEMPLATE_DIR, load_template
 from scirforge.qagen import (
     GenerationPlan,
     TaxonomyEntry,
@@ -29,6 +29,7 @@ from scirforge.qagen import (
 
 DS = DatasetRecord(id="d1", title="Toy Survey", description="Toy description.")
 TAXONOMY = TEMPLATE_DIR / "taxonomy.json"
+SELECT_TYPES = load_template("select_types.txt")
 
 SELECT_RESPONSE = (
     "1. Verification\n2. Quantification\n3. Definition, Example\n"
@@ -82,7 +83,7 @@ def test_generation_plan_validation():
 def test_plan_generation_with_aspects(tmp_path):
     # A dataset with aspects gets the full plan without asking the model.
     gw = make_gateway(tmp_path, [])
-    plan = plan_generation(DS, True, gw, load_taxonomy(TAXONOMY))
+    plan = plan_generation(DS, True, gw, load_taxonomy(TAXONOMY), SELECT_TYPES)
     assert plan.mode is Provenance.WITH_PAPER and plan.total() == 54
     assert gw.backend_calls == 0
 
@@ -93,11 +94,11 @@ def test_plan_generation_metadata_only(tmp_path):
         [{"kind": "chat", "stage": "select_types", "match": "", "response": SELECT_RESPONSE}],
     )
     taxonomy = load_taxonomy(TAXONOMY)
-    plan = plan_generation(DS, False, gw, taxonomy)
+    plan = plan_generation(DS, False, gw, taxonomy, SELECT_TYPES)
     assert plan.mode is Provenance.METADATA_ONLY and plan.total() == 8
     blank = DatasetRecord(id="d2", title=" ", description="")
     with pytest.raises(ValueError):
-        plan_generation(blank, False, gw, taxonomy)
+        plan_generation(blank, False, gw, taxonomy, SELECT_TYPES)
 
 
 def test_parse_type_selection():
@@ -154,8 +155,11 @@ def _entry():
     return load_taxonomy(TAXONOMY)[QuestionType.DEFINITION]
 
 
-# The generation section's values; generate_qa has no defaults of its own.
-_KNOBS = {"temperature": 0.7, "regen_attempts": 0}
+GENERATE = load_template("generate.txt")
+
+# The generation section's values and the bundled template; generate_qa has
+# no defaults of its own.
+_KNOBS = {"temperature": 0.7, "regen_attempts": 0, "template": GENERATE}
 
 
 def _pairs_json(n):
@@ -218,7 +222,8 @@ def test_generate_qa_regenerates_on_garbage(tmp_path):
         ],
     )
     pairs = generate_qa(
-        "ctx", _entry(), 2, gw, dataset_id="d1", temperature=0.7, regen_attempts=1, warnings=[]
+        "ctx", _entry(), 2, gw, dataset_id="d1", temperature=0.7, regen_attempts=1,
+        template=GENERATE, warnings=[]
     )
     assert len(pairs) == 2
 
@@ -231,7 +236,7 @@ def test_generate_qa_exhausts_attempts(tmp_path):
     with pytest.raises(ResponseParseError) as err:
         generate_qa(
             "ctx", _entry(), 2, gw, dataset_id="d1", temperature=0.7, regen_attempts=2,
-            warnings=[],
+            template=GENERATE, warnings=[],
         )
     assert err.value.raw == "still no json"
     with pytest.raises(ValueError):

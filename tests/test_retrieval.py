@@ -210,10 +210,17 @@ def test_embed_search_matches_cosine_oracle():
     assert vectors.shape == (index.n_units, 12)
     query = "ice drilling"
     qv = client.embed([query])[0]
-    scores = embed_search(index, vectors, qv, np.linalg.norm(vectors, axis=1))
+    norms = np.linalg.norm(vectors, axis=1)
+    scores = embed_search(index, vectors, qv, norms, float(np.linalg.norm(qv)))
     # The mock's vectors have unit norm, so each unit's cosine is its dot product.
     sims = vectors @ qv
     assert scores.tolist() == pytest.approx(sims.tolist(), abs=1e-12)
+    # The caller's query norm gives the bits of the norm taken per call,
+    # a zero query included (its scores are all 0).
+    for v in (qv, np.zeros(12)):
+        qnorm = float(np.linalg.norm(v))
+        per_call = (vectors @ v) / (norms * (qnorm if qnorm > 0 else 1.0))
+        assert embed_search(index, vectors, v, norms, qnorm).tobytes() == per_call.tobytes()
     best = {}
     for u, sim in enumerate(sims):
         d = index.units[u].dataset_id
