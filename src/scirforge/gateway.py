@@ -78,18 +78,14 @@ class PromptRequest:
 class ScoredContinuation:
     """Teacher-forced token logprobs for a continuation of some context."""
 
-    tokens: tuple[str, ...]
     logprobs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.tokens) != len(self.logprobs):
-            raise ValueError("tokens and logprobs must have equal length")
-        if not self.tokens:
+        if not self.logprobs:
             raise ValueError("continuation must contain at least one token")
         for lp in self.logprobs:
             if lp > 0.0 or math.isnan(lp):
                 raise ValueError(f"logprob {lp} out of range (must be <= 0)")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "logprobs", tuple(float(lp) for lp in self.logprobs))
 
 
@@ -247,16 +243,14 @@ class MockBackend:
     ) -> ScoredContinuation:
         text = context + "\n<CONT>\n" + continuation
         entry, _ = self._find("score", stage, text)
-        tokens = tuple(continuation.split()) or (continuation,)
+        n_tokens = len(continuation.split()) or 1
         if entry.logprobs is not None:
-            if len(entry.logprobs) != len(tokens):
+            if len(entry.logprobs) != n_tokens:
                 raise GatewayError(
-                    f"script logprobs length {len(entry.logprobs)} != "
-                    f"token count {len(tokens)}"
+                    f"script logprobs length {len(entry.logprobs)} != token count {n_tokens}"
                 )
-            return ScoredContinuation(tokens, entry.logprobs)
-        lp = math.log(entry.confidence)
-        return ScoredContinuation(tokens, (lp,) * len(tokens))
+            return ScoredContinuation(entry.logprobs)
+        return ScoredContinuation((math.log(entry.confidence),) * n_tokens)
 
     def entail(self, premise: str, hypothesis: str) -> float:
         text = premise + "|||" + hypothesis
@@ -328,9 +322,13 @@ class HttpBackend:
         }
         data = self._post("/chat/completions", payload)
         try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            content = data["choices"][0]["message"]["content"]
+            # Only text that encodes as UTF-8 can be cached and written: no
+            # JSON value but a string has `encode`, and a lone surrogate fails.
+            content.encode("utf-8")
+        except (KeyError, IndexError, TypeError, AttributeError, UnicodeEncodeError) as exc:
             raise GatewayError(f"malformed chat response: {data!r}") from exc
+        return content
 
     def score(
         self, context: str, continuation: str, model: str, stage: str
@@ -346,23 +344,20 @@ class HttpBackend:
         data = self._post("/completions", payload)
         try:
             lp = data["choices"][0]["logprobs"]
-            tokens = lp["tokens"]
             token_logprobs = lp["token_logprobs"]
             offsets = lp["text_offset"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {data!r}") from exc
         cut = len(context)
-        picked_tokens: list[str] = []
-        picked_lps: list[float] = []
-        for tok, tlp, off in zip(tokens, token_logprobs, offsets):
+        picked: list[float] = []
+        for tlp, off in zip(token_logprobs, offsets):
             if off >= cut:
                 if tlp is None:
                     raise GatewayError("continuation token has no logprob")
-                picked_tokens.append(tok)
-                picked_lps.append(min(float(tlp), 0.0))
-        if not picked_tokens:
+                picked.append(min(float(tlp), 0.0))
+        if not picked:
             raise GatewayError("no tokens aligned to the continuation span")
-        return ScoredContinuation(tuple(picked_tokens), tuple(picked_lps))
+        return ScoredContinuation(tuple(picked))
 
     def embed(self, texts: list[str]) -> np.ndarray:
         data = self._post("/embeddings", {"model": self._config.model, "input": texts})
@@ -421,16 +416,15 @@ def _response(value: dict) -> str:
 
 
 def _scored(value: dict) -> ScoredContinuation:
-    """A cached scoring answer: a list of string tokens and one of numeric
-    logprobs (a bool is no number), which ScoredContinuation checks further.
-    Each list is checked whole in C, not item by item, so a hit stays cheap."""
-    tokens, logprobs = value["tokens"], value["logprobs"]
-    if type(tokens) is not list or type(logprobs) is not list:
-        raise TypeError("tokens and logprobs must be lists")
-    "".join(tokens)  # raises TypeError at a token that is not a string
+    """A cached scoring answer: its `logprobs`, a list of numbers (a bool is
+    no number, and the list is checked whole in C, so a hit stays cheap),
+    which ScoredContinuation checks further. Any other field, such as the
+    `tokens` that older lines hold, is not read."""
+    if type(logprobs := value["logprobs"]) is not list:
+        raise TypeError("logprobs must be a list")
     if not set(map(type, logprobs)) <= {int, float}:
         raise TypeError("logprobs must be numbers")
-    return ScoredContinuation(tuple(tokens), tuple(logprobs))
+    return ScoredContinuation(tuple(logprobs))
 
 
 # The keydir keeps the integer of each key's first _PREFIX_DIGITS hex digits,
@@ -528,9 +522,10 @@ _LOG_INDEXES_LOCK = threading.Lock()
 class Gateway:
     """Caching, coalescing front door to a backend.
 
-    With a cache, identical concurrent requests reach the backend once.
-    Without one there is nothing to coalesce: each request goes straight to
-    the backend, and identical ones may be in flight together."""
+    With a cache, identical concurrent requests reach the backend once, and
+    a miss returns the backend's own answer. Without one there is nothing
+    to coalesce: a request builds no key and goes straight to the backend,
+    and identical ones may be in flight together."""
 
     def __init__(self, backend: Backend, config: BackendConfig):
         self._backend = backend
@@ -582,18 +577,12 @@ class Gateway:
             if f is not None:
                 f.close()
 
-    # -- the request paths ---------------------------------------------
+    # -- the request path ----------------------------------------------
 
-    def _uncached(self, fetch: Callable[[], T]) -> T:
-        """`fetch()`'s value, with no cache key built, no key lock taken and
-        nothing stored."""
-        with self._guard:
-            self.backend_calls += 1
-        return fetch()
-
-    def _cached(self, key: bytes, read: Callable[[dict], T], fetch: Callable[[], dict]) -> T:
-        """`read` of the value cached under `key`, else of `fetch()`'s value,
-        which is appended to the cache log.
+    def _cached(self, key: bytes, call: Callable[[], T], read: Callable[[dict], T],
+                write: Callable[[T], dict]) -> T:
+        """`read` of the value cached under `key`; else `call()`'s answer,
+        whose value `write(answer)` is appended to the cache log.
 
         Callers with one key take turns, so identical concurrent requests
         reach the backend once. A line that is torn, does not decode, holds
@@ -608,10 +597,9 @@ class Gateway:
                 return got
             with self._guard:
                 self.backend_calls += 1
-            value = fetch()
-            got = read(value)
-            self._append(key, value)
-            return got
+            answer = call()
+            self._append(key, write(answer))
+            return answer
 
     def _lookup(self, key: bytes, read: Callable[[dict], T]) -> T | None:
         index = self._index
@@ -734,15 +722,16 @@ class Gateway:
 
     def complete(self, request: PromptRequest, stage: str = "") -> str:
         if self._log is None:
-            return self._uncached(lambda: self._backend.complete(request, stage))
-
-        def fetch() -> dict:
-            return {"response": self._backend.complete(request, stage)}
-
+            with self._guard:
+                self.backend_calls += 1
+            return self._backend.complete(request, stage)
         knobs = (request.model_name, float(request.temperature).hex(), str(request.max_tokens))
         messages = (field for message in request.messages for field in message)
         key = _key(self._backend.identity, "chat", *knobs, *messages)
-        return self._cached(key, _response, fetch)
+        return self._cached(
+            key, lambda: self._backend.complete(request, stage), _response,
+            lambda response: {"response": response},
+        )
 
     def score_continuation(
         self, context: str, continuation: str, stage: str = ""
@@ -751,14 +740,14 @@ class Gateway:
             raise ValueError("continuation must be nonempty")
         model = self._config.model
         if self._log is None:
-            return self._uncached(lambda: self._backend.score(context, continuation, model, stage))
-
-        def fetch() -> dict:
-            scored = self._backend.score(context, continuation, model, stage)
-            return {"tokens": list(scored.tokens), "logprobs": list(scored.logprobs)}
-
+            with self._guard:
+                self.backend_calls += 1
+            return self._backend.score(context, continuation, model, stage)
         key = _key(self._backend.identity, "score", model, context, continuation)
-        return self._cached(key, _scored, fetch)
+        return self._cached(
+            key, lambda: self._backend.score(context, continuation, model, stage), _scored,
+            lambda scored: {"logprobs": list(scored.logprobs)},
+        )
 
 
 # ---------------------------------------------------------------------------

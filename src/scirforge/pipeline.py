@@ -755,6 +755,7 @@ def _stage_split(ctx: StageContext) -> None:
 
 _INPUT = "input:"
 _TEMPLATE = "template:"
+_SCRIPT = "mock_script"
 
 
 @dataclass(frozen=True)
@@ -765,7 +766,8 @@ class Stage:
     the label under which the manifest stores that file's digest; an
     ``input:`` prefix resolves against ``--input`` instead, and a
     ``template:`` prefix names a prompt template or ``taxonomy.json``,
-    resolved through ``template_dir``.  Labels are an on-disk format:
+    resolved through ``template_dir``, and ``mock_script`` names
+    ``backend.script_path`` when that is set.  Labels are an on-disk format:
     renaming one reruns the stage in every run directory.  `writes` maps
     each file the stage may write to its record type (one per JSONL row, or
     the whole JSON document), or to None for a file that is only hashed.
@@ -788,15 +790,15 @@ _PAIRS = ("qapairs.jsonl", "verdicts.jsonl")
 STAGES = (
     Stage("ingest", ("input:datasets.jsonl", "input:papers.jsonl"),
           {"datasets.jsonl": DatasetRecord, "papers.jsonl": PaperRecord}, _stage_ingest),
-    Stage("match", ("datasets.jsonl", "papers.jsonl", "template:relevance.txt"),
+    Stage("match", ("datasets.jsonl", "papers.jsonl", "template:relevance.txt", _SCRIPT),
           {"matches.jsonl": _MatchRow}, _stage_match),
     Stage("parse", ("datasets.jsonl", "papers.jsonl", "matches.jsonl", "template:segment.txt",
-                    "template:extract.txt", "template:verify.txt"),
+                    "template:extract.txt", "template:verify.txt", _SCRIPT),
           {"aspects.jsonl": AspectUnit, "parse_meta.json": None}, _stage_parse),
     Stage("generate", ("datasets.jsonl", "aspects.jsonl", "template:select_types.txt",
-                       "template:generate.txt", "template:taxonomy.json"),
+                       "template:generate.txt", "template:taxonomy.json", _SCRIPT),
           {"qapairs.jsonl": QAPair, "generation_meta.json": None}, _stage_generate),
-    Stage("filter", ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl"),
+    Stage("filter", ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl", _SCRIPT),
           {"verdicts.jsonl": _VerdictRow, "reports/filter_eval.csv": None,
            "reports/filter_pr_curve.csv": None, "reports/filter_roc_curve.csv": None},
           _stage_filter),
@@ -806,10 +808,10 @@ STAGES = (
           {"reports/retrieval.csv": None, "reports/retrieval_meta.json": None},
           _stage_bench_retrieval),
     Stage("bench-qa", (*_PAIRS, _INDEX_FILES[IndexConfig.WITH_PAPER],
-                       "template:cognitive.txt", "template:rag.txt"),
+                       "template:cognitive.txt", "template:rag.txt", _SCRIPT),
           {"reports/qaeval.jsonl": QAEvalRecord, "reports/qa_summary.csv": None,
            "reports/qa_by_level.csv": None}, _stage_bench_qa),
-    Stage("stats", (*_PAIRS, "template:cognitive.txt"),
+    Stage("stats", (*_PAIRS, "template:cognitive.txt", _SCRIPT),
           {"reports/stats.csv": None, "reports/levels.csv": None}, _stage_stats),
     Stage("split", ("datasets.jsonl",), {"splits.json": _Splits}, _stage_split),
 )
@@ -828,7 +830,10 @@ def _stage_inputs(
     """Manifest label -> file, for every input the stage reads."""
     inputs: dict[str, Path] = {}
     for label in stage.inputs:
-        if label.startswith(_TEMPLATE):
+        if label == _SCRIPT:
+            if config.backend.script_path:
+                inputs[label] = Path(config.backend.script_path)
+        elif label.startswith(_TEMPLATE):
             inputs[label] = template_path(label[len(_TEMPLATE):], config.template_dir)
         elif not label.startswith(_INPUT):
             inputs[label] = run_dir / label

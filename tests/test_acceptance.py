@@ -64,8 +64,7 @@ class _PairedScoreBackend:
             c = with_
         else:
             c = without
-        tokens = tuple(continuation.split()) or (continuation,)
-        return ScoredContinuation(tokens, (math.log(c),) * len(tokens))
+        return ScoredContinuation((math.log(c),) * (len(continuation.split()) or 1))
 
 
 def test_criterion_01_sign_rule():
@@ -101,13 +100,13 @@ def test_criterion_02_confidence_estimator():
     for _ in range(1000):
         n = rng.randrange(1, 21)
         lps = [rng.uniform(-6.0, 0.0) for _ in range(n)]
-        got = answer_confidence(ScoredContinuation(("t",) * n, tuple(lps)))
+        got = answer_confidence(ScoredContinuation(tuple(lps)))
         want = math.exp(math.fsum(lps) / n)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-12
     base = math.log(0.4)
     for n in range(1, 101):
-        got = answer_confidence(ScoredContinuation(("t",) * n, (base,) * n))
+        got = answer_confidence(ScoredContinuation((base,) * n))
         assert abs(got - 0.4) <= 1e-12
     print(f"criterion 2 PASS: closed form within 1e-12 (worst {worst:.2e}); "
           f"constant-logprob lengths 1..100 length-invariant")

@@ -62,16 +62,15 @@ def test_prompt_request_validation():
 
 
 def test_scored_continuation_validation():
-    sc = ScoredContinuation(("a", "b"), (-0.1, -0.2))
+    sc = ScoredContinuation((-0.1, -0.2))
     assert sc.logprobs == (-0.1, -0.2)
+    assert ScoredContinuation([-1, 0]).logprobs == (-1.0, 0.0)
     with pytest.raises(ValueError):
-        ScoredContinuation(("a",), (-0.1, -0.2))
+        ScoredContinuation(())
     with pytest.raises(ValueError):
-        ScoredContinuation((), ())
+        ScoredContinuation((0.5,))
     with pytest.raises(ValueError):
-        ScoredContinuation(("a",), (0.5,))
-    with pytest.raises(ValueError):
-        ScoredContinuation(("a",), (float("nan"),))
+        ScoredContinuation((float("nan"),))
 
 
 def test_backend_config_validation():
@@ -130,8 +129,7 @@ def test_mock_score_confidence_and_logprobs(tmp_path):
         ],
     )
     scored = gw.score_continuation("ctx", " two tokens")
-    assert scored.tokens == ("two", "tokens")
-    assert all(lp == pytest.approx(math.log(0.25)) for lp in scored.logprobs)
+    assert scored.logprobs == (math.log(0.25),) * 2  # one per whitespace token
     explicit = gw.score_continuation("explicit", " a b")
     assert explicit.logprobs == (-0.5, -1.0)
     with pytest.raises(GatewayError):
@@ -264,7 +262,7 @@ class _CountingBackend:
     def score(self, context, continuation, model, stage):
         with self.lock:
             self.calls += 1
-        return ScoredContinuation(("t",), (-1.0,))
+        return ScoredContinuation((-1.0,))
 
 
 def test_identical_concurrent_requests_coalesce(tmp_path, closing):
@@ -332,8 +330,6 @@ def test_corrupt_cache_file_is_a_miss_and_replaced(tmp_path, log_gateway, call, 
     ("score_continuation", "logprobs", ["x"]),
     ("score_continuation", "logprobs", [True]),  # a bool is no number
     ("score_continuation", "logprobs", -1.0),
-    ("score_continuation", "tokens", [5]),
-    ("score_continuation", "tokens", []),
 ])
 def test_cached_value_of_the_wrong_json_type_is_a_miss(tmp_path, log_gateway, call, field, bad):
     """A line whose value has a field of the wrong JSON type is a miss, as a
@@ -465,7 +461,7 @@ def test_second_gateway_on_an_unchanged_log_reads_no_line(tmp_path, log_gateway,
     monkeypatch.setattr(Gateway, "_index_tail", counting)
     second = log_gateway()
     assert second.complete(req("a")) == "out"
-    assert second.score_continuation("c", " t") == ScoredContinuation(("t",), (-1.0,))
+    assert second.score_continuation("c", " t") == ScoredContinuation((-1.0,))
     assert second.backend_calls == 0 and second.cache_hits == 2
     assert sum(lines_read) == 0
     # Without the shared index, a gateway reads the log to serve a hit.
@@ -901,12 +897,12 @@ _HTTP_CALLS = {
         "hi",
     ),
     "score": (
-        lambda b: b.score("ab", "cd", "m", "stage").tokens,
+        lambda b: b.score("ab", "cd", "m", "stage").logprobs,
         "/completions",
         {"choices": [{"logprobs": {
             "tokens": ["ab", "cd"], "token_logprobs": [None, -0.5], "text_offset": [0, 2],
         }}]},
-        ("cd",),
+        (-0.5,),
     ),
     "embed": (
         lambda b: b.embed(["x"]).tolist(),
@@ -970,24 +966,47 @@ def test_gateway_counts_requests_not_attempts(monkeypatch):
     assert len(posts) == 2 and gw.backend_calls == 1
 
 
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("content", [None, 5, "lone \ud800 surrogate"])
+def test_http_chat_content_must_be_utf8_text(tmp_path, monkeypatch, closing, cached, content):
+    """A chat answer that is not a string, or that holds a lone surrogate,
+    fails where it enters, as a GatewayError, with a cache or without one;
+    nothing is appended to the cache log."""
+    body = {"choices": [{"message": {"content": content}}]}
+    cache = tmp_path / "cache"
+    backend, posts = _http(
+        monkeypatch, [FakeResponse(200, body)], cache_dir=str(cache) if cached else ""
+    )
+    gw = closing(Gateway(backend, backend._config))
+    with pytest.raises(GatewayError, match="malformed chat response"):
+        gw.complete(req("q"))
+    assert len(posts) == 1 and gw.backend_calls == 1 and gw.cache_hits == 0
+    assert (cache / CACHE_LOG).read_bytes() == b"" if cached else not cache.exists()
+
+
 def test_http_score_takes_the_continuation_span(monkeypatch):
-    def reply(token_logprobs):
+    def reply(token_logprobs, text_offset=(0, 3, 7, 13)):
         return FakeResponse(200, {"choices": [{"logprobs": {
             "tokens": ["The", " ice", " melts", " fast"],
             "token_logprobs": token_logprobs,
-            "text_offset": [0, 3, 7, 13],
+            "text_offset": list(text_offset),
         }}]})
 
     backend, posts = _http(monkeypatch, [reply([None, -0.5, 0.25, -1.0])])
     scored = backend.score("The ice", " melts fast", "m", "stage")
-    assert scored.tokens == (" melts", " fast")
-    assert scored.logprobs == (0.0, -1.0)  # a positive logprob is clamped to 0
+    # The tokens from " melts" on; a positive logprob is clamped to 0.
+    assert scored.logprobs == (0.0, -1.0)
     _, payload = posts[0]
     assert payload["prompt"] == "The ice melts fast"
     assert payload["echo"] is True and payload["max_tokens"] == 0
 
     backend, _ = _http(monkeypatch, [reply([None, -0.5, None, -1.0])])
     with pytest.raises(GatewayError, match="no logprob"):
+        backend.score("The ice", " melts fast", "m", "stage")
+
+    # No token starts inside the continuation: the span is empty.
+    backend, _ = _http(monkeypatch, [reply([None, -0.5, -0.1, -1.0], (0, 1, 2, 3))])
+    with pytest.raises(GatewayError, match="no tokens aligned"):
         backend.score("The ice", " melts fast", "m", "stage")
 
 

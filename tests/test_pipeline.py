@@ -95,7 +95,10 @@ def test_stage_graph_is_consistent():
 def test_deps_are_the_writers_of_the_run_directory_inputs():
     writers = {name: stage.name for stage in STAGES for name in stage.writes}
     for stage in STAGES:
-        files = [label for label in stage.inputs if not label.startswith(("input:", "template:"))]
+        files = [
+            label for label in stage.inputs
+            if not label.startswith(("input:", "template:", "mock_script"))
+        ]
         assert all(label in writers for label in files), stage.name
         assert set(stage.deps) == {writers[label] for label in files}, stage.name
     deps = {stage.name: stage.deps for stage in STAGES}
@@ -146,13 +149,15 @@ def test_stage_context_opens_only_declared_inputs(tmp_path):
 
 
 # Manifest input labels are an on-disk format: renaming one reruns that stage
-# in every existing run directory.  The fixture config sets filter_labels_path.
+# in every existing run directory.  The fixture config sets filter_labels_path,
+# and every stage that asks the model declares the mock script.
 MANIFEST_INPUT_LABELS = {
     "ingest": ["input:datasets.jsonl", "input:papers.jsonl"],
-    "match": ["datasets.jsonl", "papers.jsonl", "template:relevance.txt"],
+    "match": ["datasets.jsonl", "mock_script", "papers.jsonl", "template:relevance.txt"],
     "parse": [
         "datasets.jsonl",
         "matches.jsonl",
+        "mock_script",
         "papers.jsonl",
         "template:extract.txt",
         "template:segment.txt",
@@ -161,11 +166,12 @@ MANIFEST_INPUT_LABELS = {
     "generate": [
         "aspects.jsonl",
         "datasets.jsonl",
+        "mock_script",
         "template:generate.txt",
         "template:select_types.txt",
         "template:taxonomy.json",
     ],
-    "filter": ["aspects.jsonl", "datasets.jsonl", "filter_labels", "qapairs.jsonl"],
+    "filter": ["aspects.jsonl", "datasets.jsonl", "filter_labels", "mock_script", "qapairs.jsonl"],
     "index": ["aspects.jsonl", "datasets.jsonl"],
     "bench-retrieval": [
         "index/with_paper.json",
@@ -175,12 +181,13 @@ MANIFEST_INPUT_LABELS = {
     ],
     "bench-qa": [
         "index/with_paper.json",
+        "mock_script",
         "qapairs.jsonl",
         "template:cognitive.txt",
         "template:rag.txt",
         "verdicts.jsonl",
     ],
-    "stats": ["qapairs.jsonl", "template:cognitive.txt", "verdicts.jsonl"],
+    "stats": ["mock_script", "qapairs.jsonl", "template:cognitive.txt", "verdicts.jsonl"],
     "split": ["datasets.jsonl"],
 }
 
@@ -203,7 +210,7 @@ def test_manifest_input_labels(fixture_run):
                 todo.extend(deps[name])
         produced = {path for name in upstream for path in entries[name]["outputs"]}
         for label in stage.inputs:
-            if not label.startswith(("input:", "template:")):
+            if not label.startswith(("input:", "template:", "mock_script")):
                 assert label in produced, (stage.name, label)
 
 
@@ -267,7 +274,8 @@ def test_concurrent_stage_commands_keep_every_manifest_entry(fixture_run, tmp_pa
 
 def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
     """Each stage opens every input it declares through ctx.input, templates
-    and taxonomy.json included, and no other."""
+    and taxonomy.json included, and no other; a stage declares the mock
+    script exactly when it builds a gateway, whose backend reads the script."""
     opened: dict[str, set[str]] = {}
     current = []  # the mock backend runs every stage on this thread
 
@@ -276,6 +284,8 @@ def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
             current[:] = [stage.name]
             opened[stage.name] = set()
             stage.run(ctx)
+            if ctx._gateway is not None:
+                opened[stage.name].add("mock_script")
 
         return dataclasses.replace(stage, run=run)
 
@@ -351,6 +361,26 @@ def test_editing_a_template_reruns_the_stages_that_read_it(tmp_path):
     edit("cognitive.txt")
     assert run_stage("stats", config, run_dir) == "done"
     assert calls("stats") == (172, 0)
+
+
+def test_editing_the_mock_script_reruns_the_stages_that_ask_the_model(tmp_path):
+    """The mock script is an input of every stage that asks the model: after
+    an edit, those six stages rerun and the run equals a fresh one."""
+    inputs, config = _fixture_copy(tmp_path)
+    run_dir = tmp_path / "run"
+    run_all(config, run_dir, inputs)
+    script = inputs / "mock_script.json"
+    entries = json.loads(script.read_text(encoding="utf-8"))
+    edited = {"kind": "chat", "stage": "rag", "match": "(?s).*", "response": "EDITED"}
+    script.write_text(json.dumps([edited, *entries]), encoding="utf-8")
+    asks = {"match", "parse", "generate", "filter", "bench-qa", "stats"}
+    assert run_all(config, run_dir, inputs) == {
+        name: "done" if name in asks else "noop" for name in STAGE_ORDER
+    }
+    fresh = tmp_path / "fresh"
+    run_all(config, fresh, inputs)
+    assert _artifacts(run_dir) == _artifacts(fresh)
+    assert '"prediction": "EDITED"' in (run_dir / "reports/qaeval.jsonl").read_text(encoding="utf-8")
 
 
 def test_artifacts_do_not_depend_on_concurrency(tmp_path):
@@ -641,13 +671,15 @@ def _serve_script(monkeypatch, script: Path) -> dict:
         cut = prompt.rindex(_ANSWER_CUE) + len(_ANSWER_CUE)
         stage = "score_with" if prompt.startswith("Context: ") else "score_without"
         scored = mock.score(prompt[:cut], prompt[cut:], payload["model"], stage)
+        # The mock scores one logprob per whitespace token of the answer.
+        tokens = prompt[cut:].split()
         offsets, at = [], cut
-        for token in scored.tokens:
+        for token in tokens:
             at = prompt.index(token, at)
             offsets.append(at)
             at += len(token)
         logprobs = {
-            "tokens": [prompt[:cut], *scored.tokens],
+            "tokens": [prompt[:cut], *tokens],
             "token_logprobs": [None, *scored.logprobs],
             "text_offset": [0, *offsets],
         }

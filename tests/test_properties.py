@@ -2,6 +2,7 @@
 gateway cache keys and the cache log's keydir."""
 import hashlib
 import json
+import struct
 from array import array
 from fractions import Fraction
 
@@ -33,7 +34,14 @@ from scirforge.core import (  # noqa: E402
     write_jsonl,
 )
 from scirforge import gateway  # noqa: E402
-from scirforge.gateway import CACHE_LOG, BackendConfig, Gateway, PromptRequest, _key  # noqa: E402
+from scirforge.gateway import (  # noqa: E402
+    CACHE_LOG,
+    BackendConfig,
+    Gateway,
+    PromptRequest,
+    ScoredContinuation,
+    _key,
+)
 from scirforge.evalqa import QAEvalRecord  # noqa: E402
 from scirforge.pipeline import STAGES, _IndexDoc, _MatchRow, _Splits, _VerdictRow  # noqa: E402
 from scirforge.retrieval import DocUnit, IndexConfig  # noqa: E402
@@ -271,6 +279,76 @@ def test_messages_split_differently_are_cached_apart(tmp_path_factory, splits, r
     gw.close()
 
 
+class _AnswerBackend:
+    """Answers every chat with `response` and every scoring call with
+    `scored`; with neither, any call fails the test."""
+
+    identity = "answers"
+
+    def __init__(self, response=None, scored=None):
+        self.response, self.scored = response, scored
+
+    def complete(self, request, stage):
+        assert self.response is not None, "a hit reached the backend"
+        return self.response
+
+    def score(self, context, continuation, model, stage):
+        assert self.scored is not None, "a hit reached the backend"
+        return self.scored
+
+
+def _bits(scored):
+    """Each logprob's bytes: -0.0 == 0.0 in Python, but not here."""
+    return [struct.pack("<d", lp) for lp in scored.logprobs]
+
+
+_LOGPROB = st.one_of(
+    st.floats(max_value=0.0, allow_nan=False),  # -0.0, subnormals and -inf among them
+    st.sampled_from([-0.0, -5e-324, -2.2250738585072014e-308, float("-inf"),
+                     -0.12345678901234568, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.text(st.characters(blacklist_categories=("Cs",))),  # tabs and newlines too
+    st.lists(_LOGPROB, min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_a_hit_returns_what_the_miss_returned(tmp_path_factory, response, logprobs, with_tokens):
+    """A miss returns the backend's own answer; another gateway's hit on the
+    same log returns an equal one, each logprob bit for bit. A score line
+    in the earlier form, with `tokens` beside `logprobs`, is a hit too."""
+    cache = tmp_path_factory.mktemp("cache")
+    config = BackendConfig(kind="mock", script_path="unused", cache_dir=str(cache))
+    request = PromptRequest((("user", "q"),), "m")
+    scored = ScoredContinuation(logprobs)
+    first = Gateway(_AnswerBackend(response, scored), config)
+    try:
+        assert first.complete(request) is response
+        assert first.score_continuation("c", " a") is scored
+    finally:
+        first.close()
+    log = cache / CACHE_LOG
+    if with_tokens:
+        lines = log.read_bytes().splitlines(keepends=True)
+        key, value = lines[1].split(b"\t", 1)
+        assert value.startswith(b'{"logprobs": ')
+        tokens = json.dumps(["t"] * len(logprobs)).encode()
+        lines[1] = key + b'\t{"tokens": ' + tokens + b", " + value[1:]
+        log.write_bytes(b"".join(lines))
+    gateway._LOG_INDEXES.clear()
+    second = Gateway(_AnswerBackend(), config)
+    try:
+        assert second.complete(request) == response
+        hit = second.score_continuation("c", " a")
+    finally:
+        second.close()
+    assert hit == scored and _bits(hit) == _bits(scored)
+    assert _bits(scored) == [struct.pack("<d", lp) for lp in logprobs]
+    assert second.cache_hits == 2 and second.backend_calls == 0
+
+
 class _DictIndex:
     """The oracle for the keydir: the cache log indexed by one dict from
     each key to the offset and length of its latest line. It reads the log
@@ -355,13 +433,13 @@ def test_keydir_matches_a_dict_index(tmp_path_factory, ops, digits, length_bits,
         line = keys[i] + b'\t{"response": "written %d"}\n' % calls
         return line[: min(n, len(line) - 1)]
 
-    def fetch():
+    def call():
         nonlocal calls, start
         with log.open("ab") as f:
             f.write(in_flight)
         start = log.stat().st_size
         calls += 1
-        return {"response": f"answer {calls}"}
+        return f"answer {calls}"
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gateway, "_PREFIX_DIGITS", digits)
@@ -375,7 +453,7 @@ def test_keydir_matches_a_dict_index(tmp_path_factory, ops, digits, length_bits,
                     key = keys[args[0]]
                     want, hits = oracle.lookup(key), gw.cache_hits
                     in_flight = torn_line((args[0] + 1) % _N_TEXTS, args[1]) if args[1:] else b""
-                    got = gw._cached(key, gateway._response, fetch)
+                    got = gw._cached(key, call, gateway._response, lambda r: {"response": r})
                     if want is None:
                         assert got == f"answer {calls}" and gw.cache_hits == hits
                         oracle.appended(key, start, log.stat().st_size)

@@ -20,7 +20,7 @@ def test_answer_confidence_closed_form():
     for _ in range(100):
         n = rng.randrange(1, 20)
         lps = [rng.uniform(-5.0, 0.0) for _ in range(n)]
-        scored = ScoredContinuation(tuple(f"t{i}" for i in range(n)), tuple(lps))
+        scored = ScoredContinuation(tuple(lps))
         expected = math.exp(math.fsum(lps) / n)
         assert answer_confidence(scored) == pytest.approx(expected, abs=1e-15)
 
@@ -28,7 +28,7 @@ def test_answer_confidence_closed_form():
 def test_answer_confidence_length_invariant():
     # constant per-token logprob: confidence must not depend on length
     for n in (1, 2, 17, 100):
-        scored = ScoredContinuation(("t",) * n, (math.log(0.4),) * n)
+        scored = ScoredContinuation((math.log(0.4),) * n)
         assert answer_confidence(scored) == pytest.approx(0.4, abs=1e-12)
 
 
