@@ -16,7 +16,6 @@ from .core import (
     Aspect,
     AspectUnit,
     DatasetRecord,
-    PaperRecord,
     ResponseParseError,
     SectionLabel,
 )
@@ -85,14 +84,10 @@ def _strip_brackets(value: str) -> str:
 
 
 def assess_relevance(
-    dataset: DatasetRecord,
-    paper: PaperRecord,
-    gateway: Gateway,
-    max_paper_chars: int,
-    template: str,
+    dataset: DatasetRecord, text: str, gateway: Gateway, template: str
 ) -> RelevanceVerdict:
-    """Ask whether the paper plausibly used this dataset; parse USED/EXPLANATION."""
-    text, _ = truncate_text(paper.full_text(), max_paper_chars)
+    """Ask whether a paper, given as `text`, plausibly used this dataset;
+    parse USED/EXPLANATION."""
     response = ask(
         gateway,
         "relevance",

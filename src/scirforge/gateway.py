@@ -168,6 +168,11 @@ class _ScriptEntry:
         ):
             if broken:
                 raise ValueError(message)
+        # A chat response is cached and written as UTF-8, as HttpBackend's are.
+        try:
+            (self.response or "").encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"response does not encode as UTF-8: {exc}") from None
         # Not a field, so not a JSON key: the `match` regex, compiled once.
         object.__setattr__(self, "pattern", re.compile(self.match, re.DOTALL))
 

@@ -20,7 +20,6 @@ import io
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,7 +141,8 @@ _PARSED: dict[tuple[tuple[str, ...], Any], tuple[tuple[str, ...], Any]] = {}
 class StageContext:
     """What one stage run may touch: its declared inputs (manifest label ->
     path), the outputs it may write (`writes`, relative to `run_dir`, with
-    each one's record type) and those it records, as it writes them."""
+    each one's record type) and those it records, as it writes them, and
+    the gateway run_stage opened if the stage declares the model."""
 
     config: RunConfig
     run_dir: Path
@@ -151,31 +151,16 @@ class StageContext:
     # sha256 by input label, as run_stage recorded it for the manifest; an
     # input missing here is hashed when first read.
     digests: dict[str, str] = dataclasses.field(default_factory=dict)
+    client: Gateway | None = None
     outputs: list[Path] = dataclasses.field(default_factory=list, init=False)
     # Warnings that no artifact holds; the stage's manifest entry lists them.
     warnings: list[str] = dataclasses.field(default_factory=list, init=False)
 
-    def __post_init__(self):
-        self._gateway: Gateway | None = None
-        # pmap workers race to the first call; they must share one gateway.
-        self._gateway_lock = threading.Lock()
-        # Worker threads only overlap time spent waiting on an HTTP backend
-        # (the main one, or bench-qa's entailment scorer). The mock never
-        # waits, so under it threads only add switching cost.
-        self.waits_on_http = "http" in (self.config.backend.kind, self.config.entailment.kind)
-
     @property
     def gateway(self) -> Gateway:
-        # Set once and never cleared, so only its creation takes the lock.
-        if self._gateway is None:
-            with self._gateway_lock:
-                if self._gateway is None:
-                    self._gateway = Gateway.from_config(self.config.backend)
-        return self._gateway
-
-    def close(self) -> None:
-        if self._gateway is not None:
-            self._gateway.close()
+        if self.client is None:
+            raise StageError(f"this stage asks the model without declaring {_SCRIPT!r}")
+        return self.client
 
     def input(self, label: str) -> Path:
         if label not in self.inputs:
@@ -235,7 +220,11 @@ class StageContext:
         """Yield `fn(item)` for each item, in input order: computed on up to
         `concurrency` worker threads when the work can wait on an HTTP
         backend, else one at a time on this thread as they are asked for."""
-        workers = min(self.config.concurrency, len(items)) if self.waits_on_http else 1
+        # Threads only overlap time spent waiting on an HTTP backend (the
+        # main one, or bench-qa's entailment scorer). The mock never waits,
+        # so under it threads only add switching cost.
+        kinds = (self.config.backend.kind, self.config.entailment.kind)
+        workers = min(self.config.concurrency, len(items)) if "http" in kinds else 1
         if workers <= 1:
             yield from map(fn, items)
             return
@@ -289,18 +278,12 @@ def _stage_match(ctx: StageContext) -> None:
                 raise StageError(f"dataset {d.id} links unknown paper {pid}")
             tasks.append((d, pid))
     template = ctx.template("relevance.txt")
+    max_chars = ctx.config.curation.max_paper_chars
 
     def work(task: tuple[DatasetRecord, str]) -> _MatchRow:
         d, pid = task
-        paper = papers[pid]
-        verdict = assess_relevance(
-            d,
-            paper,
-            ctx.gateway,
-            max_paper_chars=ctx.config.curation.max_paper_chars,
-            template=template,
-        )
-        _, truncated = truncate_text(paper.full_text(), ctx.config.curation.max_paper_chars)
+        text, truncated = truncate_text(papers[pid].full_text(), max_chars)
+        verdict = assess_relevance(d, text, ctx.gateway, template)
         return _MatchRow(d.id, pid, verdict.used, verdict.explanation, truncated)
 
     rows = list(ctx.pmap(work, tasks))
@@ -428,8 +411,8 @@ def _stage_filter(ctx: StageContext) -> None:
     rows = list(ctx.pmap(work, pairs))
     ctx.write_rows("verdicts.jsonl", rows)
 
-    if "filter_labels" in ctx.inputs:
-        labels_doc = json.loads(ctx.input("filter_labels").read_text(encoding="utf-8"))
+    if _LABELS in ctx.inputs:
+        labels_doc = json.loads(ctx.input(_LABELS).read_text(encoding="utf-8"))
         if not isinstance(labels_doc, dict):
             raise StageError("filter labels must be a JSON object from pair id to true or false")
         by_id = {row.pair_id: row for row in rows}
@@ -565,47 +548,45 @@ def _stage_bench_retrieval(ctx: StageContext) -> None:
         gold_positions[cfg] = [position[g] for g in golds]
     client = _embedding_client(ctx)
 
-    header = ["method"]
-    for cfg_label in ("without_paper", "with_paper"):
-        header += [f"{cfg_label}_r_at_{k}" for k in ks]
-        header.append(f"{cfg_label}_mrr_at_{cutoff}")
-
-    # Each query keeps only its gold rank; no score vector outlives its query.
-    def cells(ranks: list[int]) -> list[str]:
-        return [_fmt(recall_at_k(ranks, k)) for k in ks] + [_fmt(mrr_at(ranks, cutoff))]
-
-    configs = (IndexConfig.WITHOUT_PAPER, IndexConfig.WITH_PAPER)
-    bm25_row: list = ["bm25"]
-    for cfg in configs:
+    # Per method, its gold ranks on one index, one query at a time: each
+    # query keeps only its gold rank, so no score vector outlives its query.
+    def bm25(cfg: IndexConfig) -> Iterator[int]:
         index = indexes[cfg]
-        bm25_row += cells(
-            [
-                rank_of(search(index, q), index.unit_datasets, g)
-                for q, g in zip(questions, gold_positions[cfg])
-            ]
-        )
-    rows = [bm25_row]
+        for q, g in zip(questions, gold_positions[cfg]):
+            yield rank_of(search(index, q), index.unit_datasets, g)
 
+    methods = {"bm25": bm25}
     if client is not None:
         query_vectors = client.embed(questions)
         query_norms = [float(np.linalg.norm(v)) for v in query_vectors]
         # WithoutPaper's units are WithPaper's metadata units: embed each
         # distinct text once and give every index its rows of the result.
-        texts = list(dict.fromkeys(u.text for cfg in configs for u in indexes[cfg].units))
+        texts = list(dict.fromkeys(u.text for index in indexes.values() for u in index.units))
         text_vectors = client.embed(texts)
         row_of = {text: i for i, text in enumerate(texts)}
-        emb_row: list = [f"embedding-{ctx.config.embedding.kind}"]
-        for cfg in configs:
+
+        def embedding(cfg: IndexConfig) -> Iterator[int]:
             index = indexes[cfg]
             unit_vectors = text_vectors[[row_of[u.text] for u in index.units]]
             norms = np.linalg.norm(unit_vectors, axis=1)
-            emb_row += cells(
-                [
-                    rank_of(embed_search(index, unit_vectors, v, norms, qn), index.unit_datasets, g)
-                    for v, qn, g in zip(query_vectors, query_norms, gold_positions[cfg])
-                ]
-            )
-        rows.append(emb_row)
+            for v, qn, g in zip(query_vectors, query_norms, gold_positions[cfg]):
+                yield rank_of(
+                    embed_search(index, unit_vectors, v, norms, qn), index.unit_datasets, g
+                )
+
+        methods[f"embedding-{ctx.config.embedding.kind}"] = embedding
+
+    header = ["method"]
+    for name in _INDEX_FILES.values():
+        side = Path(name).stem
+        header += [f"{side}_r_at_{k}" for k in ks] + [f"{side}_mrr_at_{cutoff}"]
+    rows = []
+    for method, ranks_on in methods.items():
+        row = [method]
+        for cfg in _INDEX_FILES:
+            ranks = list(ranks_on(cfg))
+            row += [_fmt(recall_at_k(ranks, k)) for k in ks] + [_fmt(mrr_at(ranks, cutoff))]
+        rows.append(row)
 
     write_csv_atomic(ctx.output("reports/retrieval.csv"), header, rows)
     write_json_atomic(
@@ -756,6 +737,12 @@ def _stage_split(ctx: StageContext) -> None:
 _INPUT = "input:"
 _TEMPLATE = "template:"
 _SCRIPT = "mock_script"
+_LABELS = "filter_labels"
+# Labels that name the file a config key holds; an empty key means no input.
+_CONFIG_FILES = {
+    _SCRIPT: lambda config: config.backend.script_path,
+    _LABELS: lambda config: config.filter_labels_path,
+}
 
 
 @dataclass(frozen=True)
@@ -766,11 +753,14 @@ class Stage:
     the label under which the manifest stores that file's digest; an
     ``input:`` prefix resolves against ``--input`` instead, and a
     ``template:`` prefix names a prompt template or ``taxonomy.json``,
-    resolved through ``template_dir``, and ``mock_script`` names
-    ``backend.script_path`` when that is set.  Labels are an on-disk format:
-    renaming one reruns the stage in every run directory.  `writes` maps
-    each file the stage may write to its record type (one per JSONL row, or
-    the whole JSON document), or to None for a file that is only hashed.
+    resolved through ``template_dir``; ``mock_script`` names
+    ``backend.script_path`` and ``filter_labels`` names
+    ``filter_labels_path``, each when that is set.  A stage that declares
+    ``mock_script`` asks the model: run_stage opens it a gateway.  Labels
+    are an on-disk format: renaming one reruns the stage in every run
+    directory.  `writes` maps each file the stage may write to its record
+    type (one per JSONL row, or the whole JSON document), or to None for a
+    file that is only hashed.
     """
 
     name: str
@@ -782,6 +772,10 @@ class Stage:
     def deps(self) -> tuple[str, ...]:
         """The stages that write one of this stage's inputs, in run order."""
         return tuple(s.name for s in STAGES if not s.writes.keys().isdisjoint(self.inputs))
+
+    @property
+    def asks_model(self) -> bool:
+        return _SCRIPT in self.inputs
 
 
 _PAIRS = ("qapairs.jsonl", "verdicts.jsonl")
@@ -798,7 +792,7 @@ STAGES = (
     Stage("generate", ("datasets.jsonl", "aspects.jsonl", "template:select_types.txt",
                        "template:generate.txt", "template:taxonomy.json", _SCRIPT),
           {"qapairs.jsonl": QAPair, "generation_meta.json": None}, _stage_generate),
-    Stage("filter", ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl", _SCRIPT),
+    Stage("filter", ("datasets.jsonl", "aspects.jsonl", "qapairs.jsonl", _SCRIPT, _LABELS),
           {"verdicts.jsonl": _VerdictRow, "reports/filter_eval.csv": None,
            "reports/filter_pr_curve.csv": None, "reports/filter_roc_curve.csv": None},
           _stage_filter),
@@ -830,9 +824,9 @@ def _stage_inputs(
     """Manifest label -> file, for every input the stage reads."""
     inputs: dict[str, Path] = {}
     for label in stage.inputs:
-        if label == _SCRIPT:
-            if config.backend.script_path:
-                inputs[label] = Path(config.backend.script_path)
+        if label in _CONFIG_FILES:
+            if path := _CONFIG_FILES[label](config):
+                inputs[label] = Path(path)
         elif label.startswith(_TEMPLATE):
             inputs[label] = template_path(label[len(_TEMPLATE):], config.template_dir)
         elif not label.startswith(_INPUT):
@@ -841,8 +835,6 @@ def _stage_inputs(
             raise StageError(f"{stage.name} requires --input pointing at the source corpus")
         else:
             inputs[label] = input_dir / label[len(_INPUT):]
-    if stage.name == "filter" and config.filter_labels_path:
-        inputs["filter_labels"] = Path(config.filter_labels_path)
     return inputs
 
 
@@ -955,7 +947,7 @@ def run_stage(
 
     def record(status: str, **extra: str) -> None:
         # A failed attempt lists what it wrote too, so the next run removes it.
-        gateway = ctx._gateway
+        gateway = ctx.client
         own = {
             "status": status,
             "inputs": input_digests,
@@ -965,7 +957,7 @@ def run_stage(
             "started_at": started,
             "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "duration_s": round(time.perf_counter() - clock, 6),
-            # A stage that sent no model request never opened a gateway.
+            # A stage that does not declare the model has no gateway.
             "backend_calls": gateway.backend_calls if gateway else 0,
             "cache_hits": gateway.cache_hits if gateway else 0,
             **({"warnings": ctx.warnings} if ctx.warnings else {}),
@@ -984,22 +976,23 @@ def run_stage(
             os.close(fd)
 
     try:
+        if stage.asks_model:
+            ctx.client = Gateway.from_config(config.backend)
         stage.run(ctx)
     except Exception as exc:
         record("failed", error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
-        ctx.close()
+        if ctx.client is not None:
+            ctx.client.close()
     record("done")
     return "done"
 
 
 def run_all(config: RunConfig, run_dir: Path, input_dir: Path | None) -> dict[str, str]:
-    """Run every stage in dependency order; returns stage → done/noop."""
-    return {
-        name: run_stage(name, config, run_dir, input_dir if name == "ingest" else None)
-        for name in STAGE_ORDER
-    }
+    """Run every stage in dependency order; returns stage → done/noop.
+    Only ``input:`` labels read `input_dir`."""
+    return {name: run_stage(name, config, run_dir, input_dir) for name in STAGE_ORDER}
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,12 @@ def test_parse_relevance_errors():
         parse_relevance("USED:[Yes]")  # positive verdict needs an explanation
 
 
-def test_assess_relevance_truncates(tmp_path):
+def test_truncate_text_keeps_the_start_for_relevance(tmp_path):
     paper = PaperRecord(
         id="p1", title="t", segments=((SectionLabel.METHOD, "MARKER " + "x" * 500),)
     )
+    text, truncated = truncate_text(paper.full_text(), 40)
+    assert truncated and len(text) == 40
     gw = make_gateway(
         tmp_path,
         [
@@ -70,7 +72,7 @@ def test_assess_relevance_truncates(tmp_path):
             }
         ],
     )
-    v = assess_relevance(DS, paper, gw, 40, load_template("relevance.txt"))
+    v = assess_relevance(DS, text, gw, load_template("relevance.txt"))
     assert v.used  # the prompt still contains the first 40 chars
 
 

@@ -166,6 +166,19 @@ def test_mock_script_entries_are_read_by_the_json_type_rule(tmp_path, entry, mes
         MockBackend(script)
 
 
+def test_mock_chat_response_must_encode_as_utf8(tmp_path):
+    """A lone surrogate in a chat response fails the script's load, naming
+    its entry, as it fails an HTTP reply; it never reaches a caller or the
+    cache log."""
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps([
+        {"kind": "chat", "match": "", "response": "ok"},
+        {"kind": "chat", "match": "x", "response": "a\ud800b"},
+    ]))
+    with pytest.raises(GatewayError, match=re.escape("s.json[1]: response does not encode")):
+        MockBackend(script)
+
+
 def test_cache_hits_and_stage_not_in_key(tmp_path, closing):
     gw = closing(make_gateway(
         tmp_path,

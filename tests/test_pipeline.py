@@ -97,7 +97,7 @@ def test_deps_are_the_writers_of_the_run_directory_inputs():
     for stage in STAGES:
         files = [
             label for label in stage.inputs
-            if not label.startswith(("input:", "template:", "mock_script"))
+            if not label.startswith(("input:", "template:", "mock_script", "filter_labels"))
         ]
         assert all(label in writers for label in files), stage.name
         assert set(stage.deps) == {writers[label] for label in files}, stage.name
@@ -146,6 +146,41 @@ def test_stage_context_opens_only_declared_inputs(tmp_path):
     with pytest.raises(StageError, match="'reports/y.csv' is not a declared output"):
         ctx.output("reports/y.csv")
     assert ctx.outputs == [tmp_path / "reports/x.csv"]
+
+
+def test_stage_context_without_the_model_has_no_gateway(tmp_path):
+    ctx = pipeline.StageContext(config=load_config(FIXTURE_CONFIG), run_dir=tmp_path)
+    with pytest.raises(StageError, match="asks the model without declaring 'mock_script'"):
+        ctx.gateway
+
+
+def test_each_stage_that_asks_the_model_opens_one_gateway(tmp_path, monkeypatch):
+    """Over a fixture `all`, run_stage builds one gateway for each stage
+    whose entry declares the model, before the stage runs, and none for
+    the others."""
+    built = []
+    real = pipeline.Gateway.from_config.__func__
+
+    def spy(cls, backend):
+        built.append(real(cls, backend))
+        return built[-1]
+
+    given = {}
+
+    def traced(stage):
+        def run(ctx):
+            given[stage.name] = ctx.client
+            stage.run(ctx)
+
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(pipeline.Gateway, "from_config", classmethod(spy))
+    monkeypatch.setattr(pipeline, "STAGES", tuple(traced(s) for s in STAGES))
+    run_all(load_config(FIXTURE_CONFIG), tmp_path / "run", FIXTURE_DIR)
+    asking = [s.name for s in STAGES if s.asks_model]
+    assert asking == ["match", "parse", "generate", "filter", "bench-qa", "stats"]
+    assert [given[name] for name in asking] == built and len(set(map(id, built))) == 6
+    assert all(given[s.name] is None for s in STAGES if not s.asks_model)
 
 
 # Manifest input labels are an on-disk format: renaming one reruns that stage
@@ -210,7 +245,7 @@ def test_manifest_input_labels(fixture_run):
                 todo.extend(deps[name])
         produced = {path for name in upstream for path in entries[name]["outputs"]}
         for label in stage.inputs:
-            if not label.startswith(("input:", "template:", "mock_script")):
+            if not label.startswith(("input:", "template:", "mock_script", "filter_labels")):
                 assert label in produced, (stage.name, label)
 
 
@@ -275,7 +310,7 @@ def test_concurrent_stage_commands_keep_every_manifest_entry(fixture_run, tmp_pa
 def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
     """Each stage opens every input it declares through ctx.input, templates
     and taxonomy.json included, and no other; a stage declares the mock
-    script exactly when it builds a gateway, whose backend reads the script."""
+    script exactly when it asks the model through ctx.gateway."""
     opened: dict[str, set[str]] = {}
     current = []  # the mock backend runs every stage on this thread
 
@@ -284,19 +319,23 @@ def test_stages_read_only_declared_inputs(tmp_path, monkeypatch):
             current[:] = [stage.name]
             opened[stage.name] = set()
             stage.run(ctx)
-            if ctx._gateway is not None:
-                opened[stage.name].add("mock_script")
 
         return dataclasses.replace(stage, run=run)
 
     real_input = pipeline.StageContext.input
+    real_gateway = pipeline.StageContext.gateway.fget
 
     def input_(ctx, label):
         opened[current[0]].add(label)
         return real_input(ctx, label)
 
+    def gateway(ctx):
+        opened[current[0]].add("mock_script")
+        return real_gateway(ctx)
+
     monkeypatch.setattr(pipeline, "STAGES", tuple(traced(s) for s in STAGES))
     monkeypatch.setattr(pipeline.StageContext, "input", input_)
+    monkeypatch.setattr(pipeline.StageContext, "gateway", property(gateway))
 
     run_dir = tmp_path / "run"
     assert set(run_all(load_config(FIXTURE_CONFIG), run_dir, FIXTURE_DIR).values()) == {"done"}
@@ -515,62 +554,65 @@ _HTTP_BACKEND = {
 }
 
 
-def test_stage_workers_share_one_gateway(tmp_path):
-    config = load_config(_fixture_config(tmp_path / "inputs", backend=_HTTP_BACKEND))
-    # Building the gateway (and its HttpBackend) sends no request.
-    ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
-    assert ctx.waits_on_http and ctx.config.concurrency > 1
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        gateways = list(ctx.pmap(lambda _: ctx.gateway, range(64)))
-    finally:
-        sys.setswitchinterval(old)
-        ctx.close()
-    assert len({id(gw) for gw in gateways}) == 1
-
-
-def test_racing_first_accesses_build_one_gateway(tmp_path, monkeypatch):
-    """Threads racing on the first access all get one gateway from one
-    `Gateway.from_config` call, and once it exists no access takes the lock."""
-    config = load_config(_fixture_config(tmp_path / "inputs"))
-    ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
+def test_stage_workers_see_the_gateway_run_stage_opened(tmp_path, monkeypatch):
+    """Under an HTTP backend, every pmap worker of a stage that declares the
+    model gets the one gateway run_stage opened before the stage ran."""
+    inputs = tmp_path / "inputs"
+    config = load_config(_fixture_config(inputs, backend=_HTTP_BACKEND))
     built = []
     real = pipeline.Gateway.from_config.__func__
 
-    def slow(cls, backend):
-        built.append(backend)
-        time.sleep(0.05)  # the other threads reach the check meanwhile
-        return real(cls, backend)
+    def spy(cls, backend):
+        built.append(real(cls, backend))  # sends no request
+        return built[-1]
 
-    monkeypatch.setattr(pipeline.Gateway, "from_config", classmethod(slow))
-    start = threading.Barrier(8)
-    got = []
+    seen = []
 
-    def first_access():
-        start.wait()
-        got.append(ctx.gateway)
+    def run(ctx):
+        def where(_):
+            time.sleep(0.01)
+            return ctx.gateway, threading.get_ident()
 
-    threads = [threading.Thread(target=first_access) for _ in range(8)]
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(built) == 1
-        assert len(got) == 8 and len({id(gw) for gw in got}) == 1
-        ctx._gateway_lock = None  # a later access that took the lock would fail
-        assert ctx.gateway is got[0]
-    finally:
-        ctx.close()
+        seen.extend(ctx.pmap(where, range(16)))
+
+    monkeypatch.setattr(pipeline.Gateway, "from_config", classmethod(spy))
+    stages = tuple(dataclasses.replace(s, run=run) if s.name == "match" else s for s in STAGES)
+    monkeypatch.setattr(pipeline, "STAGES", stages)
+    assert run_stage("ingest", config, tmp_path / "run", inputs) == "done"
+    assert run_stage("match", config, tmp_path / "run") == "done"
+    assert len(built) == 1
+    assert all(gw is built[0] for gw, _ in seen) and len(seen) == 16
+    assert len({ident for _, ident in seen}) > 1
+
+
+def test_a_broken_script_fails_the_first_stage_that_asks_the_model(tmp_path, capsys):
+    """A script entry whose response is a lone surrogate fails match, the
+    first stage that declares the model, as it opens its gateway, though
+    no request would have matched that entry."""
+    inputs = tmp_path / "inputs"
+    config_path = _fixture_config(inputs)
+    script = inputs / "mock_script.json"
+    entries = json.loads(script.read_text(encoding="utf-8"))
+    entries.append({"kind": "chat", "match": "^$", "response": "a\ud800b"})
+    script.write_text(json.dumps(entries), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    args = ["all", "--config", str(config_path), "--output", str(run_dir), "--input", str(inputs)]
+    assert main(args) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "GatewayError", err
+    assert f"mock_script.json[{len(entries) - 1}]: response does not encode" in err["message"]
+    stages = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert {name: e["status"] for name, e in stages.items()} == {
+        "ingest": "done", "match": "failed"
+    }
 
 
 def test_threaded_pmap_yields_in_input_order(tmp_path):
     """Items finish in reverse order on four workers; pmap yields them in
     input order."""
     config = load_config(_fixture_config(tmp_path / "inputs", backend=_HTTP_BACKEND))
+    assert config.backend.kind == "http" and config.concurrency == 4
     ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
-    assert ctx.waits_on_http and ctx.config.concurrency == 4
     finished = []
     lock = threading.Lock()
 
@@ -588,8 +630,8 @@ def test_mock_backend_maps_on_the_calling_thread(tmp_path, monkeypatch):
     """The mock never waits, so no stage starts a thread at any concurrency."""
     config = load_config(FIXTURE_CONFIG)
     assert config.concurrency == 4
+    assert "http" not in (config.backend.kind, config.entailment.kind)
     ctx = pipeline.StageContext(config=config, run_dir=tmp_path)
-    assert not ctx.waits_on_http
 
     def refuse(thread):
         raise AssertionError(f"started thread {thread.name}")
